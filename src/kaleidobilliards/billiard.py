@@ -426,6 +426,8 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
                    truncation: BasisTruncation | None = None) -> EigenSpectrum:
     """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     try:
         vals = scipy.linalg.eigh(
             a_mat, b_mat, eigvals_only=True, check_finite=False, driver="gvd"
@@ -487,10 +489,9 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     )
 
 
-def spectrum_to_csv(spectrum: EigenSpectrum, path, deltas=None) -> None:
+def spectrum_to_csv(spectrum: EigenSpectrum, deltas=None) -> str:
     lines = ["k,eigenvalue,lambda_eff,delta_last_refinement"]
     for i, (val, lam) in enumerate(zip(spectrum.values, spectrum.effective_lambda)):
         delta = "" if deltas is None or i >= len(deltas) else f"{deltas[i]:.12g}"
         lines.append(f"{i + 1},{val:.12g},{lam:.12g},{delta}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -18,22 +18,21 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import KaleidoError, MassDomainError
+from .errors import InsufficientLevelsError, KaleidoError, MassDomainError
 from . import billiard as B
 from . import exact as E
 from . import geometry as G
 from . import groups as GR
 from . import masses as M
 from . import stats as ST
+from .geometry import sig12
 
 THREAD_ENV = "KBILLIARDS_THREADS"
-
-_COMMANDS = ("classify", "family", "geometry", "group", "exact", "billiard", "stats", "weyl")
 
 
 @dataclass
@@ -55,8 +54,6 @@ class RunConfig:
     tol_spacings: float = 0.05
     ground_state_path: str | None = None
     output_path: str | None = None
-    format: str = "csv"
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -75,19 +72,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _capture_file(write_fn) -> str:
-    """Run a path-writing helper into a string for atomic emission."""
-    fd, tmp = tempfile.mkstemp(suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        with open(tmp) as fh:
-            return fh.read()
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _write_metadata(base_path: str, config: RunConfig, wall: float, extra=None) -> None:
@@ -166,9 +150,9 @@ def _cmd_classify(config: RunConfig) -> dict:
             "best": result.best.name,
             "bracket": list(result.best.bracket),
             "reversed_bracket": result.reversed_bracket,
-            "measured_angles": [float(f"{a:.12g}") for a in result.measured_angles],
-            "target_angles": [float(f"{a:.12g}") for a in result.target_angles],
-            "max_deviation": float(f"{result.max_deviation:.12g}"),
+            "measured_angles": [sig12(a) for a in result.measured_angles],
+            "target_angles": [sig12(a) for a in result.target_angles],
+            "max_deviation": sig12(result.max_deviation),
             "integrable": integrable,
         }
         _atomic_write(config.output_path, json.dumps(payload, indent=2) + "\n")
@@ -182,9 +166,9 @@ def _cmd_family(config: RunConfig) -> dict:
     r_max = config.r_max if config.r_max is not None else hi * (1.0 - 1e-6)
     ratios = np.linspace(r_min, r_max, config.grid)
     curve = M.family_curve(spec, ratios)
-    _atomic_write(config.output_path, _capture_file(lambda p: M.write_family_csv(curve, p)))
+    _atomic_write(config.output_path, M.write_family_csv(curve))
     return {
-        "feasible_interval": [float(f"{lo:.12g}"), float(f"{hi:.12g}")],
+        "feasible_interval": [sig12(lo), sig12(hi)],
         "n_points": len(curve.points),
         "infeasible_points": [[r, reason] for r, reason in curve.infeasible],
     }
@@ -202,7 +186,6 @@ def _cmd_group(config: RunConfig) -> dict:
         seq = M.MassSequence(config.masses)
     else:
         spec = M.coxeter_spec(config.spec)
-        _require(spec.rank == 3, "group generation needs a rank-3 spec or masses")
         lo, hi = M.feasibility_interval(spec)
         seq = M.generate_family(spec, 1.0, 0.5 * hi)
     grp = GR.group_from_masses(seq)
@@ -213,7 +196,7 @@ def _cmd_group(config: RunConfig) -> dict:
 def _cmd_exact(config: RunConfig) -> dict:
     spec = M.coxeter_spec(config.spec)
     levels = E.energy_levels(spec, config.e_max, spec.rank + 1)
-    _atomic_write(config.output_path, _capture_file(lambda p: E.levels_to_csv(levels, p)))
+    _atomic_write(config.output_path, E.levels_to_csv(levels))
     extra = {
         "n_levels": len(levels),
         "lambda_spectrum": {
@@ -221,7 +204,6 @@ def _cmd_exact(config: RunConfig) -> dict:
         },
     }
     if config.ground_state_path:
-        _require(spec.rank == 3, "ground-state polynomial needs a rank-3 spec")
         lo, hi = M.feasibility_interval(spec)
         grp = GR.group_from_masses(M.generate_family(spec, 1.0, 0.5 * hi))
         state = E.ground_state(grp)
@@ -249,40 +231,53 @@ def _cmd_billiard(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     spectrum, deltas = _solve_for_cli(config, sector)
-    _atomic_write(
-        config.output_path,
-        _capture_file(lambda p: B.spectrum_to_csv(spectrum, p, deltas)),
-    )
+    _atomic_write(config.output_path, B.spectrum_to_csv(spectrum, deltas))
     return {
-        "area": float(f"{sector.geometry.area:.12g}"),
-        "perimeter": float(f"{sector.geometry.perimeter:.12g}"),
+        "area": sig12(sector.geometry.area),
+        "perimeter": sig12(sector.geometry.perimeter),
         "n_levels": len(spectrum.values),
-        "first_lambda_eff": float(f"{spectrum.effective_lambda[0]:.12g}"),
+        "first_lambda_eff": sig12(spectrum.effective_lambda[0]),
     }
+
+
+def _weyl_csv(spectrum, geometry) -> tuple:
+    """Weyl-residual CSV of the converged window, and its residual column."""
+    e, stair, weyl, after, _ = ST.weyl_residuals(spectrum, geometry)
+    lines = ["k,eigenvalue,staircase,weyl,residual"]
+    for i in range(len(e)):
+        lines.append(
+            f"{i + 1},{e[i]:.12g},{stair[i]:.12g},{weyl[i]:.12g},{after[i]:.12g}"
+        )
+    return "\n".join(lines) + "\n", after
 
 
 def _cmd_weyl(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     spectrum, _ = _solve_for_cli(config, sector)
-    e, stair, weyl, after, before = ST.weyl_residuals(spectrum, sector.geometry)
-    lines = ["k,eigenvalue,staircase,weyl,residual"]
-    for i in range(len(e)):
-        lines.append(
-            f"{i + 1},{e[i]:.12g},{stair[i]:.12g},{weyl[i]:.12g},{after[i]:.12g}"
-        )
-    _atomic_write(config.output_path, "\n".join(lines) + "\n")
-    return {"max_abs_residual": float(f"{np.abs(after).max():.12g}")}
+    if spectrum.converged_count == 0:
+        raise InsufficientLevelsError("no level converged across --n-max-grid")
+    text, after = _weyl_csv(spectrum, sector.geometry)
+    _atomic_write(config.output_path, text)
+    return {"max_abs_residual": sig12(np.abs(after).max())}
+
+
+def _truncations(config: RunConfig) -> tuple:
+    """The ascending basis truncations a solver command assembles."""
+    if config.n_max_grid:
+        return config.n_max_grid
+    if config.command == "stats":
+        return (config.n_max - 10, config.n_max)
+    return (config.n_max,)
 
 
 def _stats_one_sector(seq, perm, config: RunConfig):
     geom = G.sector_geometry(G.coincidence_normals(seq), perm)
     sector = B.sector_from_inward_normals(geom.bounding_normals, label=perm)
     spacing = 4.0 * math.pi / geom.area
-    grid = config.n_max_grid if config.n_max_grid else (config.n_max - 10, config.n_max)
     study = B.convergence_study(
         sector,
-        grid,
+        _truncations(config),
         config.k_levels,
         tolerance=config.tol_spacings * spacing,
         quadrature_order=config.quadrature_order,
@@ -296,7 +291,6 @@ def _stats_one_sector(seq, perm, config: RunConfig):
 def _cmd_stats(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     out_dir = config.output_path
-    os.makedirs(out_dir, exist_ok=True)
     sectors = distinct_sector_orderings(seq)
     workers = max(1, int(os.environ.get(THREAD_ENV, "1")))
     summary = {}
@@ -311,38 +305,24 @@ def _cmd_stats(config: RunConfig) -> dict:
     else:
         results = [run(entry) for entry in sectors]
 
+    reference = ST.reference_curves_to_csv()
     for perm, mult, (geom, study, spectrum, unfolded, hist) in results:
         tag = "".join(str(p) for p in perm)
-        sub = os.path.join(out_dir, f"sector_{tag}")
-        os.makedirs(sub, exist_ok=True)
-        _atomic_write(
-            os.path.join(sub, "spectrum.csv"),
-            _capture_file(lambda p: B.spectrum_to_csv(spectrum, p, study.last_deltas)),
-        )
-        _atomic_write(
-            os.path.join(sub, "histogram.csv"),
-            _capture_file(lambda p: ST.histogram_to_csv(hist, p)),
-        )
-        _atomic_write(
-            os.path.join(sub, "reference.csv"),
-            _capture_file(lambda p: ST.reference_curves_to_csv(p)),
-        )
-        e, stair, weyl, after, _ = ST.weyl_residuals(spectrum, geom)
-        lines = ["k,eigenvalue,staircase,weyl,residual"]
-        for i in range(len(e)):
-            lines.append(
-                f"{i + 1},{e[i]:.12g},{stair[i]:.12g},{weyl[i]:.12g},{after[i]:.12g}"
-            )
-        _atomic_write(os.path.join(sub, "weyl_residual.csv"), "\n".join(lines) + "\n")
-        _atomic_write(
-            os.path.join(sub, "summary.json"), ST.summary_to_json(hist, unfolded) + "\n"
-        )
+        files = {
+            "spectrum.csv": B.spectrum_to_csv(spectrum, study.last_deltas),
+            "histogram.csv": ST.histogram_to_csv(hist),
+            "reference.csv": reference,
+            "weyl_residual.csv": _weyl_csv(spectrum, geom)[0],
+            "summary.json": ST.summary_to_json(hist, unfolded) + "\n",
+        }
+        for name, text in files.items():
+            _atomic_write(os.path.join(out_dir, f"sector_{tag}", name), text)
         summary[tag] = {
             "multiplicity": mult,
-            "area": float(f"{geom.area:.12g}"),
+            "area": sig12(geom.area),
             "converged_levels": spectrum.converged_count,
-            "ks_poisson": float(f"{hist.ks_poisson:.12g}"),
-            "ks_wigner": float(f"{hist.ks_wigner:.12g}"),
+            "ks_poisson": sig12(hist.ks_poisson),
+            "ks_wigner": sig12(hist.ks_wigner),
         }
     _atomic_write(
         os.path.join(out_dir, "sectors.json"), json.dumps(summary, indent=2) + "\n"
@@ -367,52 +347,96 @@ _IMPLEMENTATIONS = {
 
 
 def _validate(config: RunConfig) -> None:
-    _require(config.command in _COMMANDS, f"unknown command {config.command!r}")
-    needs_masses = {"geometry", "billiard", "stats", "weyl", "classify"}
-    needs_output = {"family", "geometry", "group", "exact", "billiard", "stats", "weyl"}
-    if config.command in needs_masses:
-        _require(config.masses is not None, f"{config.command} requires --masses")
+    cmd = config.command
+    _require(cmd in _IMPLEMENTATIONS, f"unknown command {cmd!r}")
+    if cmd in {"geometry", "billiard", "stats", "weyl", "classify"}:
+        _require(config.masses is not None, f"{cmd} requires --masses")
+    if config.masses is not None:
         try:
             M.MassSequence(config.masses)
         except MassDomainError as exc:
             raise SystemExit2(str(exc)) from exc
-        if config.command != "classify":
-            _require(
-                len(config.masses) == 4,
-                f"{config.command} supports exactly four masses",
-            )
-    if config.command == "group" and config.masses is not None:
-        _require(len(config.masses) == 4, "group generation needs four masses")
-    if config.command in {"geometry", "billiard", "weyl"}:
-        _require(config.ordering is not None, f"{config.command} requires --ordering")
+        if cmd != "classify":
+            _require(len(config.masses) == 4, f"{cmd} supports exactly four masses")
+    if cmd in {"geometry", "billiard", "weyl"}:
+        _require(config.ordering is not None, f"{cmd} requires --ordering")
         _require(
-            config.masses is not None and len(config.ordering) == len(config.masses),
-            "ordering length must match the number of masses",
+            sorted(config.ordering) == [1, 2, 3, 4],
+            "--ordering must be a permutation of 1,2,3,4",
         )
-    if config.command in {"family", "exact"}:
-        _require(config.spec is not None, f"{config.command} requires --spec")
-        try:
-            M.coxeter_spec(config.spec)
-        except ValueError as exc:
-            raise SystemExit2(str(exc)) from exc
-    if config.command == "group":
+    if cmd in {"family", "exact"}:
+        _require(config.spec is not None, f"{cmd} requires --spec")
+    if cmd == "group":
         _require(
             config.spec is not None or config.masses is not None,
             "group requires --spec or --masses",
         )
-    if config.command in needs_output:
-        _require(config.output_path is not None, f"{config.command} requires --output")
-    _require(config.format in ("csv", "json"), "format must be csv or json")
-    if config.n_max_grid is not None:
+    if config.spec is not None and config.masses is None:
+        try:
+            spec = M.coxeter_spec(config.spec)
+            if cmd == "exact":
+                GR.spectrum_generators(spec)
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from exc
+        if cmd == "group" or config.ground_state_path:
+            _require(spec.rank == 3, "group data and ground states need a rank-3 spec")
+    if cmd == "family":
+        _require(config.grid >= 1, "--grid must be at least 1")
+    if cmd in {"billiard", "weyl", "stats"}:
+        grid = _truncations(config)
         _require(
-            all(b > a for a, b in zip(config.n_max_grid, config.n_max_grid[1:])),
+            config.n_max_grid is None or len(grid) >= 2,
+            "--n-max-grid needs at least two truncations",
+        )
+        _require(
+            all(b > a for a, b in zip(grid, grid[1:])),
             "--n-max-grid must be strictly ascending",
         )
+        # stats without --n-max-grid also solves at n_max - 10
+        _require(grid[0] >= 2, f"every truncation must be at least 2, got {list(grid)}")
+        basis = grid[0] * (grid[0] - 1) // 2
+        _require(
+            1 <= config.k_levels <= basis,
+            f"--k must lie in 1..{basis}, the basis size at n_max {grid[0]}",
+        )
+        _require(
+            config.quadrature_order is None or config.quadrature_order >= 3 * grid[-1],
+            f"--quadrature-order must be at least 3 n_max = {3 * grid[-1]}",
+        )
+    if cmd == "stats":
+        _require(config.bins >= 1, "--bins must be at least 1")
+        _require(config.tol_spacings > 0, "--tol-spacings must be positive")
+    if cmd != "classify":
+        _require(config.output_path is not None, f"{cmd} requires --output")
 
 
-def dispatch(config: RunConfig) -> int:
-    """Validate, run, and write artifacts; returns the process exit code."""
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over ``--config`` values over the ``RunConfig`` defaults."""
+    file_values = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                document = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SystemExit2(f"cannot read --config {args.config}: {exc}") from exc
+        _require(
+            isinstance(document, dict) and isinstance(document.get(args.command, {}), dict),
+            "--config must hold a JSON object, with one object per command",
+        )
+        file_values = dict(document.get(args.command, {}))
+        file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
+    merged = {}
+    for key, val in vars(args).items():
+        val = file_values.get(key) if val is None else val
+        if key != "config" and val is not None:
+            merged[key] = tuple(val) if key in ("masses", "ordering", "n_max_grid") else val
+    return RunConfig(**merged)
+
+
+def dispatch(args: argparse.Namespace) -> int:
+    """Load, validate, run, and write artifacts; returns the process exit code."""
     try:
+        config = _merge_config(args)
         _validate(config)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -420,9 +444,6 @@ def dispatch(config: RunConfig) -> int:
     start = time.perf_counter()
     try:
         extra = _IMPLEMENTATIONS[config.command](config)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KaleidoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -483,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--output", dest="output_path", default=None,
                            help="output file (or directory for stats)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--config", default=None, help="JSON config file")
 
     p = sub.add_parser("classify", help="score an ordered mass sequence")
@@ -523,43 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "n_max": 40,
-    "k_levels": 50,
-    "lambda_max": 45,
-    "e_max": 25.0,
-    "bins": 24,
-    "grid": 100,
-    "tol_spacings": 0.05,
-    "format": "csv",
-}
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k not in ("config",)}
-    file_values = {}
-    if args.config:
-        with open(args.config) as fh:
-            document = json.load(fh)
-        file_values = document.get(args.command, {})
-        file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
-    merged = {}
-    for key, val in values.items():
-        if val is None and key in file_values:
-            val = file_values[key]
-        if val is None and key in _DEFAULTS:
-            val = _DEFAULTS[key]
-        merged[key] = val
-    for key in ("masses", "ordering", "n_max_grid"):
-        if merged.get(key) is not None:
-            merged[key] = tuple(merged[key])
-    return RunConfig(**merged)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _merge_config(args)
-    return dispatch(config)
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

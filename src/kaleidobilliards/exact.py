@@ -307,9 +307,8 @@ def energy_levels(spec: CoxeterSpec, e_max: float, n_particles: int) -> list:
     return sorted(levels, key=lambda lv: (lv.energy, lv.n, lv.nu, lv.n1, lv.n2))
 
 
-def levels_to_csv(levels, path) -> None:
+def levels_to_csv(levels) -> str:
     lines = ["n,nu,n1,n2,lambda,energy"]
     for lv in levels:
         lines.append(f"{lv.n},{lv.nu},{lv.n1},{lv.n2},{lv.lam},{lv.energy:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -188,19 +188,20 @@ def geometry_from_inward_normals(inward, label=("manual",)) -> SectorGeometry:
     return _triangle_geometry(tuple(label), inward)
 
 
-def _sig12(x: float) -> float:
+def sig12(x: float) -> float:
+    """``x`` rounded to the 12 significant digits every written float carries."""
     return float(f"{x:.12g}")
 
 
 def geometry_to_json(geom: SectorGeometry) -> str:
     data = {
         "ordering": list(geom.ordering),
-        "bounding_normals": [[_sig12(x) for x in row] for row in geom.bounding_normals],
-        "vertices": [[_sig12(x) for x in row] for row in geom.vertices],
-        "dihedral_angles": [_sig12(x) for x in geom.dihedral_angles],
-        "vertex_angles": [_sig12(x) for x in geom.vertex_angles],
-        "area": _sig12(geom.area),
-        "perimeter": _sig12(geom.perimeter),
+        "bounding_normals": [[sig12(x) for x in row] for row in geom.bounding_normals],
+        "vertices": [[sig12(x) for x in row] for row in geom.vertices],
+        "dihedral_angles": [sig12(x) for x in geom.dihedral_angles],
+        "vertex_angles": [sig12(x) for x in geom.vertex_angles],
+        "area": sig12(geom.area),
+        "perimeter": sig12(geom.perimeter),
     }
     return json.dumps(data, indent=2)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CharacterTableError, NonCoxeterRootsError
+from .geometry import sig12
 from .masses import CoxeterSpec, MassSequence, brackets_for_rank, coxeter_spec
 from .polynomials import HomogeneousPolynomial, linear_form
 
@@ -379,7 +380,7 @@ def group_to_json(group: ReflectionGroup) -> str:
         "reflections": len(group.reflections),
         "classes": [
             {
-                "angle": float(f"{c.angle:.12g}"),
+                "angle": sig12(c.angle),
                 "parity": c.parity,
                 "element_order": c.element_order,
                 "size": c.size,

@@ -311,12 +311,11 @@ def classify(masses: MassSequence) -> ClassificationResult:
     return best
 
 
-def write_family_csv(curve: FamilyCurve, path) -> None:
-    """CSV with columns r, mu1..muN at 12 significant digits."""
+def write_family_csv(curve: FamilyCurve) -> str:
+    """CSV text with columns r, mu1..muN at 12 significant digits."""
     n = len(curve.points[0].fractions)
     lines = ["r," + ",".join(f"mu{i + 1}" for i in range(n))]
     for pt in curve.points:
         cells = [f"{pt.r:.12g}"] + [f"{f:.12g}" for f in pt.fractions]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

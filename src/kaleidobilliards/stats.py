@@ -17,7 +17,7 @@ import numpy as np
 
 from .billiard import EigenSpectrum
 from .errors import InsufficientLevelsError
-from .geometry import SectorGeometry
+from .geometry import SectorGeometry, sig12
 
 __all__ = [
     "UnfoldedSpectrum",
@@ -167,32 +167,30 @@ def weyl_residuals(spectrum: EigenSpectrum, geometry: SectorGeometry):
     return e, stair, weyl, stair - weyl, (stair - 1.0) - weyl
 
 
-def histogram_to_csv(hist: SpacingHistogram, path) -> None:
+def histogram_to_csv(hist: SpacingHistogram) -> str:
     lines = ["bin_left,bin_right,density"]
     for left, right, dens in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities):
         lines.append(f"{left:.12g},{right:.12g},{dens:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def reference_curves_to_csv(path, s_max: float = 4.0, n: int = 401) -> None:
+def reference_curves_to_csv(s_max: float = 4.0, n: int = 401) -> str:
     s = np.linspace(0.0, s_max, n)
     lines = ["s,poisson,wigner"]
     for si, pi, wi in zip(s, poisson_pdf(s), wigner_pdf(s)):
         lines.append(f"{si:.12g},{pi:.12g},{wi:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def summary_to_json(hist: SpacingHistogram, unfolded: UnfoldedSpectrum) -> str:
     return json.dumps(
         {
             "n_levels": len(unfolded.epsilon),
-            "mean_spacing": float(f"{unfolded.mean_spacing:.12g}"),
-            "ks_poisson": float(f"{hist.ks_poisson:.12g}"),
-            "ks_wigner": float(f"{hist.ks_wigner:.12g}"),
-            "chi2_poisson": float(f"{hist.chi2_poisson:.12g}"),
-            "chi2_wigner": float(f"{hist.chi2_wigner:.12g}"),
+            "mean_spacing": sig12(unfolded.mean_spacing),
+            "ks_poisson": sig12(hist.ks_poisson),
+            "ks_wigner": sig12(hist.ks_wigner),
+            "chi2_poisson": sig12(hist.chi2_poisson),
+            "chi2_wigner": sig12(hist.chi2_wigner),
         },
         indent=2,
     )

@@ -364,11 +364,18 @@ def test_solve_spectrum_rejects_indefinite_overlap():
         solve_spectrum(a, b, 3)
 
 
-def test_spectrum_csv_format(tmp_path):
+@pytest.mark.parametrize("k", [0, -2])
+def test_solve_spectrum_rejects_k_below_one(k):
+    # vals[:k] would silently drop levels (k < 0) or return none (k = 0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        solve_spectrum(np.eye(3), np.eye(3), k)
+
+
+def test_spectrum_csv_format():
     spec = solve_sector(octant_sector(), 12, 5)
-    path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path, deltas=np.zeros(3))
-    lines = path.read_text().strip().split("\n")
+    text = spectrum_to_csv(spec, deltas=np.zeros(3))
+    assert text.endswith("\n")
+    lines = text.strip().split("\n")
     assert lines[0] == "k,eigenvalue,lambda_eff,delta_last_refinement"
     assert len(lines) == 6
     assert lines[1].startswith("1,")

@@ -53,12 +53,72 @@ def test_classify_writes_json(tmp_path, capsys):
     assert os.path.exists(str(out) + ".meta.json")
 
 
-def test_validation_failures_exit_2(capsys):
-    assert main(["geometry", "--masses", "1,1,1,1"]) == 2  # missing ordering
-    assert main(["classify", "--masses", "1,0,1,1"]) == 2  # non-positive mass
-    assert main(["billiard", "--masses", "1,1,1", "--ordering", "1,2,3",
-                 "--output", "/tmp/x.csv"]) == 2  # not four masses
-    capsys.readouterr()
+EQUAL = ["--masses", "1,1,1,1"]
+SECTOR = EQUAL + ["--ordering", "1,2,3,4"]
+
+# Inputs that pass argparse but must be rejected up front; "{out}" is a fresh
+# output directory and "{cfg}" a config file holding the row's text.
+BAD_INPUTS = [
+    ("missing ordering", ["geometry", *EQUAL, "--output", "{out}/g.json"], None),
+    ("non-positive mass", ["classify", "--masses", "1,0,1,1"], None),
+    ("three masses", ["billiard", "--masses", "1,1,1", "--ordering", "1,2,3",
+                      "--output", "{out}/s.csv"], None),
+    ("k zero", ["billiard", *SECTOR, "--k", "0", "--output", "{out}/s.csv"], None),
+    ("k negative", ["billiard", *SECTOR, "--n-max", "10", "--k", "-2",
+                    "--output", "{out}/s.csv"], None),
+    ("k above the basis", ["billiard", *SECTOR, "--n-max", "10", "--k", "500",
+                           "--output", "{out}/s.csv"], None),
+    ("k above the smallest basis", ["weyl", *SECTOR, "--n-max-grid", "10,20", "--k", "46",
+                                    "--output", "{out}/w.csv"], None),
+    ("n_max 1", ["billiard", *SECTOR, "--n-max", "1", "--output", "{out}/s.csv"], None),
+    ("stats default grid below 2", ["stats", *EQUAL, "--n-max", "8",
+                                    "--output", "{out}/st"], None),
+    ("one-entry grid", ["stats", *EQUAL, "--n-max-grid", "20", "--output", "{out}/st"], None),
+    ("descending grid", ["billiard", *SECTOR, "--n-max-grid", "20,16",
+                         "--output", "{out}/s.csv"], None),
+    ("zero bins", ["stats", *EQUAL, "--bins", "0", "--output", "{out}/st"], None),
+    ("negative family grid", ["family", "--spec", "C3", "--grid", "-3",
+                              "--output", "{out}/f.csv"], None),
+    ("empty family grid", ["family", "--spec", "C3", "--grid", "0",
+                           "--output", "{out}/f.csv"], None),
+    ("zero tolerance", ["stats", *EQUAL, "--tol-spacings", "0", "--output", "{out}/st"], None),
+    ("negative tolerance", ["stats", *EQUAL, "--tol-spacings", "-0.5",
+                            "--output", "{out}/st"], None),
+    ("quadrature below 3 n_max", ["billiard", *SECTOR, "--n-max", "10",
+                                  "--quadrature-order", "29", "--output", "{out}/s.csv"], None),
+    ("quadrature below the top truncation", ["stats", *EQUAL, "--n-max-grid", "10,12",
+                                             "--quadrature-order", "30",
+                                             "--output", "{out}/st"], None),
+    ("ordering not a permutation", ["billiard", *EQUAL, "--ordering", "1,1,3,4",
+                                    "--output", "{out}/s.csv"], None),
+    ("missing config", ["billiard", *SECTOR, "--config", "{out}/absent.json",
+                        "--output", "{out}/s.csv"], None),
+    ("malformed config", ["billiard", *SECTOR, "--config", "{cfg}",
+                          "--output", "{out}/s.csv"], '{"billiard": {"n_max": 16,'),
+    ("config not an object", ["billiard", *SECTOR, "--config", "{cfg}",
+                              "--output", "{out}/s.csv"], "[16]"),
+    ("unknown group name", ["group", "--spec", "Z9", "--output", "{out}/g.json"], None),
+    ("rank-2 group spec", ["group", "--spec", "I2(5)", "--output", "{out}/g.json"], None),
+    ("rank-2 ground state", ["exact", "--spec", "I2(7)", "--output", "{out}/l.csv",
+                             "--ground-state", "{out}/gs.json"], None),
+] + [
+    (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
+    for name in ("H4", "F4", "A4", "C4")
+]
+
+
+def test_validation_failures_exit_2(tmp_path, capsys):
+    for reason, argv, config_text in BAD_INPUTS:
+        case = tmp_path / reason.replace(" ", "_")
+        out, cfg = case / "out", case / "run.json"
+        case.mkdir()
+        if config_text is not None:
+            cfg.write_text(config_text)
+        code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2, f"{reason}: exit {code}"
+        assert err.startswith("error: ") and err.count("\n") == 1, f"{reason}: {err!r}"
+        assert not out.exists(), f"{reason}: wrote {sorted(out.rglob('*'))}"
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
@@ -88,14 +148,6 @@ def test_family_csv_and_metadata(tmp_path, capsys):
     mu1 = np.array([float(l.split(",")[1]) for l in lines[1:]])
     mu4 = np.array([float(l.split(",")[4]) for l in lines[1:]])
     assert ((mu1 - mu4)[:-1] * (mu1 - mu4)[1:] < 0).any()
-
-
-def test_family_reruns_byte_identical(tmp_path, capsys):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["family", "--spec", "C3", "--grid", "25", "--output", str(out1)])
-    main(["family", "--spec", "C3", "--grid", "25", "--output", str(out2)])
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 # -- geometry / group / exact ------------------------------------------------------
@@ -164,6 +216,17 @@ def test_weyl_residual_csv(tmp_path, capsys):
     assert float(row[2]) == 1.0
 
 
+def test_weyl_without_converged_levels_exits_3(tmp_path, capsys):
+    out = tmp_path / "weyl.csv"
+    code = main([
+        "weyl", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
+        "--n-max-grid", "3,4", "--k", "3", "--output", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: InsufficientLevelsError")
+    assert not out.exists()
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"billiard": {"n_max": 16, "k_levels": 4}}))
@@ -212,3 +275,39 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     summary = json.loads((sub / "summary.json").read_text())
     assert summary["n_levels"] >= 50
     assert (out_dir / "run_metadata.json").exists()
+
+
+# -- reruns -----------------------------------------------------------------------
+
+# every command at tiny size; "{out}" is the run's output directory
+RERUNS = {
+    "classify": ["classify", "--masses", "3,1,2,6", "--output", "{out}/c.json"],
+    "family": ["family", "--spec", "C3", "--grid", "25", "--output", "{out}/f.csv"],
+    "geometry": ["geometry", "--masses", "3,1,2,6", "--ordering", "1,3,4,2",
+                 "--output", "{out}/g.json"],
+    "group": ["group", "--spec", "H3", "--output", "{out}/g.json"],
+    "exact": ["exact", "--spec", "H3", "--e-max", "20", "--output", "{out}/l.csv",
+              "--ground-state", "{out}/gs.json"],
+    "billiard": ["billiard", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
+                 "--n-max", "12", "--k", "8", "--output", "{out}/s.csv"],
+    "billiard-grid": ["billiard", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
+                      "--n-max-grid", "10,12", "--k", "8", "--output", "{out}/s.csv"],
+    "weyl": ["weyl", *SECTOR, "--n-max", "14", "--k", "20", "--output", "{out}/w.csv"],
+    "stats": ["stats", *EQUAL, "--n-max-grid", "22,26", "--k", "70",
+              "--tol-spacings", "0.5", "--output", "{out}/stats"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RERUNS))
+def test_reruns_byte_identical(name, tmp_path, capsys):
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([a.replace("{out}", str(out)) for a in RERUNS[name]]) == 0
+        runs.append({
+            p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*")
+            if p.is_file() and not p.name.endswith((".meta.json", "run_metadata.json"))
+        })
+    capsys.readouterr()
+    assert runs[0] and runs[0] == runs[1]

@@ -197,11 +197,11 @@ def test_h3_symmetric_member_matches_reported_fractions():
     assert fr[2] == pytest.approx(0.08061, abs=5e-6)
 
 
-def test_family_csv_format(tmp_path):
+def test_family_csv_format():
     curve = family_curve(C3, np.linspace(0.05, 0.45, 9))
-    path = tmp_path / "family.csv"
-    write_family_csv(curve, path)
-    lines = path.read_text().strip().split("\n")
+    text = write_family_csv(curve)
+    assert text.endswith("\n")
+    lines = text.strip().split("\n")
     assert lines[0] == "r,mu1,mu2,mu3,mu4"
     assert len(lines) == 10
     cells = lines[1].split(",")
