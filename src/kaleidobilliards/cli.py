@@ -18,7 +18,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,23 +74,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_NOT_INPUTS = ("command", "r_min", "r_max", "ground_state_path", "output_path")
+
+
 def _write_metadata(base_path: str, config: RunConfig, wall: float, extra=None) -> None:
     meta = {
         "command": config.command,
-        "inputs": {
-            "masses": list(config.masses) if config.masses else None,
-            "ordering": list(config.ordering) if config.ordering else None,
-            "spec": config.spec,
-            "n_max": config.n_max,
-            "n_max_grid": list(config.n_max_grid) if config.n_max_grid else None,
-            "quadrature_order": config.quadrature_order,
-            "k_levels": config.k_levels,
-            "lambda_max": config.lambda_max,
-            "e_max": config.e_max,
-            "bins": config.bins,
-            "grid": config.grid,
-            "tol_spacings": config.tol_spacings,
-        },
+        "inputs": {k: v for k, v in asdict(config).items() if k not in _NOT_INPUTS},
         "versions": {
             "kaleidobilliards": __version__,
             "numpy": np.__version__,
@@ -128,6 +118,15 @@ def _require(condition: bool, message: str) -> None:
 
 class SystemExit2(Exception):
     """Validation failure; mapped to exit code 2."""
+
+
+def _stats_workers() -> int:
+    """Sector threads for ``stats``: KBILLIARDS_THREADS, default 1."""
+    text = os.environ.get(THREAD_ENV, "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise SystemExit2(f"{THREAD_ENV} must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _cmd_stats(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     out_dir = config.output_path
     sectors = distinct_sector_orderings(seq)
-    workers = max(1, int(os.environ.get(THREAD_ENV, "1")))
+    workers = _stats_workers()
     summary = {}
 
     def run(entry):
@@ -366,6 +365,8 @@ def _validate(config: RunConfig) -> None:
         )
     if cmd in {"family", "exact"}:
         _require(config.spec is not None, f"{cmd} requires --spec")
+    if cmd == "exact":
+        _require(math.isfinite(config.e_max), "--e-max must be finite")
     if cmd == "group":
         _require(
             config.spec is not None or config.masses is not None,
@@ -382,6 +383,8 @@ def _validate(config: RunConfig) -> None:
             _require(spec.rank == 3, "group data and ground states need a rank-3 spec")
     if cmd == "family":
         _require(config.grid >= 1, "--grid must be at least 1")
+        for flag, ratio in (("--r-min", config.r_min), ("--r-max", config.r_max)):
+            _require(ratio is None or 0 < ratio < math.inf, f"{flag} must be positive and finite")
     if cmd in {"billiard", "weyl", "stats"}:
         grid = _truncations(config)
         _require(
@@ -406,6 +409,7 @@ def _validate(config: RunConfig) -> None:
     if cmd == "stats":
         _require(config.bins >= 1, "--bins must be at least 1")
         _require(config.tol_spacings > 0, "--tol-spacings must be positive")
+        _stats_workers()
     if cmd != "classify":
         _require(config.output_path is not None, f"{cmd} requires --output")
 
@@ -425,6 +429,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         )
         file_values = dict(document.get(args.command, {}))
         file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
+        flags = _flags(args.command)
+        bad = [k for k, v in file_values.items() if k in flags and not _fits(v, flags[k])]
+        _require(not bad, f"--config value of the wrong type for {', '.join(bad)}")
     merged = {}
     for key, val in vars(args).items():
         val = file_values.get(key) if val is None else val
@@ -469,6 +476,24 @@ def _parse_ints(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+
+
+def _fits(val, flag: argparse.Action) -> bool:
+    """Whether a --config value is null or what its flag parses its text to."""
+    if val is None:
+        return True
+    text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+    try:
+        parsed = (flag.type or str)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return parsed == (tuple(val) if isinstance(val, list) else val)
+
+
+def _flags(command: str) -> dict:
+    """Destination -> argparse action of every flag of one subcommand."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in sub.choices[command]._actions}
 
 
 def build_parser() -> argparse.ArgumentParser:

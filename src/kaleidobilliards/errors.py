@@ -26,7 +26,7 @@ class CharacterTableError(KaleidoError):
 
 
 class RankDeficiencyError(KaleidoError):
-    """Projection sweep produced fewer independent states than predicted."""
+    """Anti-invariant states do not match the character count."""
 
 
 class HemisphereError(KaleidoError):

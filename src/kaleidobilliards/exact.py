@@ -2,11 +2,13 @@
 
 The hyperangular states are homogeneous harmonic polynomials that are
 anti-invariant under the sector's reflection group: the ground state is the
-product of linear forms over all reflection-plane normals, and excited states
-come from group-averaging real solid harmonics with the determinant character
-and orthonormalizing.  The hyperradial and center-of-mass factors are the
-standard oscillator solutions, so the full ladder of energies follows from
-four quantum numbers.
+product of linear forms over all reflection-plane normals.  Excited states of
+degree lam are the joint null space of D(s) + 1 over the simple reflections s
+in the (2 lam + 1)-dimensional space of real harmonics, accepted when its
+singular-value gap matches the character count, and become monomial
+polynomials only at the output.  The hyperradial and center-of-mass factors
+are the standard oscillator solutions, so the full ladder of energies follows
+from four quantum numbers.
 """
 
 from __future__ import annotations
@@ -16,18 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, sph_legendre_p
 
 from .errors import RankDeficiencyError
 from .masses import CoxeterSpec
-from .groups import ReflectionGroup, degeneracy, lambda_spectrum, spectrum_generators
-from .polynomials import (
-    HomogeneousPolynomial,
-    gram_inner,
-    iter_monomial_images,
-    monomial_exponents,
-    product_of_linear_forms,
-)
+from .groups import ReflectionGroup, degeneracy, spectrum_generators
+from .polynomials import HomogeneousPolynomial, monomial_images, product_of_linear_forms
 
 __all__ = [
     "HyperangularState",
@@ -48,7 +44,6 @@ __all__ = [
 class HyperangularState:
     lam: int
     polynomial: HomogeneousPolynomial
-    norm: float
 
 
 @dataclass(frozen=True, order=True)
@@ -82,8 +77,6 @@ def _legendre_tail(lam: int, mu: int) -> HomogeneousPolynomial:
     if lam == mu:
         return prev2
     prev1 = (2 * mu + 1.0) * (z3 * prev2)  # S_{mu+1,mu}
-    if lam == mu + 1:
-        return prev1
     for ell in range(mu + 2, lam + 1):
         cur = (1.0 / (ell - mu)) * (
             (2.0 * ell - 1.0) * (z3 * prev1) - (ell - 1.0 + mu) * (r2 * prev2)
@@ -132,7 +125,7 @@ def mu_sweep(lam: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# group-averaged projections
+# anti-invariant harmonics
 
 
 @lru_cache(maxsize=64)
@@ -142,44 +135,72 @@ def _harmonic_matrix(lam: int) -> np.ndarray:
     return np.array(rows)
 
 
-def projection_tables(group: ReflectionGroup, lambdas) -> dict:
-    """Group-averaged det-weighted harmonics for each requested degree.
+def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:
+    """Y_{lam,mu} at unit points (n, 3), columns in mu_sweep order."""
+    theta = np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    m = np.arange(1, lam + 1)
+    # normalized associated Legendre functions, Condon-Shortley phase included
+    legendre = sph_legendre_p(lam, np.arange(lam + 1)[:, None], theta)[0].T
+    out = np.empty((points.shape[0], 2 * lam + 1))
+    out[:, 0] = legendre[:, 0]
+    out[:, 1::2] = math.sqrt(2.0) * legendre[:, 1:] * np.cos(np.outer(phi, m))
+    out[:, 2::2] = math.sqrt(2.0) * legendre[:, 1:] * np.sin(np.outer(phi, m))
+    return out
 
-    Returns {lam: array (2*lam+1, lam+1, lam+1)} whose mu-th row (mu_sweep
-    order) is the dense coefficient array of P^A applied to Y_{lam,mu}.
-    One pass over the group covers every degree at once.
+
+def _sphere_grid(lam: int) -> tuple:
+    """Gauss-Legendre x trapezoid points and weights, exact to degree 2*lam."""
+    z, w = np.polynomial.legendre.leggauss(lam + 1)
+    phi = 2.0 * math.pi * np.arange(2 * lam + 1) / (2 * lam + 1)
+    z, phi = (g.ravel() for g in np.meshgrid(z, phi, indexing="ij"))
+    rho = np.sqrt(1.0 - z * z)
+    points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    return points, np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
+
+
+def projection_tables(group: ReflectionGroup, lambdas) -> dict:
+    """Orthonormal basis of the anti-invariant harmonics of each degree.
+
+    Returns {lam: array (2*lam+1, a)}, a = ``groups.degeneracy``, with rows in
+    mu_sweep order.  The simple reflections s generate the group and have
+    det -1, so the columns span the joint null space of D(s) + 1, where
+    D(s) = Y(sX)^T W Y(X) comes from a sphere quadrature exact to degree
+    2*lam.  Raises RankDeficiencyError unless the a-th smallest singular value
+    lies below 1e-8 of the (a+1)-th (the float64 epsilon stands in for a = 0).
     """
     cache = group.__dict__.setdefault("_projection_cache", {})
-    todo = sorted(set(int(l) for l in lambdas) - set(cache))
-    if todo:
-        lmax = max(todo)
-        mats = group.matrices
-        dets = group.dets
-        acc = {
-            lam: np.zeros((2 * lam + 1, (lam + 1) * (lam + 1))) for lam in todo
-        }
-        harm = {lam: _harmonic_matrix(lam) for lam in todo}
-        for mat, det in zip(mats, dets):
-            if lmax == 0:
-                continue
-            for k, level in iter_monomial_images(mat, lmax):
-                if k in acc:
-                    flat = level.reshape(level.shape[0], -1)
-                    acc[k] += det * (harm[k] @ flat)
-        for lam in todo:
-            cache[lam] = (acc[lam] / group.order).reshape(
-                2 * lam + 1, lam + 1, lam + 1
+    for lam in sorted(set(int(l) for l in lambdas) - set(cache)):
+        points, weights = _sphere_grid(lam)
+        weighted = weights[:, None] * _harmonics_at(lam, points)
+        eye = np.eye(2 * lam + 1)
+        stacked = np.vstack([
+            _harmonics_at(lam, points - 2.0 * np.outer(points @ root, root)).T @ weighted + eye
+            for root in group.simple_roots
+        ])
+        _, sing, vt = np.linalg.svd(stacked)
+        a = degeneracy(lam, group)
+        ascending = np.concatenate(([np.finfo(float).eps], sing[::-1], [np.inf]))
+        null, gap = ascending[a], ascending[a + 1]
+        if not null < 1e-8 * gap:
+            raise RankDeficiencyError(
+                f"lambda={lam}: character count {a}, but the null singular "
+                f"value {null:.3e} is not separated from the next, {gap:.3e}"
             )
+        cache[lam] = vt[vt.shape[0] - a :].T
     return {int(l): cache[int(l)] for l in lambdas}
 
 
 def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> HomogeneousPolynomial:
-    """Det-weighted group average of Y_{lam,mu} composed with every element."""
+    """Det-weighted group average of Y_{lam,mu} composed with every element.
+
+    Computed as row mu of P = V V^T for the basis V of ``projection_tables``.
+    """
     if abs(mu) > lam:
         raise ValueError("|mu| must not exceed lam")
-    table = projection_tables(group, [lam])[lam]
-    row = mu_sweep(lam).index(mu)
-    return HomogeneousPolynomial(lam, table[row].copy())
+    basis = projection_tables(group, [lam])[lam]
+    row = basis @ basis[mu_sweep(lam).index(mu)]
+    return HomogeneousPolynomial._from_coeff_vector(lam, row @ _harmonic_matrix(lam))
 
 
 def ground_state(group: ReflectionGroup) -> HyperangularState:
@@ -188,60 +209,44 @@ def ground_state(group: ReflectionGroup) -> HyperangularState:
     poly = product_of_linear_forms(normals)
     n = poly.sphere_norm()
     poly = poly * (1.0 / n)
-    return HyperangularState(lam=group.spec.lambda0, polynomial=poly, norm=1.0)
+    return HyperangularState(lam=group.spec.lambda0, polynomial=poly)
 
 
 def excited_basis(lam: int, group: ReflectionGroup) -> list:
     """All anti-invariant harmonic states of degree lam, orthonormalized.
 
-    Projects every harmonic of the mu sweep, drops projections below 1e-8 of
-    the unit pre-projection norm, and Gram-Schmidts the candidates in
-    descending projection norm (with a re-orthogonalization pass) until the
-    character count is reached.  At high degree the float64 monomial basis
-    carries a noise floor above 1e-8, so each accepted state is verified to
-    flip sign under the generator reflections; noise vectors fail that check.
+    Gram-Schmidt of the projected harmonics P Y_{lam,mu} in descending
+    projection norm, skipping those already in the span (residual below 1e-8
+    of the norm), in harmonic coordinates where the sphere inner product is
+    the dot product.  The states become monomial polynomials at the end, and
+    each must change sign under every generator to 1e-8 of its largest
+    coefficient.
     """
-    a = degeneracy(lam, group)
-    table = projection_tables(group, [lam])[lam]
-    flat = table.reshape(table.shape[0], -1)
-    expo = monomial_exponents(lam)
-    aa = np.array([e[0] for e in expo])
-    bb = np.array([e[1] for e in expo])
-    vecs = flat.reshape(-1, lam + 1, lam + 1)[:, aa, bb]
-    norms = np.array([math.sqrt(max(gram_inner(lam, v, v), 0.0)) for v in vecs])
-    order = np.argsort(-norms, kind="stable")
+    basis = projection_tables(group, [lam])[lam]
+    # row mu holds P Y_{lam,mu} in harmonic coordinates; the rows span the
+    # a-dimensional range of P, so exactly a states are accepted
+    projector = basis @ basis.T
+    norms = np.linalg.norm(projector, axis=1)
     states: list[np.ndarray] = []
-    for row in order:
-        if len(states) == a:
-            break
-        if norms[row] < 1e-8:
-            continue
-        vec = vecs[row] / norms[row]
+    for row in np.argsort(-norms, kind="stable"):
+        vec = projector[row]
         for _ in range(2):  # re-orthogonalization pass
             for s in states:
-                vec = vec - gram_inner(lam, s, vec) * s
-        nrm = math.sqrt(max(gram_inner(lam, vec, vec), 0.0))
-        if nrm < 1e-8:
-            continue
-        states.append(vec / nrm)
-    if len(states) != a:
-        raise RankDeficiencyError(
-            f"projection sweep found {len(states)} states at lambda={lam}, "
-            f"character count predicts {a}"
-        )
-    out = []
-    gens = [np.eye(3) - 2.0 * np.outer(g, g) for g in group.simple_roots]
-    for vec in states:
-        poly = HomogeneousPolynomial._from_coeff_vector(lam, vec)
-        scale = poly.max_abs_coeff()
-        for gen in gens:
-            if not (poly.compose(gen) + poly).is_zero(1e-8 * scale):
-                raise RankDeficiencyError(
-                    f"accepted state at lambda={lam} is not anti-invariant; "
-                    "projection noise exceeded the acceptance threshold"
-                )
-        out.append(HyperangularState(lam=lam, polynomial=poly, norm=1.0))
-    return out
+                vec = vec - (s @ vec) * s
+        nrm = np.linalg.norm(vec)
+        if nrm > 1e-8 * norms[row]:
+            states.append(vec / nrm)
+    polys = [
+        HomogeneousPolynomial._from_coeff_vector(lam, s @ _harmonic_matrix(lam))
+        for s in states
+    ]
+    for root in group.simple_roots if polys else ():
+        images = monomial_images(np.eye(3) - 2.0 * np.outer(root, root), lam)
+        for poly in polys:
+            flipped = np.tensordot(poly._coeff_vector(), images, axes=1)
+            if np.abs(flipped + poly._dense).max() > 1e-8 * poly.max_abs_coeff():
+                raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
+    return [HyperangularState(lam=lam, polynomial=poly) for poly in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +281,16 @@ def energy_levels(spec: CoxeterSpec, e_max: float, n_particles: int) -> list:
         )
     gen_a, gen_b = spectrum_generators(spec)
     zero = n_particles / 2.0
+    top = math.floor(e_max - zero)  # largest lam + 2 nu + n
     levels = []
-    n1 = 0
-    while spec.lambda0 + gen_a * n1 + zero <= e_max:
-        n2 = 0
-        while True:
+    for n1 in range((top - spec.lambda0) // gen_a + 1):
+        for n2 in range((top - spec.lambda0 - gen_a * n1) // gen_b + 1) if gen_b else (0,):
             lam = spec.lambda0 + gen_a * n1 + (gen_b or 0) * n2
-            if lam + zero > e_max:
-                break
-            nu = 0
-            while lam + 2 * nu + zero <= e_max:
-                n = 0
-                while lam + 2 * nu + n + zero <= e_max:
-                    levels.append(
-                        EnergyLevel(
-                            energy=lam + 2 * nu + n + zero,
-                            n=n,
-                            nu=nu,
-                            n1=n1,
-                            n2=n2,
-                            lam=lam,
-                        )
-                    )
-                    n += 1
-                nu += 1
-            if gen_b is None:
-                break
-            n2 += 1
-        n1 += 1
+            for nu in range((top - lam) // 2 + 1):
+                for n in range(top - lam - 2 * nu + 1):
+                    levels.append(EnergyLevel(
+                        energy=lam + 2 * nu + n + zero, n=n, nu=nu, n1=n1, n2=n2, lam=lam
+                    ))
     return sorted(levels, key=lambda lv: (lv.energy, lv.n, lv.nu, lv.n1, lv.n2))
 
 

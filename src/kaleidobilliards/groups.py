@@ -89,10 +89,6 @@ class ReflectionGroup:
     def matrices(self) -> np.ndarray:
         return np.stack([e.matrix for e in self.elements])
 
-    @property
-    def dets(self) -> np.ndarray:
-        return np.array([e.det for e in self.elements], dtype=float)
-
     def reflection_normals(self) -> np.ndarray:
         """Unit normals of all reflection planes (eigenvector at -1)."""
         normals = []
@@ -279,20 +275,10 @@ def lambda_spectrum(spec: CoxeterSpec, lambda_max: int) -> dict:
     """Multiplicity of every allowed lambda = lambda0 + a*n1 + b*n2 <= lambda_max."""
     a, b = spectrum_generators(spec)
     out: dict[int, int] = {}
-    if b is None:
-        for n1 in range((lambda_max - spec.lambda0) // a + 1):
-            lam = spec.lambda0 + a * n1
-            if lam <= lambda_max:
-                out[lam] = out.get(lam, 0) + 1
-        return dict(sorted(out.items()))
-    n1 = 0
-    while spec.lambda0 + a * n1 <= lambda_max:
-        n2 = 0
-        while spec.lambda0 + a * n1 + b * n2 <= lambda_max:
-            lam = spec.lambda0 + a * n1 + b * n2
+    for n1 in range((lambda_max - spec.lambda0) // a + 1):
+        base = spec.lambda0 + a * n1
+        for lam in range(base, lambda_max + 1, b) if b else (base,):
             out[lam] = out.get(lam, 0) + 1
-            n2 += 1
-        n1 += 1
     return dict(sorted(out.items()))
 
 

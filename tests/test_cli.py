@@ -101,20 +101,46 @@ BAD_INPUTS = [
     ("rank-2 group spec", ["group", "--spec", "I2(5)", "--output", "{out}/g.json"], None),
     ("rank-2 ground state", ["exact", "--spec", "I2(7)", "--output", "{out}/l.csv",
                              "--ground-state", "{out}/gs.json"], None),
+    ("config string for an integer", ["billiard", *SECTOR, "--config", "{cfg}",
+                                      "--output", "{out}/s.csv"], '{"billiard": {"n_max": "16"}}'),
+    ("config float for an integer", ["billiard", *SECTOR, "--config", "{cfg}",
+                                     "--output", "{out}/s.csv"], '{"billiard": {"k_levels": 4.0}}'),
+    ("config string for bins", ["stats", *EQUAL, "--config", "{cfg}", "--output", "{out}/st"],
+     '{"stats": {"bins": "x"}}'),
+    ("config string in the mass list", ["billiard", "--ordering", "1,2,3,4", "--config", "{cfg}",
+                                        "--output", "{out}/s.csv"], '{"masses": [1, "1", 1, 1]}'),
+    ("config number for a path", ["billiard", *SECTOR, "--config", "{cfg}"], '{"output_path": 5}'),
+    ("non-integer thread count", ["stats", *EQUAL, "--n-max-grid", "10,12", "--k", "5",
+                                  "--output", "{out}/st"], None),
+    ("r_min nan", ["family", "--spec", "C3", "--r-min", "nan", "--grid", "3",
+                   "--output", "{out}/f.csv"], None),
+    ("r_min infinite", ["family", "--spec", "C3", "--r-min", "inf", "--grid", "3",
+                        "--output", "{out}/f.csv"], None),
+    ("r_max zero", ["family", "--spec", "C3", "--r-max", "0", "--grid", "3",
+                    "--output", "{out}/f.csv"], None),
+    ("r_max negative", ["family", "--spec", "C3", "--r-max=-0.5", "--grid", "3",
+                        "--output", "{out}/f.csv"], None),
+    ("e_max infinite", ["exact", "--spec", "H3", "--e-max", "inf", "--output", "{out}/l.csv"], None),
+    ("e_max nan", ["exact", "--spec", "H3", "--e-max", "nan", "--output", "{out}/l.csv"], None),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
 ]
+# environment a row runs under
+BAD_ENV = {"non-integer thread count": {"KBILLIARDS_THREADS": "abc"}}
 
 
-def test_validation_failures_exit_2(tmp_path, capsys):
+def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
     for reason, argv, config_text in BAD_INPUTS:
         case = tmp_path / reason.replace(" ", "_")
         out, cfg = case / "out", case / "run.json"
         case.mkdir()
         if config_text is not None:
             cfg.write_text(config_text)
-        code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
+        with monkeypatch.context() as env:
+            for name, value in BAD_ENV.get(reason, {}).items():
+                env.setenv(name, value)
+            code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
         err = capsys.readouterr().err
         assert code == 2, f"{reason}: exit {code}"
         assert err.startswith("error: ") and err.count("\n") == 1, f"{reason}: {err!r}"

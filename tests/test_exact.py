@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kaleidobilliards import exact
+from kaleidobilliards.errors import RankDeficiencyError
 from kaleidobilliards.exact import (
     EnergyLevel,
     energy_levels,
@@ -15,6 +17,7 @@ from kaleidobilliards.exact import (
     real_spherical_harmonic,
 )
 from kaleidobilliards.groups import degeneracy, group_from_masses, lambda_spectrum
+from kaleidobilliards.polynomials import HomogeneousPolynomial
 from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
@@ -135,6 +138,43 @@ def test_projection_vanishes_off_spectrum(h3, a3):
         assert project_anti_invariant(14, mu, h3).sphere_norm() < 1e-8
     for mu in (0, 2, -3):
         assert project_anti_invariant(7, mu, a3).sphere_norm() < 1e-8
+
+
+def _group_average(poly, group):
+    """Det-weighted average of poly composed with every group element."""
+    total = HomogeneousPolynomial(poly.degree)
+    for el in group.elements:
+        total = total + float(el.det) * poly.compose(el.matrix)
+    return total * (1.0 / group.order)
+
+
+# a = 2 (A3 18, C3 21), a = 1 (H3 21) and a = 0 (H3 16)
+@pytest.mark.parametrize("name,lam", [("A3", 18), ("C3", 21), ("H3", 21), ("H3", 16)])
+def test_projection_matches_group_average(name, lam, a3, c3, h3):
+    group = {"A3": a3, "C3": c3, "H3": h3}[name]
+    states = [s.polynomial for s in excited_basis(lam, group)]
+    assert len(states) == degeneracy(lam, group)
+    for mu in (0, 1, -2, lam - 1, -lam):
+        harmonic = real_spherical_harmonic(lam, mu)
+        want = _group_average(harmonic, group)
+        scale = harmonic.max_abs_coeff()
+        assert (project_anti_invariant(lam, mu, group) - want).is_zero(1e-9 * scale)
+        # the group average lies in the span of the states ...
+        rest = want
+        for s in states:
+            rest = rest - want.sphere_inner(s) * s
+        assert rest.is_zero(1e-9 * scale), (name, lam, mu)
+    # ... and the group average fixes every state
+    for s in states:
+        assert (_group_average(s, group) - s).is_zero(1e-9 * s.max_abs_coeff())
+
+
+@pytest.mark.parametrize("lam", [7, 9, 18])  # a = 0, 1, 2 for A3
+def test_character_count_above_null_space_raises(lam, monkeypatch):
+    group = group_from_masses(MassSequence((1, 1, 1, 1)))  # no cached tables
+    monkeypatch.setattr(exact, "degeneracy", lambda k, g: degeneracy(k, g) + 1)
+    with pytest.raises(RankDeficiencyError, match="singular value"):
+        excited_basis(lam, group)
 
 
 def test_projected_states_harmonic_and_anti_invariant(h3):
