@@ -12,9 +12,18 @@ symmetric Galerkin discretization:
 
 with G the pushed-forward inverse metric and sqrt(g) the pulled-back sphere
 measure.  Quadrature is tensor Gauss-Legendre collapsed onto the triangle at
-the (-1, 1) vertex, which keeps t a function of one quadrature coordinate and
-lets the whole assembly run as a handful of small GEMMs plus one
-(n^2 x Q)(Q x n^2) contraction.
+the (-1, 1) vertex, which keeps t a function of one quadrature coordinate.
+Both matrices then come from separable four-tensors over the sine indices:
+small batched GEMMs over xi, then one (n^2 x Q)(Q x n^2) GEMM for B and one
+(n^2 x 4Q)(4Q x n^2) GEMM for A, whose inner dimension stacks the g_ss,
+g_st, transposed g_st and g_tt terms.  Each tensor is gathered onto the
+basis pairs in blocks of rows and freed before the next is built, so at
+most one n^4 tensor is alive at a time.
+
+The generalized eigensolver computes only the k lowest eigenvalues.  A
+convergence study assembles once, at its top truncation; a lower
+truncation n' is the principal submatrix on the pairs with m <= n', so the
+Galerkin spaces of the study are exactly nested.
 """
 
 from __future__ import annotations
@@ -313,6 +322,10 @@ def basis_function(n: int, m: int, s, t):
 # ---------------------------------------------------------------------------
 # assembly
 
+# rows of the pair matrix gathered per block: bounds the gather and the
+# symmetrization temporaries at a few MB whatever the basis size
+_ROW_BLOCK = 16
+
 
 def _quadrature_grid(order: int):
     """Tensor Gauss-Legendre grid collapsed at the (-1, 1) vertex.
@@ -331,56 +344,12 @@ def _quadrature_grid(order: int):
     return s, t, weight
 
 
-def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
-    """phi_n(x) = sin(n pi (x + shift)/2) and derivative, for n = 1..n_max."""
-    arg = 0.5 * math.pi * (coord + shift)
-    n = np.arange(1, n_max + 1)
-    phase = n.reshape((n_max,) + (1,) * coord.ndim) * arg[None, ...]
-    vals = np.sin(phase)
-    ders = (0.5 * math.pi) * n.reshape((n_max,) + (1,) * coord.ndim) * np.cos(phase)
-    return vals, ders
+def _grid_weights(sector: FlattenedSector, s, t, quad_w) -> tuple:
+    """Quadrature weights times sqrt(g) and the entries of G sqrt(g).
 
-
-def _four_tensor(f1, f2, weight, g1, g2) -> np.ndarray:
-    """T[p,q,r,s] = sum_q' W f1_p f2_q g1_r g2_s over the collapsed grid.
-
-    f* have shape (n, Qxi, Qeta) (s-direction factors), g* have shape
-    (n, Qeta) (t-direction factors), weight has shape (Qxi, Qeta).
+    Returns (sqrt_g, g_ss, g_st, g_tt), each multiplied by ``quad_w``.
     """
-    n = f1.shape[0]
-    q_eta = weight.shape[1]
-    f1s = np.ascontiguousarray(f1.transpose(2, 0, 1))  # (Qeta, n, Qxi)
-    f2s = np.ascontiguousarray(f2.transpose(2, 1, 0))  # (Qeta, Qxi, n)
-    wst = weight.T[:, None, :]  # (Qeta, 1, Qxi)
-    m = (f1s * wst) @ f2s  # (Qeta, n, n)
-    k = (g1.T[:, :, None] * g2.T[:, None, :]).reshape(q_eta, n * n)
-    t = m.reshape(q_eta, n * n).T @ k
-    return t.reshape(n, n, n, n)
-
-
-def _gather_pairs(t4: np.ndarray, pairs) -> np.ndarray:
-    ni = np.array([p[0] - 1 for p in pairs])
-    mi = np.array([p[1] - 1 for p in pairs])
-    i_n, i_m = ni[:, None], mi[:, None]
-    j_n, j_m = ni[None, :], mi[None, :]
-    return (
-        t4[i_n, j_n, i_m, j_m]
-        - t4[i_n, j_m, i_m, j_n]
-        - t4[i_m, j_n, i_n, j_m]
-        + t4[i_m, j_m, i_n, j_n]
-    )
-
-
-def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: int):
-    """Stiffness and overlap matrices of the weighted Galerkin problem."""
-    if quadrature_order < 3 * trunc.n_max:
-        raise QuadratureError(
-            f"quadrature_order {quadrature_order} < 3 n_max = {3 * trunc.n_max}"
-        )
-    n_max = trunc.n_max
-    s, t, quad_w = _quadrature_grid(quadrature_order)
-
-    u, v = sector.to_uv(s, t[None, :].repeat(s.shape[0], axis=0))
+    u, v = sector.to_uv(s, np.broadcast_to(t, s.shape))
     w2 = 1.0 + u * u + v * v
     sqrt_g = w2**-1.5 * sector.jacobian_const
     winv = w2**-0.5 * sector.jacobian_const
@@ -393,29 +362,109 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
             + a[1, 1] * (a[0, 0] * m_uv + a[0, 1] * m_vv)) * winv
     g_tt = (a[1, 0] * (a[1, 0] * m_uu + a[1, 1] * m_uv)
             + a[1, 1] * (a[1, 0] * m_uv + a[1, 1] * m_vv)) * winv
+    return sqrt_g * quad_w, g_ss * quad_w, g_st * quad_w, g_tt * quad_w
 
-    phi, dphi = _sine_factors(n_max, s, +1.0)  # (n, Qxi, Qeta)
-    psi, dpsi = _sine_factors(n_max, t, -1.0)  # (n, Qeta)
+
+def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
+    """phi_n(x) = sin(n pi (x + shift)/2) and derivative, for n = 1..n_max."""
+    arg = 0.5 * math.pi * (coord + shift)
+    n = np.arange(1, n_max + 1)
+    phase = n.reshape((n_max,) + (1,) * coord.ndim) * arg[None, ...]
+    vals = np.sin(phase)
+    ders = (0.5 * math.pi) * n.reshape((n_max,) + (1,) * coord.ndim) * np.cos(phase)
+    return vals, ders
+
+
+def _four_tensor(terms) -> np.ndarray:
+    """T[p,q,r,s] = sum over terms and the grid of W f1_p f2_q g1_r g2_s.
+
+    Each term is (f1, f2, weight, g1, g2): f* have shape (n, Qxi, Qeta)
+    (s-direction factors), g* have shape (n, Qeta) (t-direction factors),
+    weight has shape (Qxi, Qeta).  The xi sums are small batched GEMMs; the
+    terms are stacked along the eta axis, so the whole sum is one
+    (n^2 x terms Qeta)(terms Qeta x n^2) GEMM.
+    """
+    n, _, q_eta = terms[0][0].shape
+    m = np.empty((len(terms), q_eta, n, n))
+    k = np.empty_like(m)
+    for i, (f1, f2, weight, g1, g2) in enumerate(terms):
+        f1s = np.ascontiguousarray(f1.transpose(2, 0, 1))  # (Qeta, n, Qxi)
+        f2s = np.ascontiguousarray(f2.transpose(2, 1, 0))  # (Qeta, Qxi, n)
+        np.matmul(f1s * weight.T[:, None, :], f2s, out=m[i])
+        np.multiply(g1.T[:, :, None], g2.T[:, None, :], out=k[i])
+    m = m.reshape(-1, n * n)
+    return (m.T @ k.reshape(-1, n * n)).reshape(n, n, n, n)
+
+
+def _gather_pairs(t4: np.ndarray, pairs) -> np.ndarray:
+    """Matrix of the antisymmetrized basis h_(n,m) from the four-tensor.
+
+    Entry (i, j) is T[n_i,n_j,m_i,m_j] - T[n_i,m_j,m_i,n_j]
+    - T[m_i,n_j,n_i,m_j] + T[m_i,m_j,n_i,n_j].  With
+    D_i = T[n_i,:,m_i,:] - T[m_i,:,n_i,:] that is D_i[n_j,m_j] - D_i[m_j,n_j],
+    so a block of rows reads contiguous n x n slices of T, and only
+    block-sized temporaries are made.
+    """
+    n_i, m_i = np.array(pairs).T - 1
+    out = np.empty((len(pairs), len(pairs)))
+    for start in range(0, len(pairs), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        d = t4[n_i[rows], :, m_i[rows], :]
+        d -= t4[m_i[rows], :, n_i[rows], :]
+        np.subtract(d[:, n_i, m_i], d[:, m_i, n_i], out=out[rows])
+    return out
+
+
+def _symmetrize(mat: np.ndarray, name: str) -> None:
+    """Replace mat by (mat + mat.T) / 2 in place, block by block of rows.
+
+    Raises QuadratureError if mat and mat.T differ by more than 1e-10 of
+    the largest entry.
+    """
+    asym = scale = 0.0
+    for start in range(0, len(mat), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        # rows start:stop left of the diagonal block's end, and their mirror;
+        # no earlier block wrote into either
+        lower, upper = mat[start:stop, :stop], mat[:stop, start:stop].T
+        asym = max(asym, float(np.abs(lower - upper).max()))
+        scale = max(scale, float(np.abs(lower).max()), float(np.abs(upper).max()))
+        lower[...] = upper[...] = 0.5 * (lower + upper)
+    asym /= max(scale, 1e-300)
+    if asym > 1e-10:
+        raise QuadratureError(f"{name} asymmetry {asym:.2e} exceeds 1e-10")
+
+
+def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: int):
+    """Stiffness and overlap matrices of the weighted Galerkin problem.
+
+    B comes from one four-tensor, A from one more whose GEMM stacks the g_ss
+    term, the g_st cross term, that term's (1,0,3,2) transpose (what
+    cross + cross.T is after the gather) and the g_tt term.
+    """
+    if quadrature_order < 3 * trunc.n_max:
+        raise QuadratureError(
+            f"quadrature_order {quadrature_order} < 3 n_max = {3 * trunc.n_max}"
+        )
+    s, t, quad_w = _quadrature_grid(quadrature_order)
+    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    phi, dphi = _sine_factors(trunc.n_max, s, +1.0)  # (n, Qxi, Qeta)
+    psi, dpsi = _sine_factors(trunc.n_max, t, -1.0)  # (n, Qeta)
 
     pairs = trunc.index_pairs
-    b_mat = _gather_pairs(_four_tensor(phi, phi, sqrt_g * quad_w, psi, psi), pairs)
-    a_mat = _gather_pairs(_four_tensor(dphi, dphi, g_ss * quad_w, psi, psi), pairs)
-    cross = _gather_pairs(_four_tensor(dphi, phi, g_st * quad_w, psi, dpsi), pairs)
-    a_mat += cross + cross.T
-    a_mat += _gather_pairs(_four_tensor(phi, phi, g_tt * quad_w, dpsi, dpsi), pairs)
-
-    for name, mat in (("A", a_mat), ("B", b_mat)):
-        asym = np.abs(mat - mat.T).max() / max(np.abs(mat).max(), 1e-300)
-        if asym > 1e-10:
-            raise QuadratureError(f"{name} asymmetry {asym:.2e} exceeds 1e-10")
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    b_mat = 0.5 * (b_mat + b_mat.T)
-    try:
-        np.linalg.cholesky(b_mat)
-    except np.linalg.LinAlgError as exc:
-        raise QuadratureError(
-            "overlap matrix is not positive-definite; raise quadrature_order"
-        ) from exc
+    # A first: its GEMM has the larger stacked factors, and B is not yet alive
+    a_mat = _gather_pairs(
+        _four_tensor([
+            (dphi, dphi, w_ss, psi, psi),
+            (dphi, phi, w_st, psi, dpsi),
+            (phi, dphi, w_st, dpsi, psi),
+            (phi, phi, w_tt, dpsi, dpsi),
+        ]),
+        pairs,
+    )
+    b_mat = _gather_pairs(_four_tensor([(phi, phi, w_b, psi, psi)]), pairs)
+    _symmetrize(a_mat, "A")
+    _symmetrize(b_mat, "B")
     return a_mat, b_mat
 
 
@@ -425,19 +474,25 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 
 def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
                    truncation: BasisTruncation | None = None) -> EigenSpectrum:
-    """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense)."""
+    """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense).
+
+    Only the min(k, N) lowest values are computed.  The solver factors B
+    itself, so a B that is not positive-definite fails here.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    count = min(k, len(a_mat))
     try:
         vals = scipy.linalg.eigh(
-            a_mat, b_mat, eigvals_only=True, check_finite=False, driver="gvd"
+            a_mat, b_mat, eigvals_only=True, check_finite=False, driver="gvx",
+            subset_by_index=[0, count - 1],
         )
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         cond_b = float(np.linalg.cond(b_mat))
         raise EigensolverError(
-            f"generalized eigensolver failed (cond(B) ~ {cond_b:.3e})"
+            f"generalized eigensolver failed (cond(B) ~ {cond_b:.3e}); an overlap "
+            "matrix that is not positive-definite needs a higher quadrature_order"
         ) from exc
-    vals = vals[: min(k, len(vals))]
     if vals[0] <= 0.0:
         raise EigensolverError(
             f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
@@ -463,14 +518,29 @@ def solve_sector(sector: FlattenedSector, n_max: int, k: int,
 def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
                       tolerance: float = 1e-2,
                       quadrature_order: int | None = None) -> ConvergenceStudy:
-    """Per-level eigenvalue drifts across an ascending n_max grid."""
+    """Per-level eigenvalue drifts across an ascending n_max grid.
+
+    One assembly at the top truncation, with quadrature_order (default
+    3 n_max of the top), serves the whole grid: a lower truncation n' keeps
+    the pairs with m <= n', so its matrices are principal submatrices of
+    the top ones.  The Galerkin spaces are nested under the same discrete
+    forms, and the eigenvalues cannot rise with n_max.
+    """
     grid = tuple(int(n) for n in n_max_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_max grid must be strictly ascending")
+    top = BasisTruncation(grid[-1])
+    order = quadrature_order if quadrature_order is not None else 3 * top.n_max
+    a_top, b_top = assemble(sector, top, order)
+    m_of_pair = np.array([m for _, m in top.index_pairs])
     spectra = []
-    for n_max in grid:
-        order = quadrature_order if quadrature_order is not None else 3 * n_max
-        spectra.append(solve_sector(sector, n_max, k, order))
+    for n_max in grid[:-1]:
+        rows = np.flatnonzero(m_of_pair <= n_max)
+        keep = np.ix_(rows, rows)
+        spectra.append(
+            solve_spectrum(a_top[keep], b_top[keep], k, truncation=BasisTruncation(n_max))
+        )
+    spectra.append(solve_spectrum(a_top, b_top, k, truncation=top))
     n_common = min(len(sp.values) for sp in spectra)
     deltas = np.array(
         [

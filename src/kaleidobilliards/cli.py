@@ -168,6 +168,7 @@ def _cmd_family(config: RunConfig) -> dict:
     _atomic_write(config.output_path, M.write_family_csv(curve))
     return {
         "feasible_interval": [sig12(lo), sig12(hi)],
+        "ratio_range": [r_min, r_max],
         "n_points": len(curve.points),
         "infeasible_points": [[r, reason] for r, reason in curve.infeasible],
     }
@@ -211,17 +212,32 @@ def _cmd_exact(config: RunConfig) -> dict:
     return extra
 
 
+def _quadrature_order(config: RunConfig) -> int:
+    """--quadrature-order, or 3 n_max of the top truncation."""
+    if config.quadrature_order is not None:
+        return config.quadrature_order
+    return 3 * _truncations(config)[-1]
+
+
+def _discretization(config: RunConfig, spectrum) -> dict:
+    """Basis size and quadrature order of the solve that produced a spectrum."""
+    return {
+        "basis_size": len(spectrum.truncation),
+        "quadrature_order": _quadrature_order(config),
+    }
+
+
 def _solve_for_cli(config: RunConfig, sector):
     if config.n_max_grid:
         study = B.convergence_study(
             sector,
             config.n_max_grid,
             config.k_levels,
-            quadrature_order=config.quadrature_order,
+            quadrature_order=_quadrature_order(config),
         )
         return study.final, study.last_deltas
     spectrum = B.solve_sector(
-        sector, config.n_max, config.k_levels, config.quadrature_order
+        sector, config.n_max, config.k_levels, _quadrature_order(config)
     )
     return spectrum, None
 
@@ -236,6 +252,7 @@ def _cmd_billiard(config: RunConfig) -> dict:
         "perimeter": sig12(sector.geometry.perimeter),
         "n_levels": len(spectrum.values),
         "first_lambda_eff": sig12(spectrum.effective_lambda[0]),
+        **_discretization(config, spectrum),
     }
 
 
@@ -258,7 +275,10 @@ def _cmd_weyl(config: RunConfig) -> dict:
         raise InsufficientLevelsError("no level converged across --n-max-grid")
     text, after = _weyl_csv(spectrum, sector.geometry)
     _atomic_write(config.output_path, text)
-    return {"max_abs_residual": sig12(np.abs(after).max())}
+    return {
+        "max_abs_residual": sig12(np.abs(after).max()),
+        **_discretization(config, spectrum),
+    }
 
 
 def _truncations(config: RunConfig) -> tuple:
@@ -279,7 +299,7 @@ def _stats_one_sector(seq, perm, config: RunConfig):
         _truncations(config),
         config.k_levels,
         tolerance=config.tol_spacings * spacing,
-        quadrature_order=config.quadrature_order,
+        quadrature_order=_quadrature_order(config),
     )
     spectrum = study.final
     unfolded = ST.unfold(spectrum, geom)
@@ -293,6 +313,7 @@ def _cmd_stats(config: RunConfig) -> dict:
     sectors = distinct_sector_orderings(seq)
     workers = _stats_workers()
     summary = {}
+    discretization = {}
 
     def run(entry):
         perm, mult = entry
@@ -323,10 +344,11 @@ def _cmd_stats(config: RunConfig) -> dict:
             "ks_poisson": sig12(hist.ks_poisson),
             "ks_wigner": sig12(hist.ks_wigner),
         }
+        discretization[tag] = _discretization(config, spectrum)
     _atomic_write(
         os.path.join(out_dir, "sectors.json"), json.dumps(summary, indent=2) + "\n"
     )
-    return {"n_sectors": len(sectors)}
+    return {"n_sectors": len(sectors), "sectors": discretization}
 
 
 _IMPLEMENTATIONS = {

@@ -38,11 +38,12 @@ class ChartDomainError(KaleidoError):
 
 
 class QuadratureError(KaleidoError):
-    """Quadrature resolution too low (overlap matrix not positive-definite)."""
+    """Quadrature order below 3 n_max, or an assembled matrix not symmetric."""
 
 
 class EigensolverError(KaleidoError):
-    """Generalized eigensolver failed to converge."""
+    """Generalized eigensolver failed, e.g. on an overlap matrix that is not
+    positive-definite (too low a quadrature order)."""
 
 
 class InsufficientLevelsError(KaleidoError):

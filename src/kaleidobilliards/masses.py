@@ -62,10 +62,6 @@ class MassSequence:
     def scaled(self, factor: float) -> "MassSequence":
         return MassSequence(tuple(m * factor for m in self.masses))
 
-    def permuted(self, ordering) -> "MassSequence":
-        """Masses re-read in the order of a 1-based permutation."""
-        return MassSequence(tuple(self.masses[p - 1] for p in ordering))
-
 
 @dataclass(frozen=True)
 class CoxeterSpec:

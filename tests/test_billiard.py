@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import kaleidobilliards.billiard as billiard
 from kaleidobilliards.billiard import (
     BasisTruncation,
+    _grid_weights,
     _quadrature_grid,
+    _sine_factors,
     _uv_coefficients,
     assemble,
     basis_function,
@@ -18,7 +22,12 @@ from kaleidobilliards.billiard import (
     solve_spectrum,
     spectrum_to_csv,
 )
-from kaleidobilliards.errors import ChartDomainError, HemisphereError, QuadratureError
+from kaleidobilliards.errors import (
+    ChartDomainError,
+    EigensolverError,
+    HemisphereError,
+    QuadratureError,
+)
 from kaleidobilliards.exact import real_spherical_harmonic
 from kaleidobilliards.groups import lambda_spectrum
 from kaleidobilliards.masses import (
@@ -281,6 +290,66 @@ def test_assemble_enforces_quadrature_floor():
         assemble(octant_sector(), BasisTruncation(10), quadrature_order=20)
 
 
+def _reference_four_tensor(f1, f2, weight, g1, g2):
+    """T[p,q,r,s] = sum W f1_p f2_q g1_r g2_s, one term per contraction."""
+    n = f1.shape[0]
+    q_eta = weight.shape[1]
+    f1s = np.ascontiguousarray(f1.transpose(2, 0, 1))
+    f2s = np.ascontiguousarray(f2.transpose(2, 1, 0))
+    m = (f1s * weight.T[:, None, :]) @ f2s
+    k = (g1.T[:, :, None] * g2.T[:, None, :]).reshape(q_eta, n * n)
+    return (m.reshape(q_eta, n * n).T @ k).reshape(n, n, n, n)
+
+
+def _reference_gather_pairs(t4, pairs):
+    """The four fancy-index gathers of the antisymmetrized pair basis."""
+    ni = np.array([p[0] - 1 for p in pairs])
+    mi = np.array([p[1] - 1 for p in pairs])
+    i_n, i_m = ni[:, None], mi[:, None]
+    j_n, j_m = ni[None, :], mi[None, :]
+    return (
+        t4[i_n, j_n, i_m, j_m]
+        - t4[i_n, j_m, i_m, j_n]
+        - t4[i_m, j_n, i_n, j_m]
+        + t4[i_m, j_m, i_n, j_n]
+    )
+
+
+def _reference_assemble(sector, trunc, order):
+    """Four contractions and four gathers, with the cross term added to its transpose."""
+    s, t, quad_w = _quadrature_grid(order)
+    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    phi, dphi = _sine_factors(trunc.n_max, s, +1.0)
+    psi, dpsi = _sine_factors(trunc.n_max, t, -1.0)
+    pairs = trunc.index_pairs
+    b = _reference_gather_pairs(_reference_four_tensor(phi, phi, w_b, psi, psi), pairs)
+    a = _reference_gather_pairs(_reference_four_tensor(dphi, dphi, w_ss, psi, psi), pairs)
+    cross = _reference_gather_pairs(_reference_four_tensor(dphi, phi, w_st, psi, dpsi), pairs)
+    a += cross + cross.T
+    a += _reference_gather_pairs(_reference_four_tensor(phi, phi, w_tt, dpsi, dpsi), pairs)
+    return a, b
+
+
+@pytest.mark.parametrize("order", [36, 48])
+@pytest.mark.parametrize("chart", ["canonical", "centroid"])
+def test_assemble_matches_four_gather_reference(chart, order):
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    if chart == "centroid":
+        sec = sector_from_inward_normals(sec.geometry.bounding_normals)
+    trunc = BasisTruncation(12)
+    a, b = assemble(sec, trunc, order)
+    a_ref, b_ref = _reference_assemble(sec, trunc, order)
+    assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+    assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+
+def test_assemble_at_quadrature_floor_gives_definite_overlap():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    a, b = assemble(sec, BasisTruncation(12), quadrature_order=36)
+    spec = solve_spectrum(a, b, 10)
+    assert len(spec.values) == 10 and spec.values[0] > 0
+
+
 def test_trace_stable_under_quadrature_doubling():
     sec = flatten_sector(EQUAL, (1, 2, 3, 4))
     tr = []
@@ -337,6 +406,28 @@ def test_variational_monotonicity_in_truncation():
         assert np.all(nxt.values[:25] <= prev.values[:25] + 1e-9)
 
 
+def test_convergence_study_assembles_once(monkeypatch):
+    calls = []
+    real = billiard.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].n_max)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(billiard, "assemble", counting)
+    convergence_study(octant_sector(), (10, 12, 14), k=8)
+    assert calls == [14]
+
+
+def test_convergence_study_lower_spectra_are_submatrix_solves():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    study = convergence_study(sec, (12, 15, 18), k=30)
+    for n_max, spec in zip(study.n_max_grid, study.spectra):
+        direct = solve_sector(sec, n_max, 30, quadrature_order=3 * 18)
+        assert len(spec.truncation) == len(direct.truncation)
+        np.testing.assert_allclose(spec.values, direct.values, rtol=1e-10)
+
+
 def test_convergence_study_octant_ground_level():
     study = convergence_study(octant_sector(), (10, 15, 20), k=5, tolerance=1e-2)
     # ground level drift shrinks with refinement and is already below 1e-3
@@ -362,6 +453,20 @@ def test_solve_spectrum_rejects_indefinite_overlap():
 
     with pytest.raises(EigensolverError):
         solve_spectrum(a, b, 3)
+
+
+def test_solve_spectrum_k_above_basis_returns_all_levels():
+    sec = octant_sector()
+    a, b = assemble(sec, BasisTruncation(6), quadrature_order=18)
+    spec = solve_spectrum(a, b, 100)
+    assert len(spec.values) == spec.converged_count == len(a) == 15
+    full = scipy.linalg.eigh(a, b, eigvals_only=True)
+    np.testing.assert_allclose(spec.values, full, rtol=1e-10)
+
+
+def test_indefinite_overlap_error_names_quadrature_order():
+    with pytest.raises(EigensolverError, match="quadrature_order"):
+        solve_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 2)
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from kaleidobilliards.cli import distinct_sector_orderings, main
-from kaleidobilliards.masses import MassSequence, coxeter_spec, symmetric_member
+from kaleidobilliards.masses import (
+    MassSequence,
+    coxeter_spec,
+    feasibility_interval,
+    symmetric_member,
+)
 
 H3_MASSES = ",".join(f"{m:.17g}" for m in symmetric_member(coxeter_spec("H3")).masses)
 
@@ -176,6 +181,23 @@ def test_family_csv_and_metadata(tmp_path, capsys):
     assert ((mu1 - mu4)[:-1] * (mu1 - mu4)[1:] < 0).any()
 
 
+@pytest.mark.parametrize("flags", [[], ["--r-min", "0.01", "--r-max", "0.2"]])
+def test_family_metadata_records_ratio_range(flags, tmp_path, capsys):
+    out = tmp_path / "family.csv"
+    assert main(["family", "--spec", "C3", "--grid", "5", *flags, "--output", str(out)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "family.csv.meta.json").read_text())
+    if flags:
+        expected = [0.01, 0.2]
+    else:
+        hi = feasibility_interval(coxeter_spec("C3"))[1]
+        expected = [hi * 1e-3, hi * (1.0 - 1e-6)]
+    assert meta["ratio_range"] == expected
+    ratios = [float(line.split(",")[0]) for line in out.read_text().split("\n")[1:] if line]
+    assert ratios[0] == pytest.approx(expected[0], rel=1e-11)
+    assert ratios[-1] == pytest.approx(expected[1], rel=1e-11)
+
+
 # -- geometry / group / exact ------------------------------------------------------
 
 def test_geometry_json(tmp_path, capsys):
@@ -226,6 +248,20 @@ def test_billiard_first_lambda(tmp_path, capsys):
     assert abs(float(first[2]) - 15.0) < 0.05
     meta = json.loads((tmp_path / "spec.csv.meta.json").read_text())
     assert meta["first_lambda_eff"] == pytest.approx(15.0, abs=0.05)
+    assert (meta["basis_size"], meta["quadrature_order"]) == (24 * 23 // 2, 72)
+
+
+@pytest.mark.parametrize("command", ["billiard", "weyl"])
+def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main([
+        command, *SECTOR, "--n-max-grid", "10,14", "--k", "8",
+        "--quadrature-order", "45", "--output", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 45)
 
 
 def test_weyl_residual_csv(tmp_path, capsys):
@@ -300,7 +336,8 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
         assert (sub / name).exists()
     summary = json.loads((sub / "summary.json").read_text())
     assert summary["n_levels"] >= 50
-    assert (out_dir / "run_metadata.json").exists()
+    meta = json.loads((out_dir / "run_metadata.json").read_text())
+    assert meta["sectors"] == {tag: {"basis_size": 26 * 25 // 2, "quadrature_order": 78}}
 
 
 # -- reruns -----------------------------------------------------------------------
