@@ -488,10 +488,11 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
             subset_by_index=[0, count - 1],
         )
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        cond_b = float(np.linalg.cond(b_mat))
+        # LAPACK names the order of the leading minor of B that is not
+        # positive-definite
         raise EigensolverError(
-            f"generalized eigensolver failed (cond(B) ~ {cond_b:.3e}); an overlap "
-            "matrix that is not positive-definite needs a higher quadrature_order"
+            f"generalized eigensolver failed ({exc}); an overlap matrix that is "
+            "not positive-definite needs a higher quadrature_order"
         ) from exc
     if vals[0] <= 0.0:
         raise EigensolverError(

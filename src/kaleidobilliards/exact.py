@@ -23,7 +23,7 @@ from scipy.special import eval_genlaguerre, sph_legendre_p
 from .errors import RankDeficiencyError
 from .masses import CoxeterSpec
 from .groups import ReflectionGroup, degeneracy, spectrum_generators
-from .polynomials import HomogeneousPolynomial, monomial_images, product_of_linear_forms
+from .polynomials import HomogeneousPolynomial, product_of_linear_forms
 
 __all__ = [
     "HyperangularState",
@@ -60,40 +60,40 @@ class EnergyLevel:
 # real solid harmonics
 
 
+@lru_cache(maxsize=4096)  # every (lam, mu) up to lam 89
 def _legendre_tail(lam: int, mu: int) -> HomogeneousPolynomial:
     """rho^(lam-mu) * d^mu P_lam / dx^mu (x = z3/rho), homogenized.
 
-    Upward recurrence in lam at fixed mu:
+    Upward recurrence in lam at fixed mu, one step per cached (lam, mu):
     (lam-mu) S_lam = (2 lam - 1) z3 S_{lam-1} - (lam-1+mu) r^2 S_{lam-2}.
+    Callers must not modify the returned polynomial.
     """
+    if lam == mu:
+        df = 1.0
+        for k in range(2 * mu - 1, 0, -2):
+            df *= k
+        return HomogeneousPolynomial.constant(df)  # S_{mu,mu} = (2mu-1)!!
     z3 = HomogeneousPolynomial.from_dict(1, {(0, 0, 1): 1.0})
+    if lam == mu + 1:
+        return (2 * mu + 1.0) * (z3 * _legendre_tail(mu, mu))
     r2 = HomogeneousPolynomial.from_dict(
         2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
     )
-    df = 1.0
-    for k in range(2 * mu - 1, 0, -2):
-        df *= k
-    prev2 = HomogeneousPolynomial.constant(df)  # S_{mu,mu} = (2mu-1)!!
-    if lam == mu:
-        return prev2
-    prev1 = (2 * mu + 1.0) * (z3 * prev2)  # S_{mu+1,mu}
-    for ell in range(mu + 2, lam + 1):
-        cur = (1.0 / (ell - mu)) * (
-            (2.0 * ell - 1.0) * (z3 * prev1) - (ell - 1.0 + mu) * (r2 * prev2)
-        )
-        prev2, prev1 = prev1, cur
-    return prev1
+    return (1.0 / (lam - mu)) * (
+        (2.0 * lam - 1.0) * (z3 * _legendre_tail(lam - 1, mu))
+        - (lam - 1.0 + mu) * (r2 * _legendre_tail(lam - 2, mu))
+    )
 
 
+@lru_cache(maxsize=512)
 def _sectoral(mu: int) -> tuple:
-    """Re and Im of (z1 + i z2)^mu as degree-mu polynomials."""
-    re = HomogeneousPolynomial.constant(1.0)
-    im = HomogeneousPolynomial(0)
+    """Re and Im of (z1 + i z2)^mu as degree-mu polynomials (do not modify)."""
+    if mu == 0:
+        return HomogeneousPolynomial.constant(1.0), HomogeneousPolynomial(0)
+    re, im = _sectoral(mu - 1)
     z1 = HomogeneousPolynomial.from_dict(1, {(1, 0, 0): 1.0})
     z2 = HomogeneousPolynomial.from_dict(1, {(0, 1, 0): 1.0})
-    for _ in range(mu):
-        re, im = z1 * re - z2 * im, z1 * im + z2 * re
-    return re, im
+    return z1 * re - z2 * im, z1 * im + z2 * re
 
 
 @lru_cache(maxsize=512)
@@ -106,7 +106,15 @@ def real_spherical_harmonic(lam: int, mu: int) -> HomogeneousPolynomial:
     ratio = 1.0
     for k in range(lam - amu + 1, lam + amu + 1):
         ratio /= k
+    # subnormal from (86, 86) on, and 0 from (89, 89), which zeroed the harmonic
+    if ratio < np.finfo(float).tiny:
+        raise ValueError(f"Y_({lam},{mu}) normalization underflows float64")
     norm = math.sqrt((2 * lam + 1) / (4.0 * math.pi) * ratio)
+    # fill both recurrence caches from below, so that their recursion stays shallow
+    for k in range(amu):
+        _sectoral(k)
+    for ell in range(amu, lam):
+        _legendre_tail(ell, amu)
     tail = _legendre_tail(lam, amu)
     sign = (-1.0) ** amu  # Condon-Shortley, as in the P^mu relation
     if mu == 0:
@@ -140,8 +148,10 @@ def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:
     theta = np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
     phi = np.arctan2(points[:, 1], points[:, 0])
     m = np.arange(1, lam + 1)
-    # normalized associated Legendre functions, Condon-Shortley phase included
-    legendre = sph_legendre_p(lam, np.arange(lam + 1)[:, None], theta)[0].T
+    # normalized associated Legendre functions, Condon-Shortley phase included,
+    # evaluated once per distinct polar angle (a grid ring repeats it)
+    nodes, ring = np.unique(theta, return_inverse=True)
+    legendre = sph_legendre_p(lam, np.arange(lam + 1)[:, None], nodes)[0].T[ring]
     out = np.empty((points.shape[0], 2 * lam + 1))
     out[:, 0] = legendre[:, 0]
     out[:, 1::2] = math.sqrt(2.0) * legendre[:, 1:] * np.cos(np.outer(phi, m))
@@ -149,14 +159,36 @@ def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reflect(points: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Images of points (n, 3) under the reflection in the plane normal to root."""
+    return points - 2.0 * np.outer(points @ root, root)
+
+
+@lru_cache(maxsize=64)
 def _sphere_grid(lam: int) -> tuple:
-    """Gauss-Legendre x trapezoid points and weights, exact to degree 2*lam."""
+    """Gauss-Legendre x trapezoid points and weighted harmonics W Y(X).
+
+    The quadrature is exact to degree 2*lam.  Both arrays depend on lam only,
+    so every group shares them; they are read-only.
+    """
     z, w = np.polynomial.legendre.leggauss(lam + 1)
     phi = 2.0 * math.pi * np.arange(2 * lam + 1) / (2 * lam + 1)
     z, phi = (g.ravel() for g in np.meshgrid(z, phi, indexing="ij"))
     rho = np.sqrt(1.0 - z * z)
     points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    return points, np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
+    weights = np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
+    weighted = weights[:, None] * _harmonics_at(lam, points)
+    points.flags.writeable = weighted.flags.writeable = False
+    return points, weighted
+
+
+def _fibonacci_points(n: int) -> np.ndarray:
+    """n near-uniform unit vectors on a Fibonacci lattice (no grid symmetry)."""
+    k = np.arange(n)
+    z = 1.0 - (2.0 * k + 1.0) / n
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z * z)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
 def projection_tables(group: ReflectionGroup, lambdas) -> dict:
@@ -171,11 +203,10 @@ def projection_tables(group: ReflectionGroup, lambdas) -> dict:
     """
     cache = group.__dict__.setdefault("_projection_cache", {})
     for lam in sorted(set(int(l) for l in lambdas) - set(cache)):
-        points, weights = _sphere_grid(lam)
-        weighted = weights[:, None] * _harmonics_at(lam, points)
+        points, weighted = _sphere_grid(lam)
         eye = np.eye(2 * lam + 1)
         stacked = np.vstack([
-            _harmonics_at(lam, points - 2.0 * np.outer(points @ root, root)).T @ weighted + eye
+            _harmonics_at(lam, _reflect(points, root)).T @ weighted + eye
             for root in group.simple_roots
         ])
         _, sing, vt = np.linalg.svd(stacked)
@@ -218,9 +249,10 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
     Gram-Schmidt of the projected harmonics P Y_{lam,mu} in descending
     projection norm, skipping those already in the span (residual below 1e-8
     of the norm), in harmonic coordinates where the sphere inner product is
-    the dot product.  The states become monomial polynomials at the end, and
-    each must change sign under every generator to 1e-8 of its largest
-    coefficient.
+    the dot product.  Each state must change sign under every generator s,
+    |p(s x) + p(x)| <= 1e-8 max |p(x)| over 2 (2 lam + 1) Fibonacci-lattice
+    points x, evaluated in harmonic coordinates, before it becomes a
+    monomial polynomial.
     """
     basis = projection_tables(group, [lam])[lam]
     # row mu holds P Y_{lam,mu} in harmonic coordinates; the rows span the
@@ -236,16 +268,20 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
         nrm = np.linalg.norm(vec)
         if nrm > 1e-8 * norms[row]:
             states.append(vec / nrm)
+    if states:
+        # p(s x) = -p(x) for every generator s, at generic points off the grid
+        points = _fibonacci_points(2 * (2 * lam + 1))
+        vecs = np.array(states).T
+        values = _harmonics_at(lam, points) @ vecs
+        scale = np.abs(values).max(axis=0)
+        for root in group.simple_roots:
+            flipped = _harmonics_at(lam, _reflect(points, root)) @ vecs
+            if np.any(np.abs(flipped + values).max(axis=0) > 1e-8 * scale):
+                raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
     polys = [
         HomogeneousPolynomial._from_coeff_vector(lam, s @ _harmonic_matrix(lam))
         for s in states
     ]
-    for root in group.simple_roots if polys else ():
-        images = monomial_images(np.eye(3) - 2.0 * np.outer(root, root), lam)
-        for poly in polys:
-            flipped = np.tensordot(poly._coeff_vector(), images, axes=1)
-            if np.abs(flipped + poly._dense).max() > 1e-8 * poly.max_abs_coeff():
-                raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
     return [HyperangularState(lam=lam, polynomial=poly) for poly in polys]
 
 

@@ -34,6 +34,14 @@ def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _exponent_arrays(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (a, b) index arrays in monomial_exponents(degree) order."""
+    aa, bb = (np.array(col, dtype=int) for col in zip(*monomial_exponents(degree)))
+    aa.flags.writeable = bb.flags.writeable = False
+    return aa, bb
+
+
+@lru_cache(maxsize=None)
 def _double_factorial(n: int) -> int:
     # (-1)!! = 1 by convention
     if n <= 0:
@@ -233,18 +241,12 @@ class HomogeneousPolynomial:
 
     def _coeff_vector(self) -> np.ndarray:
         """Coefficients ordered as monomial_exponents(degree)."""
-        expo = monomial_exponents(self.degree)
-        aa = np.fromiter((e[0] for e in expo), int, len(expo))
-        bb = np.fromiter((e[1] for e in expo), int, len(expo))
-        return self._dense[aa, bb]
+        return self._dense[_exponent_arrays(self.degree)]
 
     @classmethod
     def _from_coeff_vector(cls, degree: int, vec: np.ndarray) -> "HomogeneousPolynomial":
         p = cls(degree)
-        expo = monomial_exponents(degree)
-        aa = np.fromiter((e[0] for e in expo), int, len(expo))
-        bb = np.fromiter((e[1] for e in expo), int, len(expo))
-        p._dense[aa, bb] = vec
+        p._dense[_exponent_arrays(degree)] = vec
         return p
 
     # -- sphere inner product -----------------------------------------------

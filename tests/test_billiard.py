@@ -465,8 +465,9 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
 
 
 def test_indefinite_overlap_error_names_quadrature_order():
-    with pytest.raises(EigensolverError, match="quadrature_order"):
+    with pytest.raises(EigensolverError, match="quadrature_order") as info:
         solve_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 2)
+    assert "leading minor of order 2" in str(info.value)
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -62,6 +62,15 @@ def test_harmonics_are_harmonic_and_normalized(lam, mu):
     assert y.sphere_norm() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_harmonic_normalization_underflow_raises():
+    # (lam - |mu|)! / (lam + |mu|)! is subnormal at (86, 86) and 0 at (90, -90),
+    # where it used to turn the harmonic into the zero polynomial
+    assert np.isfinite(real_spherical_harmonic(85, 85)._dense).all()
+    for lam, mu in ((86, 86), (90, -90), (100, 85)):
+        with pytest.raises(ValueError, match="underflows"):
+            real_spherical_harmonic(lam, mu)
+
+
 def test_harmonics_orthogonal_within_degree():
     lam = 8
     polys = [real_spherical_harmonic(lam, mu) for mu in range(-lam, lam + 1)]
@@ -73,6 +82,46 @@ def test_harmonics_orthogonal_within_degree():
 
 def test_mu_sweep_order():
     assert mu_sweep(2) == [0, 1, -1, 2, -2]
+
+
+def _uncached_legendre_tail(lam, mu):
+    """The recurrence run from scratch, as before the tails were cached."""
+    z3 = HomogeneousPolynomial.from_dict(1, {(0, 0, 1): 1.0})
+    r2 = HomogeneousPolynomial.from_dict(
+        2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
+    )
+    df = 1.0
+    for k in range(2 * mu - 1, 0, -2):
+        df *= k
+    prev2 = HomogeneousPolynomial.constant(df)
+    if lam == mu:
+        return prev2
+    prev1 = (2 * mu + 1.0) * (z3 * prev2)
+    for ell in range(mu + 2, lam + 1):
+        cur = (1.0 / (ell - mu)) * (
+            (2.0 * ell - 1.0) * (z3 * prev1) - (ell - 1.0 + mu) * (r2 * prev2)
+        )
+        prev2, prev1 = prev1, cur
+    return prev1
+
+
+def test_cached_legendre_tail_is_bit_identical():
+    for lam in range(41):
+        for mu in range(lam + 1):
+            got = exact._legendre_tail(lam, mu)
+            want = _uncached_legendre_tail(lam, mu)
+            assert got.degree == want.degree == lam - mu
+            assert np.array_equal(got._dense, want._dense), (lam, mu)
+
+
+@pytest.mark.parametrize("lam", range(13))
+def test_harmonics_at_matches_polynomial_harmonics(lam):
+    # the pointwise antisymmetry check trusts this column labelling
+    pts = exact._fibonacci_points(40)
+    values = exact._harmonics_at(lam, pts)
+    for j, mu in enumerate(mu_sweep(lam)):
+        want = real_spherical_harmonic(lam, mu).evaluate(pts)
+        np.testing.assert_allclose(values[:, j], want, rtol=0, atol=1e-12)
 
 
 # -- ground states ----------------------------------------------------------------
@@ -177,6 +226,15 @@ def test_character_count_above_null_space_raises(lam, monkeypatch):
         excited_basis(lam, group)
 
 
+@pytest.mark.parametrize("lam", [31, 45])  # a = 1, 2
+def test_perturbed_projection_basis_is_not_anti_invariant(lam, h3, monkeypatch):
+    basis = exact.projection_tables(h3, [lam])[lam]
+    noise = np.random.default_rng(lam).standard_normal(basis.shape)
+    monkeypatch.setitem(h3._projection_cache, lam, basis + 1e-7 * noise)
+    with pytest.raises(RankDeficiencyError, match="not anti-invariant"):
+        excited_basis(lam, h3)
+
+
 def test_projected_states_harmonic_and_anti_invariant(h3):
     states = excited_basis(21, h3)
     assert len(states) == 1
@@ -216,7 +274,6 @@ def test_a3_16_has_unique_state(a3):
     assert len(states) == 1
 
 
-@pytest.mark.slow
 def test_excited_basis_dimension_full_sweep(a3, c3, h3):
     # every spectrum lambda <= 60 for all three groups
     for group in (a3, c3, h3):
