@@ -38,11 +38,15 @@ from scipy.special import roots_legendre
 from .errors import (
     ChartDomainError,
     EigensolverError,
-    GeometryError,
     HemisphereError,
     QuadratureError,
 )
-from .geometry import SectorGeometry, _triangle_geometry, coincidence_normals
+from .geometry import (
+    SectorGeometry,
+    coincidence_normals,
+    geometry_from_inward_normals,
+    sector_geometry,
+)
 from .masses import MassSequence
 
 __all__ = [
@@ -66,17 +70,18 @@ _CORNERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
 
 @dataclass(frozen=True)
 class FlattenedSector:
-    """Chart data mapping a spherical sector onto the canonical triangle."""
+    """Gnomonic chart of a spherical sector onto the reference triangle.
 
-    abcd: tuple | None  # (a, b, c, d) when built from masses
+    A point (s, t) of the triangle is the sphere point along
+    ``frame.T @ (1, u, v)`` with (u, v) = ``to_uv(s, t)``; ``geometry`` is
+    the sector in the same world frame.
+    """
+
     frame: np.ndarray  # rows: chart axis, u-axis, v-axis (orthonormal)
     affine: np.ndarray  # 2x2 matrix of the (u,v) -> (s,t) map
     offset: np.ndarray  # (s, t) offset
     jacobian_const: float  # |det d(u,v)/d(s,t)| = 1/|det affine|
-    relabeling: tuple | None  # permutation applied to the mass list
     geometry: SectorGeometry
-    masses: MassSequence | None = None
-    ordering: tuple | None = None
 
     def to_uv(self, s, t) -> tuple:
         """Pre-image of chart points (vectorized)."""
@@ -143,86 +148,47 @@ class ConvergenceStudy:
 # flattening
 
 
-def _canonical_relabeling(ordering) -> tuple:
-    """Mass permutation sigma with sector(p) == canonical sector of m[sigma]."""
-    p = tuple(int(i) for i in ordering)
-    if sorted(p) != [1, 2, 3, 4]:
-        raise GeometryError(f"ordering {ordering!r} is not a permutation of 1..4")
-    # canonical sector has spatial order x'_1 <= x'_3 <= x'_4 <= x'_2
-    return (p[0], p[3], p[1], p[2])
-
-
-def flatten_sector(masses: MassSequence, ordering) -> FlattenedSector:
-    """Map the ordering sector onto the canonical right isosceles triangle."""
-    if len(masses) != 4:
-        raise GeometryError("the flattened solver is rank-3 (four particles) only")
-    relab = _canonical_relabeling(ordering)
-    m1, m2, m3, m4 = (masses.masses[i - 1] for i in relab)
-    big_m = m1 + m2 + m3 + m4
-    a = math.sqrt((m1 + m2) * m1 * m4 / ((m3 + m4) * m3 * m2))
-    b = math.sqrt(big_m * m1 / ((m3 + m4) * m2))
-    c = math.sqrt((m1 + m2) * m2 * m3 / ((m3 + m4) * m1 * m4))
-    d = math.sqrt(big_m * m2 / ((m3 + m4) * m1))
-    bd = b + d
-    affine = np.array(
-        [
-            [-2.0 * a * d / bd, 2.0 * b * d / bd],
-            [-2.0 * b * c / bd, -2.0 * b * d / bd],
-        ]
-    )
-    offset = np.array([(d - b) / bd, (b - d) / bd])
-    geometry = sector_geometry_of(masses, ordering)
-
-    # canonical sector x'_1 <= x'_3 <= x'_4 <= x'_2, bounded by the (1,3),
-    # (3,4), (4,2) planes with inward normals along the order constraints
-    relabeled = MassSequence((m1, m2, m3, m4))
-    planes = coincidence_normals(relabeled)
-    inward = np.array(
-        [planes.oriented(3, 4), planes.oriented(1, 3), planes.oriented(4, 2)]
-    )
-    chart_geom = _triangle_geometry(("canonical",), inward)
-    # chart axis is z1; every vertex must sit strictly inside that hemisphere
-    cos_theta = chart_geom.vertices @ np.array([1.0, 0.0, 0.0])
+def _chart(geometry: SectorGeometry, axis, corners) -> FlattenedSector:
+    """Gnomonic projection about ``axis``, then the affine map sending vertex k
+    of ``geometry`` to ``corners[k]``."""
+    axis = axis / np.linalg.norm(axis)
+    cos_theta = geometry.vertices @ axis
     if np.any(cos_theta <= 1e-9):
         raise HemisphereError(
-            f"sector vertex at cos(theta) = {cos_theta.min():.3e}; the canonical "
-            "chart does not contain this sector"
+            f"sector vertex at cos(theta) = {cos_theta.min():.3e} from the chart "
+            "axis; the gnomonic chart does not contain this sector"
         )
-    sector = FlattenedSector(
-        abcd=(a, b, c, d),
-        frame=np.eye(3),
+    e_u = geometry.vertices[0] - (geometry.vertices[0] @ axis) * axis
+    e_u /= np.linalg.norm(e_u)
+    e_v = np.cross(axis, e_u)
+    frame = np.array([axis, e_u, e_v])
+    proj = geometry.vertices @ frame.T
+    pts = proj[:, 1:] / proj[:, :1]  # (u, v) of the three vertices
+    edges_p = np.array([pts[1] - pts[0], pts[2] - pts[0]]).T
+    edges_c = np.array([corners[1] - corners[0], corners[2] - corners[0]]).T
+    affine = edges_c @ np.linalg.inv(edges_p)
+    offset = corners[0] - affine @ pts[0]
+    return FlattenedSector(
+        frame=frame,
         affine=affine,
         offset=offset,
         jacobian_const=1.0 / abs(float(np.linalg.det(affine))),
-        relabeling=relab,
         geometry=geometry,
-        masses=masses,
-        ordering=tuple(int(i) for i in ordering),
     )
-    _verify_corner_map(sector, chart_geom, inward)
-    return sector
 
 
-def _verify_corner_map(sector, chart_geom, inward) -> None:
-    """The three sector vertices must land on the triangle corners."""
-    # corner opposite each boundary: Z34&Z13 -> (-1,1), Z34&Z24 -> (1,-1),
-    # Z13&Z24 -> (-1,-1); chart vertices are indexed by the opposite plane
-    expected = {0: (-1.0, -1.0), 1: (1.0, -1.0), 2: (-1.0, 1.0)}
-    for k in range(3):
-        v = chart_geom.vertices[k]
-        u, w = v[1] / v[0], v[2] / v[0]
-        st = sector.affine @ np.array([u, w]) + sector.offset
-        if np.abs(st - np.array(expected[k])).max() > 1e-7:
-            raise GeometryError(
-                f"vertex {k} mapped to {st}, expected {expected[k]}; "
-                "flattening is inconsistent"
-            )
+def flatten_sector(masses: MassSequence, ordering) -> FlattenedSector:
+    """Chart of the ordering sector about the normal of its outer-pair plane.
 
-
-def sector_geometry_of(masses: MassSequence, ordering) -> SectorGeometry:
-    from .geometry import sector_geometry
-
-    return sector_geometry(coincidence_normals(masses), ordering)
+    x_{p4} - x_{p1} > 0 on the whole closed sector, so every vertex lies
+    strictly inside the hemisphere about the inward normal of the (p1, p4)
+    plane.  Vertex 1 joins the (p1,p2) and (p3,p4) planes, which are
+    orthogonal in mass-weighted coordinates; that right angle goes to (-1,-1).
+    """
+    planes = coincidence_normals(masses)
+    geometry = sector_geometry(planes, ordering)
+    p = geometry.ordering
+    return _chart(geometry, planes.oriented(p[0], p[3]), _CORNERS[[2, 0, 1]])
 
 
 def octant_sector() -> FlattenedSector:
@@ -232,30 +198,8 @@ def octant_sector() -> FlattenedSector:
 
 def sector_from_inward_normals(inward, label=("manual",)) -> FlattenedSector:
     """General chart: gnomonic projection about the sector's own centroid."""
-    geometry = _triangle_geometry(tuple(label), np.asarray(inward, dtype=float))
-    axis = geometry.vertices.sum(axis=0)
-    axis /= np.linalg.norm(axis)
-    if np.any(geometry.vertices @ axis <= 1e-9):
-        raise HemisphereError("sector does not fit inside its centroid hemisphere")
-    e_u = geometry.vertices[0] - (geometry.vertices[0] @ axis) * axis
-    e_u /= np.linalg.norm(e_u)
-    e_v = np.cross(axis, e_u)
-    frame = np.array([axis, e_u, e_v])
-    proj = geometry.vertices @ frame.T
-    pts = proj[:, 1:] / proj[:, :1]  # (u, v) of the three vertices
-    edges_p = np.array([pts[1] - pts[0], pts[2] - pts[0]]).T
-    edges_c = np.array([_CORNERS[1] - _CORNERS[0], _CORNERS[2] - _CORNERS[0]]).T
-    affine = edges_c @ np.linalg.inv(edges_p)
-    offset = _CORNERS[0] - affine @ pts[0]
-    return FlattenedSector(
-        abcd=None,
-        frame=frame,
-        affine=affine,
-        offset=offset,
-        jacobian_const=1.0 / abs(float(np.linalg.det(affine))),
-        relabeling=None,
-        geometry=geometry,
-    )
+    geometry = geometry_from_inward_normals(inward, label)
+    return _chart(geometry, geometry.vertices.sum(axis=0), _CORNERS)
 
 
 # ---------------------------------------------------------------------------

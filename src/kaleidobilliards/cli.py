@@ -291,8 +291,10 @@ def _truncations(config: RunConfig) -> tuple:
 
 
 def _stats_one_sector(seq, perm, config: RunConfig):
-    geom = G.sector_geometry(G.coincidence_normals(seq), perm)
-    sector = B.sector_from_inward_normals(geom.bounding_normals, label=perm)
+    planes = G.coincidence_normals(seq)
+    inward = [planes.oriented(i, j) for i, j in zip(perm, perm[1:])]
+    sector = B.sector_from_inward_normals(inward, label=perm)
+    geom = sector.geometry
     spacing = 4.0 * math.pi / geom.area
     study = B.convergence_study(
         sector,

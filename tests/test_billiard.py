@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.linalg
 import kaleidobilliards.billiard as billiard
 from kaleidobilliards.billiard import (
     BasisTruncation,
+    FlattenedSector,
     _grid_weights,
     _quadrature_grid,
     _sine_factors,
@@ -25,6 +27,7 @@ from kaleidobilliards.billiard import (
 from kaleidobilliards.errors import (
     ChartDomainError,
     EigensolverError,
+    GeometryError,
     HemisphereError,
     QuadratureError,
 )
@@ -50,25 +53,97 @@ def exact_ladder(name, count):
 
 # -- flattening -------------------------------------------------------------------
 
-def test_equal_masses_give_symmetric_abcd():
-    sec = flatten_sector(EQUAL, (1, 3, 4, 2))
-    a, b, c, d = sec.abcd
-    assert a == pytest.approx(c, rel=1e-14)
-    assert b == pytest.approx(d, rel=1e-14)
+CHART_MEMBERS = {
+    "A3": EQUAL,
+    "H3": H3_SEQ,
+    "C3": MassSequence((3, 1, 2, 6)),
+    "generic": MassSequence((1.3, 0.4, 2.7, 0.9)),
+}
+ORDERINGS = list(itertools.permutations((1, 2, 3, 4)))
 
 
-def test_h3_masses_finite_abcd_and_corner_map():
-    sec = flatten_sector(H3_SEQ, (1, 2, 3, 4))
-    assert all(np.isfinite(sec.abcd)) and all(x > 0 for x in sec.abcd)
-    # corner correspondence is verified inside flatten_sector; re-check jacobian
-    assert sec.jacobian_const == pytest.approx(
-        1.0 / abs(np.linalg.det(sec.affine)), rel=1e-13
+def _closed_form_chart(masses, ordering, geometry):
+    """The a/b/c/d chart in the Jacobi frame of the relabeled masses.
+
+    The relabeling (p1, p4, p2, p3) makes the outer pair the frame's (1,2)
+    pair, so the chart axis is z1 and the sector is x'1 <= x'3 <= x'4 <= x'2.
+    """
+    p = ordering
+    m1, m2, m3, m4 = (masses.masses[i - 1] for i in (p[0], p[3], p[1], p[2]))
+    big_m = m1 + m2 + m3 + m4
+    a = math.sqrt((m1 + m2) * m1 * m4 / ((m3 + m4) * m3 * m2))
+    b = math.sqrt(big_m * m1 / ((m3 + m4) * m2))
+    c = math.sqrt((m1 + m2) * m2 * m3 / ((m3 + m4) * m1 * m4))
+    d = math.sqrt(big_m * m2 / ((m3 + m4) * m1))
+    bd = b + d
+    affine = np.array(
+        [[-2.0 * a * d / bd, 2.0 * b * d / bd], [-2.0 * b * c / bd, -2.0 * b * d / bd]]
+    )
+    return FlattenedSector(
+        frame=np.eye(3),
+        affine=affine,
+        offset=np.array([(d - b) / bd, (b - d) / bd]),
+        jacobian_const=1.0 / abs(float(np.linalg.det(affine))),
+        geometry=geometry,
     )
 
 
-def test_flatten_requires_four_masses_and_valid_ordering():
-    from kaleidobilliards.errors import GeometryError
+@pytest.mark.parametrize("member", sorted(CHART_MEMBERS))
+def test_outer_pair_chart_matches_closed_form_chart(member):
+    # the same map (s, t) -> sphere up to an isometry, so equal metric weights
+    masses = CHART_MEMBERS[member]
+    s, t, quad_w = _quadrature_grid(42)
+    for ordering in ORDERINGS:
+        sec = flatten_sector(masses, ordering)
+        ref = _closed_form_chart(masses, ordering, sec.geometry)
+        for got, want in zip(_grid_weights(sec, s, t, quad_w), _grid_weights(ref, s, t, quad_w)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+
+def _vertex_corners(sec):
+    """(s, t) of each geometry vertex under the chart."""
+    proj = sec.geometry.vertices @ sec.frame.T
+    return (proj[:, 1:] / proj[:, :1]) @ sec.affine.T + sec.offset
+
+
+def test_right_angle_vertex_maps_to_reference_right_angle():
+    for masses in CHART_MEMBERS.values():
+        for ordering in ORDERINGS:
+            sec = flatten_sector(masses, ordering)
+            st = _vertex_corners(sec)
+            k = int(np.argmin(np.abs(st - (-1.0, -1.0)).max(axis=1)))
+            np.testing.assert_allclose(st[k], (-1.0, -1.0), atol=1e-12)
+            assert sec.geometry.dihedral_angles[k] == pytest.approx(math.pi / 2, abs=1e-12)
+            assert sec.jacobian_const == pytest.approx(
+                1.0 / abs(np.linalg.det(sec.affine)), rel=1e-13
+            )
+
+
+@pytest.mark.parametrize("member", ["H3", "generic"])
+def test_chart_frame_lifts_corners_onto_sector_vertices(member):
+    for ordering in ORDERINGS:
+        sec = flatten_sector(CHART_MEMBERS[member], ordering)
+        u, v = sec.to_uv(np.array([-1.0, -1.0, 1.0]), np.array([-1.0, 1.0, -1.0]))
+        lifted = np.stack([np.ones(3), u, v], axis=1) @ sec.frame
+        lifted /= np.linalg.norm(lifted, axis=1, keepdims=True)
+        dist = np.linalg.norm(lifted[:, None, :] - sec.geometry.vertices[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-12
+
+
+def test_inward_normals_are_normalized():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    scaled = sec.geometry.bounding_normals * np.array([[1.0], [1.1], [0.9]])
+    got = sector_from_inward_normals(scaled).geometry
+    assert got.area == pytest.approx(sec.geometry.area, rel=1e-12)
+    np.testing.assert_allclose(got.vertices, sec.geometry.vertices, atol=1e-12)
+
+
+def test_inward_normals_need_three_by_three():
+    with pytest.raises(GeometryError):
+        sector_from_inward_normals(np.eye(3)[:2])
+
+
+def test_flatten_requires_four_masses_and_valid_ordering():
     with pytest.raises(GeometryError):
         flatten_sector(MassSequence((1, 1, 1)), (1, 2, 3))
     with pytest.raises(GeometryError):
@@ -331,7 +406,7 @@ def _reference_assemble(sector, trunc, order):
 
 
 @pytest.mark.parametrize("order", [36, 48])
-@pytest.mark.parametrize("chart", ["canonical", "centroid"])
+@pytest.mark.parametrize("chart", ["outer_pair", "centroid"])
 def test_assemble_matches_four_gather_reference(chart, order):
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     if chart == "centroid":
@@ -391,10 +466,10 @@ def test_inversion_congruent_orderings_share_spectra():
     np.testing.assert_allclose(s1, s2, rtol=1e-8)
 
 
-def test_canonical_and_centroid_charts_agree():
-    sec_can = flatten_sector(H3_SEQ, (2, 1, 3, 4))
-    sec_cen = sector_from_inward_normals(sec_can.geometry.bounding_normals)
-    s1 = solve_sector(sec_can, 36, 10).values
+def test_outer_pair_and_centroid_charts_agree():
+    sec_out = flatten_sector(H3_SEQ, (2, 1, 3, 4))
+    sec_cen = sector_from_inward_normals(sec_out.geometry.bounding_normals)
+    s1 = solve_sector(sec_out, 36, 10).values
     s2 = solve_sector(sec_cen, 36, 10).values
     np.testing.assert_allclose(s1, s2, rtol=5e-4)
 
