@@ -95,19 +95,15 @@ class FlattenedSector:
 @dataclass(frozen=True)
 class BasisTruncation:
     n_max: int
-    index_pairs: tuple = field(default=())
+    index_pairs: tuple = field(init=False)  # (n, m), 1 <= n < m <= n_max, n-major
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
-        if not self.index_pairs:
-            pairs = tuple(
-                (n, m) for n in range(1, self.n_max + 1) for m in range(n + 1, self.n_max + 1)
-            )
-            object.__setattr__(self, "index_pairs", pairs)
-        for n, m in self.index_pairs:
-            if not 1 <= n < m:
-                raise ValueError(f"pair ({n},{m}) violates 1 <= n < m")
+        pairs = tuple(
+            (n, m) for n in range(1, self.n_max + 1) for m in range(n + 1, self.n_max + 1)
+        )
+        object.__setattr__(self, "index_pairs", pairs)
 
     def __len__(self):
         return len(self.index_pairs)
@@ -206,61 +202,56 @@ def sector_from_inward_normals(inward, label=("manual",)) -> FlattenedSector:
 # operator and basis
 
 
-def _uv_coefficients(u, v) -> dict:
-    """Second-order coefficients of the spherical Laplacian in the gnomonic chart."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w2 = 1.0 + u * u + v * v
-    return {
-        "g_uu": w2 * (1.0 + u * u),
-        "g_uv": w2 * 2.0 * u * v,
-        "g_vv": w2 * (1.0 + v * v),
-        "b_u": w2 * 2.0 * u,
-        "b_v": w2 * 2.0 * v,
-    }
+def _inside_triangle(s, t, tol: float = 1e-12):
+    return (s > -1.0 + tol) & (t > -1.0 + tol) & (s + t < -tol)
 
 
-def _inside_triangle(s, t, tol: float = 1e-12) -> bool:
-    return (s > -1.0 + tol) and (t > -1.0 + tol) and (s + t < -tol)
-
-
-def operator_coefficients(sector: FlattenedSector, s: float, t: float) -> dict:
-    """Coefficients {g_ss, g_st, g_tt, b_s, b_t} of the operator at one point.
+def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
+    """Coefficients {g_ss, g_st, g_tt, b_s, b_t} of the operator (vectorized).
 
     The convention matches the chart form: Laplacian = g_ss d_ss + g_st d_st
     + g_tt d_tt + b_s d_s + b_t d_t (the cross coefficient multiplies the
-    mixed derivative once).
+    mixed derivative once).  The second-order terms are the metric that
+    ``assemble`` integrates; scalar points give floats.
     """
-    if not _inside_triangle(float(s), float(t)):
-        raise ChartDomainError(f"point ({s}, {t}) lies outside the open triangle")
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    scalar = s.ndim == 0
+    # a 0-d point would drop to numpy scalars, whose power can differ from the
+    # array loop in the last bit; one-element arrays take the grid's path
+    s, t = np.atleast_1d(s, t)
+    outside = np.flatnonzero(~_inside_triangle(s, t))
+    if outside.size:
+        i = outside[0]
+        raise ChartDomainError(
+            f"point ({s.flat[i]}, {t.flat[i]}) lies outside the open triangle"
+        )
+    sqrt_g, g_ss, g_st, g_tt = _grid_weights(sector, s, t, 1.0)
     u, v = sector.to_uv(s, t)
-    cuv = _uv_coefficients(u, v)
-    m = np.array([[cuv["g_uu"], 0.5 * cuv["g_uv"]], [0.5 * cuv["g_uv"], cuv["g_vv"]]])
+    w2 = 1.0 + u * u + v * v
+    b_u, b_v = 2.0 * w2 * u, 2.0 * w2 * v  # first-order terms in (u, v)
     a = sector.affine
-    mst = a @ m @ a.T
-    b = a @ np.array([cuv["b_u"], cuv["b_v"]])
-    return {
-        "g_ss": float(mst[0, 0]),
-        "g_st": float(2.0 * mst[0, 1]),
-        "g_tt": float(mst[1, 1]),
-        "b_s": float(b[0]),
-        "b_t": float(b[1]),
+    out = {
+        "g_ss": g_ss / sqrt_g,
+        "g_st": 2.0 * g_st / sqrt_g,
+        "g_tt": g_tt / sqrt_g,
+        "b_s": a[0, 0] * b_u + a[0, 1] * b_v,
+        "b_t": a[1, 0] * b_u + a[1, 1] * b_v,
     }
+    return {k: float(c[0]) for k, c in out.items()} if scalar else out
 
 
 def basis_function(n: int, m: int, s, t):
     """Antisymmetrized right-triangle Dirichlet mode h_{n,m}.
 
-    Equals sin(n pi (s+1)/2) sin(m pi (t-1)/2) - (n <-> m); the eight-term
-    exponential combination collapses to this two-product difference.
+    Equals sin(n pi (s+1)/2) sin(m pi (t-1)/2) - (n <-> m), from the sine
+    factors that ``assemble`` contracts; the eight-term exponential
+    combination collapses to this two-product difference.
     """
     if not 1 <= n < m:
         raise ValueError("basis needs 1 <= n < m")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    alpha = 0.5 * math.pi * (s + 1.0)
-    beta = 0.5 * math.pi * (t - 1.0)
-    return np.sin(n * alpha) * np.sin(m * beta) - np.sin(m * alpha) * np.sin(n * beta)
+    phi, _ = _sine_factors(m, np.asarray(s, dtype=float), +1.0)
+    psi, _ = _sine_factors(m, np.asarray(t, dtype=float), -1.0)
+    return phi[n - 1] * psi[m - 1] - phi[m - 1] * psi[n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,10 @@ def mu_sweep(lam: int) -> list:
 
 @lru_cache(maxsize=64)
 def _harmonic_matrix(lam: int) -> np.ndarray:
-    """Coefficient vectors of all 2*lam+1 harmonics, rows in mu_sweep order."""
-    rows = [real_spherical_harmonic(lam, mu)._coeff_vector() for mu in mu_sweep(lam)]
-    return np.array(rows)
+    """Coefficient vectors of all 2*lam+1 harmonics, rows in mu_sweep order (read-only)."""
+    rows = np.array([real_spherical_harmonic(lam, mu)._coeff_vector() for mu in mu_sweep(lam)])
+    rows.flags.writeable = False
+    return rows
 
 
 def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:

@@ -41,12 +41,11 @@ _MAX_ORDER = 120  # largest rank-3 group in the table
 
 @dataclass(frozen=True)
 class OrthogonalElement:
-    """One orthogonal 3x3 matrix with its rotation-angle/parity labels."""
+    """One orthogonal 3x3 matrix with its rotation angle; det is its parity."""
 
     matrix: np.ndarray
     det: int
     rotation_angle: float
-    parity: int
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "OrthogonalElement":
@@ -58,7 +57,7 @@ class OrthogonalElement:
         # proper: cos(phi) = (tr-1)/2 ; improper (rotoreflection): cos(phi) = (tr+1)/2
         cos_phi = (tr - 1.0) / 2.0 if det == 1 else (tr + 1.0) / 2.0
         angle = math.acos(min(1.0, max(-1.0, cos_phi)))
-        return cls(matrix=m, det=det, rotation_angle=angle, parity=det)
+        return cls(matrix=m, det=det, rotation_angle=angle)
 
     def is_reflection(self) -> bool:
         return self.det == -1 and abs(float(np.trace(self.matrix)) - 1.0) < 1e-9
@@ -207,7 +206,7 @@ def conjugacy_classes(group: ReflectionGroup) -> list:
         classes.append(
             ConjugacyClass(
                 angle=rep.rotation_angle,
-                parity=rep.parity,
+                parity=rep.det,
                 element_order=_element_order(mats[i]),
                 size=len(members),
                 members=tuple(sorted(members)),

@@ -19,11 +19,8 @@ __all__ = [
     "linear_form",
     "product_of_linear_forms",
     "monomial_images",
-    "iter_monomial_images",
     "monomial_exponents",
-    "sphere_monomial_moment",
     "moment_gram",
-    "gram_inner",
 ]
 
 
@@ -41,62 +38,32 @@ def _exponent_arrays(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return aa, bb
 
 
-@lru_cache(maxsize=None)
-def _double_factorial(n: int) -> int:
-    # (-1)!! = 1 by convention
-    if n <= 0:
-        return 1
-    out = 1
-    for k in range(n, 0, -2):
-        out *= k
-    return out
-
-
-@lru_cache(maxsize=4096)
-def sphere_monomial_moment(a: int, b: int, c: int) -> float:
-    """Integral of z1^a z2^b z3^c over the unit two-sphere."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("negative exponent")
-    if a % 2 or b % 2 or c % 2:
-        return 0.0
-    num = _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
-    den = _double_factorial(a + b + c + 1)
-    return 4.0 * math.pi * num / den
-
-
 @lru_cache(maxsize=64)
-def moment_gram(degree: int) -> np.ndarray:
-    """Sphere-moment Gram matrix between all degree-d monomial pairs.
+def moment_gram(d1: int, d2: int) -> np.ndarray:
+    """Sphere moments between all degree-d1 and all degree-d2 monomials.
 
-    Extended precision: the monomial basis is severely cancellation-prone at
-    high degree (Legendre-type coefficients grow like 4^degree), so the Gram
-    is built and meant to be contracted in longdouble.
+    Entry (i, j) integrates monomial i of ``monomial_exponents(d1)`` times
+    monomial j of ``monomial_exponents(d2)`` over the unit two-sphere; odd
+    exponent sums integrate to zero.  Extended precision and read-only: the
+    monomial basis is severely cancellation-prone at high degree
+    (Legendre-type coefficients grow like 4^degree), so the Gram is built and
+    meant to be contracted in longdouble.
     """
-    expo = monomial_exponents(degree)
-    a = np.array([e[0] for e in expo])
-    b = np.array([e[1] for e in expo])
-    c = degree - a - b
-    top = 2 * degree + 2
+    a1, b1 = _exponent_arrays(d1)
+    a2, b2 = _exponent_arrays(d2)
+    asum = a1[:, None] + a2[None, :]
+    bsum = b1[:, None] + b2[None, :]
+    csum = (d1 - a1 - b1)[:, None] + (d2 - a2 - b2)[None, :]
     # df[n] = (n-1)!! with df[0] = df[1] = 1
-    df = np.ones(top + 2, dtype=np.longdouble)
-    for n in range(2, top + 2):
+    df = np.ones(d1 + d2 + 3, dtype=np.longdouble)
+    for n in range(2, d1 + d2 + 3):
         df[n] = df[n - 2] * (n - 1)
-    asum = a[:, None] + a[None, :]
-    bsum = b[:, None] + b[None, :]
-    csum = c[:, None] + c[None, :]
     odd = (asum % 2 != 0) | (bsum % 2 != 0) | (csum % 2 != 0)
     out = df[asum] * df[bsum] * df[csum] / df[asum + bsum + csum + 2]
     out *= np.longdouble(4) * np.longdouble(math.pi)
     out[odd] = 0.0
+    out.flags.writeable = False
     return out
-
-
-def gram_inner(degree: int, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Sphere L2 inner product of two same-degree coefficient vectors."""
-    g = moment_gram(degree)
-    w1 = np.asarray(v1, dtype=np.longdouble)
-    w2 = np.asarray(v2, dtype=np.longdouble)
-    return float(w1 @ g @ w2)
 
 
 class HomogeneousPolynomial:
@@ -134,9 +101,6 @@ class HomogeneousPolynomial:
         p = cls(0)
         p._dense[0, 0] = value
         return p
-
-    def copy(self) -> "HomogeneousPolynomial":
-        return HomogeneousPolynomial(self.degree, self._dense.copy())
 
     # -- views -------------------------------------------------------------
 
@@ -254,30 +218,12 @@ class HomogeneousPolynomial:
     def sphere_inner(self, other: "HomogeneousPolynomial") -> float:
         """L2 inner product of the restrictions to the unit sphere.
 
-        Exact via monomial moments (extended-precision Gram contraction for
-        equal degrees; odd degree differences integrate to zero).
+        Exact via monomial moments: one extended-precision contraction with
+        ``moment_gram(self.degree, other.degree)``.
         """
-        if self.degree == other.degree:
-            return gram_inner(self.degree, self._coeff_vector(), other._coeff_vector())
-        total = 0.0
-        sd, od = self.degree, other.degree
-        sa, sb = np.nonzero(self._dense)
-        oa, ob = np.nonzero(other._dense)
-        for a1, b1 in zip(sa, sb):
-            a1, b1 = int(a1), int(b1)
-            c1 = sd - a1 - b1
-            if c1 < 0:
-                continue
-            v1 = self._dense[a1, b1]
-            for a2, b2 in zip(oa, ob):
-                a2, b2 = int(a2), int(b2)
-                c2 = od - a2 - b2
-                if c2 < 0:
-                    continue
-                m = sphere_monomial_moment(a1 + a2, b1 + b2, c1 + c2)
-                if m:
-                    total += v1 * other._dense[a2, b2] * m
-        return total
+        w1 = np.asarray(self._coeff_vector(), dtype=np.longdouble)
+        w2 = np.asarray(other._coeff_vector(), dtype=np.longdouble)
+        return float(w1 @ moment_gram(self.degree, other.degree) @ w2)
 
     def sphere_norm(self) -> float:
         return math.sqrt(max(self.sphere_inner(self), 0.0))
@@ -344,15 +290,17 @@ def product_of_linear_forms(vectors) -> HomogeneousPolynomial:
     return out
 
 
-def iter_monomial_images(matrix: np.ndarray, degree: int):
-    """Yield (k, images of all degree-k monomials under z -> M z) for k=1..degree.
+def monomial_images(matrix: np.ndarray, degree: int) -> np.ndarray:
+    """Images of all degree-d monomials under z -> M z.
 
-    Each images array has shape (n_monomials(k), k+1, k+1), ordered like
-    ``monomial_exponents(k)``.  Level k comes from level k-1 by multiplying a
+    The array has shape (n_monomials(d), d+1, d+1), ordered like
+    ``monomial_exponents(d)``.  Level k comes from level k-1 by multiplying a
     canonical parent with one substituted linear form; the canonical ordering
     makes all three parent blocks contiguous slices, so a level costs a few
     whole-array multiply-adds.
     """
+    if degree == 0:
+        return np.ones((1, 1, 1))
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("matrix must be 3x3")
@@ -362,7 +310,6 @@ def iter_monomial_images(matrix: np.ndarray, degree: int):
         level[idx, 1, 0] = m[j, 0]
         level[idx, 0, 1] = m[j, 1]
         level[idx, 0, 0] = m[j, 2]
-    yield 1, level
     for k in range(2, degree + 1):
         n_cur = (k + 1) * (k + 2) // 2
         new = np.zeros((n_cur, k + 1, k + 1))
@@ -383,13 +330,4 @@ def iter_monomial_images(matrix: np.ndarray, degree: int):
         new[k + 1 :, :k, 1:] += m[0, 1] * level
         new[k + 1 :, :k, :k] += m[0, 2] * level
         level = new
-        yield k, level
-
-
-def monomial_images(matrix: np.ndarray, degree: int) -> np.ndarray:
-    """Images of all degree-d monomials under z -> M z (see iter_monomial_images)."""
-    if degree == 0:
-        return np.ones((1, 1, 1))
-    for _, level in iter_monomial_images(matrix, degree):
-        pass
     return level

@@ -12,7 +12,6 @@ from kaleidobilliards.billiard import (
     _grid_weights,
     _quadrature_grid,
     _sine_factors,
-    _uv_coefficients,
     assemble,
     basis_function,
     convergence_study,
@@ -163,8 +162,7 @@ def test_measure_pullback_reproduces_girard_area():
         octant_sector(),
     ):
         s, t, w = _quadrature_grid(80)
-        u, v = sec.to_uv(s, np.broadcast_to(t, s.shape))
-        val = float((((1 + u * u + v * v) ** -1.5) * sec.jacobian_const * w).sum())
+        val = float(_grid_weights(sec, s, t, w)[0].sum())
         assert val == pytest.approx(sec.geometry.area, abs=1e-8)
 
 
@@ -181,15 +179,37 @@ def test_degenerate_masses_reported_not_hidden():
 
 # -- operator ---------------------------------------------------------------------
 
-def test_uv_coefficients_at_origin():
-    c = _uv_coefficients(0.0, 0.0)
-    assert (c["g_uu"], c["g_uv"], c["g_vv"], c["b_u"], c["b_v"]) == (1, 0, 1, 0, 0)
+def test_operator_at_chart_axis_point():
+    # at the axis point u = v = 0 the sphere metric is flat: G = A A^T, b = 0
+    sec = octant_sector()
+    np.testing.assert_allclose(sec.offset, [-1 / 3, -1 / 3], atol=1e-15)
+    c = operator_coefficients(sec, *sec.offset)
+    g = sec.affine @ sec.affine.T
+    np.testing.assert_allclose(
+        [c["g_ss"], c["g_st"], c["g_tt"]], [g[0, 0], 2 * g[0, 1], g[1, 1]], rtol=1e-14
+    )
+    assert (c["b_s"], c["b_t"]) == (0.0, 0.0)
+
+
+def test_operator_coefficients_vectorized_match_scalar_calls():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    rng = np.random.default_rng(11)
+    w = rng.dirichlet((1.5, 1.5, 1.5), size=(5, 7))
+    s, t = np.moveaxis(w @ np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]]), -1, 0)
+    grid = operator_coefficients(sec, s, t)
+    for key, values in grid.items():
+        assert values.shape == (5, 7)
+        scalar = [[operator_coefficients(sec, s[i, j], t[i, j])[key] for j in range(7)]
+                  for i in range(5)]
+        assert np.array_equal(values, scalar), key
 
 
 def test_operator_rejects_exterior_points():
     sec = flatten_sector(EQUAL, (1, 2, 3, 4))
     with pytest.raises(ChartDomainError):
         operator_coefficients(sec, 0.5, 0.6)
+    with pytest.raises(ChartDomainError):
+        operator_coefficients(sec, np.array([-0.5, 0.5]), np.array([-0.2, 0.6]))
 
 
 def _pullback_and_derivatives(sec, poly, s, t):
@@ -339,8 +359,6 @@ def test_basis_orthonormal_under_flat_measure():
 def test_basis_requires_n_less_than_m():
     with pytest.raises(ValueError):
         basis_function(3, 3, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        BasisTruncation(4, ((2, 2),))
 
 
 def test_truncation_enumeration():

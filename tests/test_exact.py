@@ -114,6 +114,11 @@ def test_cached_legendre_tail_is_bit_identical():
             assert np.array_equal(got._dense, want._dense), (lam, mu)
 
 
+def test_cached_harmonic_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        exact._harmonic_matrix(3)[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("lam", range(13))
 def test_harmonics_at_matches_polynomial_harmonics(lam):
     # the pointwise antisymmetry check trusts this column labelling

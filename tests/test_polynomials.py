@@ -5,13 +5,11 @@ import pytest
 
 from kaleidobilliards.polynomials import (
     HomogeneousPolynomial,
-    gram_inner,
     linear_form,
     moment_gram,
     monomial_exponents,
     monomial_images,
     product_of_linear_forms,
-    sphere_monomial_moment,
 )
 
 
@@ -83,17 +81,28 @@ def test_monomial_images_against_linear_form_products():
         assert np.abs(images[idx] - brute._dense).max() < 1e-10
 
 
+def monomial(a, b, c):
+    return HomogeneousPolynomial.from_dict(a + b + c, {(a, b, c): 1.0})
+
+
 def test_sphere_moments_known_values():
-    assert sphere_monomial_moment(0, 0, 0) == pytest.approx(4 * math.pi)
-    assert sphere_monomial_moment(2, 0, 0) == pytest.approx(4 * math.pi / 3)
-    assert sphere_monomial_moment(1, 0, 0) == 0.0
-    assert sphere_monomial_moment(2, 2, 2) == pytest.approx(4 * math.pi / 105)
+    one = monomial(0, 0, 0)
+    assert one.sphere_inner(one) == pytest.approx(4 * math.pi)
+    assert monomial(1, 0, 0).sphere_inner(monomial(1, 0, 0)) == pytest.approx(4 * math.pi / 3)
+    assert monomial(1, 0, 0).sphere_inner(monomial(0, 1, 0)) == 0.0
+    assert monomial(1, 1, 1).sphere_inner(monomial(1, 1, 1)) == pytest.approx(4 * math.pi / 105)
+    # unequal degrees: z1^2 against 1, z1^2 z2^2 against z3^2, odd z1 against 1
+    assert monomial(2, 0, 0).sphere_inner(one) == pytest.approx(4 * math.pi / 3)
+    assert monomial(2, 2, 0).sphere_inner(monomial(0, 0, 2)) == pytest.approx(4 * math.pi / 105)
+    assert monomial(1, 0, 0).sphere_inner(one) == 0.0
 
 
 def test_sphere_inner_vs_quadrature():
-    # moments against a dense Gauss-Legendre x trapezoid sphere quadrature
+    # moments against a dense Gauss-Legendre x trapezoid sphere quadrature, for
+    # equal degrees and for the unequal pairs (4, 6) and (6, 4)
     p = HomogeneousPolynomial.from_dict(4, {(2, 2, 0): 1.0, (0, 0, 4): -0.5})
     q = HomogeneousPolynomial.from_dict(4, {(4, 0, 0): 0.7, (2, 0, 2): 1.0})
+    r = HomogeneousPolynomial._from_coeff_vector(6, np.random.default_rng(4).normal(size=28))
     x, w = np.polynomial.legendre.leggauss(24)
     phi = np.linspace(0, 2 * math.pi, 49, endpoint=False)
     ct = x[:, None]
@@ -107,21 +116,23 @@ def test_sphere_inner_vs_quadrature():
         axis=1,
     )
     weights = np.broadcast_to(w[:, None], (24, 49)).ravel() * (2 * math.pi / 49)
-    quad = float(np.sum(weights * p.evaluate(pts) * q.evaluate(pts)))
-    assert p.sphere_inner(q) == pytest.approx(quad, rel=1e-12)
+    for a, b in [(p, q), (p, r), (r, p)]:
+        quad = float(np.sum(weights * a.evaluate(pts) * b.evaluate(pts)))
+        assert a.sphere_inner(b) == pytest.approx(quad, rel=1e-12)
 
 
-def test_gram_inner_matches_loop_inner():
-    rng = np.random.default_rng(4)
-    d = 7
-    expo = monomial_exponents(d)
-    v1 = rng.normal(size=len(expo))
-    v2 = rng.normal(size=len(expo))
-    p1 = HomogeneousPolynomial._from_coeff_vector(d, v1)
-    p2 = HomogeneousPolynomial._from_coeff_vector(d, v2)
-    assert gram_inner(d, v1, v2) == pytest.approx(p1.sphere_inner(p2), rel=1e-12)
-    g = moment_gram(d)
-    assert np.abs(np.asarray(g, float) - np.asarray(g, float).T).max() == 0.0
+def test_moment_gram_symmetry():
+    g = moment_gram(7, 7)
+    assert g.dtype == np.longdouble and g.shape == (36, 36)
+    assert np.array_equal(g, g.T)
+    assert np.array_equal(moment_gram(3, 5), moment_gram(5, 3).T)
+
+
+def test_moment_gram_is_read_only():
+    with pytest.raises(ValueError):
+        moment_gram(2, 2)[:] = 0
+    z3_squared = monomial(0, 0, 2)
+    assert z3_squared.sphere_inner(z3_squared) == pytest.approx(4 * math.pi / 5)
 
 
 def test_json_round_trip():
