@@ -29,7 +29,7 @@ Galerkin spaces of the study are exactly nested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -124,20 +124,16 @@ class ConvergenceStudy:
     deltas: np.ndarray  # (len(grid)-1, k) per-level |E_k(n_{j+1}) - E_k(n_j)|
     tolerance: float
     converged_count: int
+    quadrature_order: int  # of the one assembly at the top truncation
 
     @property
-    def last_deltas(self) -> np.ndarray:
-        return self.deltas[-1]
+    def last_deltas(self) -> np.ndarray | None:
+        """Drifts of the last refinement; None for a one-entry grid."""
+        return self.deltas[-1] if len(self.deltas) else None
 
     @property
     def final(self) -> EigenSpectrum:
-        last = self.spectra[-1]
-        return EigenSpectrum(
-            values=last.values,
-            effective_lambda=last.effective_lambda,
-            truncation=last.truncation,
-            converged_count=self.converged_count,
-        )
+        return replace(self.spectra[-1], converged_count=self.converged_count)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +198,8 @@ def sector_from_inward_normals(inward, label=("manual",)) -> FlattenedSector:
 # operator and basis
 
 
-def _inside_triangle(s, t, tol: float = 1e-12):
-    return (s > -1.0 + tol) & (t > -1.0 + tol) & (s + t < -tol)
+def _inside_triangle(s, t):
+    return (s > -1.0 + 1e-12) & (t > -1.0 + 1e-12) & (s + t < -1e-12)
 
 
 def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
@@ -445,10 +441,10 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
 
 def solve_sector(sector: FlattenedSector, n_max: int, k: int,
                  quadrature_order: int | None = None) -> EigenSpectrum:
-    trunc = BasisTruncation(n_max)
-    order = quadrature_order if quadrature_order is not None else 3 * n_max
-    a_mat, b_mat = assemble(sector, trunc, order)
-    return solve_spectrum(a_mat, b_mat, k, truncation=trunc)
+    """Lowest k levels at one truncation: a one-entry convergence study."""
+    return convergence_study(
+        sector, (n_max,), k, quadrature_order=quadrature_order
+    ).final
 
 
 def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
@@ -460,9 +456,12 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     3 n_max of the top), serves the whole grid: a lower truncation n' keeps
     the pairs with m <= n', so its matrices are principal submatrices of
     the top ones.  The Galerkin spaces are nested under the same discrete
-    forms, and the eigenvalues cannot rise with n_max.
+    forms, and the eigenvalues cannot rise with n_max.  A one-entry grid
+    has no drifts, and every level of it counts as converged.
     """
     grid = tuple(int(n) for n in n_max_grid)
+    if not grid:
+        raise ValueError("n_max grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_max grid must be strictly ascending")
     top = BasisTruncation(grid[-1])
@@ -483,8 +482,9 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
             np.abs(nxt.values[:n_common] - prv.values[:n_common])
             for prv, nxt in zip(spectra, spectra[1:])
         ]
-    )
-    above = np.nonzero(deltas[-1] > tolerance)[0]
+    ).reshape(len(grid) - 1, n_common)
+    # deltas[-1:] is the last row, or no row for a one-entry grid
+    above = np.flatnonzero(deltas[-1:] > tolerance)
     converged = int(above[0]) if above.size else n_common
     return ConvergenceStudy(
         n_max_grid=grid,
@@ -492,6 +492,7 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
         deltas=deltas,
         tolerance=tolerance,
         converged_count=converged,
+        quadrature_order=order,
     )
 
 

@@ -97,15 +97,15 @@ def _write_metadata(base_path: str, config: RunConfig, wall: float, extra=None) 
     _atomic_write(target, json.dumps(meta, indent=2) + "\n")
 
 
-def distinct_sector_orderings(masses: M.MassSequence, digits: int = 12) -> list:
+def distinct_sector_orderings(masses: M.MassSequence) -> list:
     """Representative ordering + multiplicity per congruence class.
 
-    Orderings are congruent when their mass sequences are equal (equal-mass
-    relabeling) or reversed (inversion).
+    Orderings are congruent when their mass sequences, rounded to 12
+    digits, are equal (equal-mass relabeling) or reversed (inversion).
     """
     groups: dict = {}
     for perm in itertools.permutations(range(1, len(masses) + 1)):
-        seq = tuple(round(masses.masses[p - 1], digits) for p in perm)
+        seq = tuple(round(masses.masses[p - 1], 12) for p in perm)
         sig = min(seq, seq[::-1])
         groups.setdefault(sig, []).append(perm)
     return sorted((min(v), len(v)) for v in groups.values())
@@ -212,47 +212,40 @@ def _cmd_exact(config: RunConfig) -> dict:
     return extra
 
 
-def _quadrature_order(config: RunConfig) -> int:
-    """--quadrature-order, or 3 n_max of the top truncation."""
-    if config.quadrature_order is not None:
-        return config.quadrature_order
-    return 3 * _truncations(config)[-1]
+_DRIFT_TOL = 1e-2  # eigenvalue drift under which billiard and weyl count a level converged
 
 
-def _discretization(config: RunConfig, spectrum) -> dict:
-    """Basis size and quadrature order of the solve that produced a spectrum."""
-    return {
-        "basis_size": len(spectrum.truncation),
-        "quadrature_order": _quadrature_order(config),
-    }
-
-
-def _solve_for_cli(config: RunConfig, sector):
-    if config.n_max_grid:
-        study = B.convergence_study(
-            sector,
-            config.n_max_grid,
-            config.k_levels,
-            quadrature_order=_quadrature_order(config),
-        )
-        return study.final, study.last_deltas
-    spectrum = B.solve_sector(
-        sector, config.n_max, config.k_levels, _quadrature_order(config)
+def _study(config: RunConfig, sector, tolerance: float) -> B.ConvergenceStudy:
+    """The convergence study over the command's truncations."""
+    return B.convergence_study(
+        sector,
+        _truncations(config),
+        config.k_levels,
+        tolerance=tolerance,
+        quadrature_order=config.quadrature_order,
     )
-    return spectrum, None
+
+
+def _discretization(study: B.ConvergenceStudy) -> dict:
+    """Basis size and quadrature order of the study's top truncation."""
+    return {
+        "basis_size": len(study.final.truncation),
+        "quadrature_order": study.quadrature_order,
+    }
 
 
 def _cmd_billiard(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    spectrum, deltas = _solve_for_cli(config, sector)
-    _atomic_write(config.output_path, B.spectrum_to_csv(spectrum, deltas))
+    study = _study(config, sector, _DRIFT_TOL)
+    spectrum = study.final
+    _atomic_write(config.output_path, B.spectrum_to_csv(spectrum, study.last_deltas))
     return {
         "area": sig12(sector.geometry.area),
         "perimeter": sig12(sector.geometry.perimeter),
         "n_levels": len(spectrum.values),
         "first_lambda_eff": sig12(spectrum.effective_lambda[0]),
-        **_discretization(config, spectrum),
+        **_discretization(study),
     }
 
 
@@ -270,14 +263,15 @@ def _weyl_csv(spectrum, geometry) -> tuple:
 def _cmd_weyl(config: RunConfig) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    spectrum, _ = _solve_for_cli(config, sector)
+    study = _study(config, sector, _DRIFT_TOL)
+    spectrum = study.final
     if spectrum.converged_count == 0:
         raise InsufficientLevelsError("no level converged across --n-max-grid")
     text, after = _weyl_csv(spectrum, sector.geometry)
     _atomic_write(config.output_path, text)
     return {
         "max_abs_residual": sig12(np.abs(after).max()),
-        **_discretization(config, spectrum),
+        **_discretization(study),
     }
 
 
@@ -296,13 +290,7 @@ def _stats_one_sector(seq, perm, config: RunConfig):
     sector = B.sector_from_inward_normals(inward, label=perm)
     geom = sector.geometry
     spacing = 4.0 * math.pi / geom.area
-    study = B.convergence_study(
-        sector,
-        _truncations(config),
-        config.k_levels,
-        tolerance=config.tol_spacings * spacing,
-        quadrature_order=_quadrature_order(config),
-    )
+    study = _study(config, sector, config.tol_spacings * spacing)
     spectrum = study.final
     unfolded = ST.unfold(spectrum, geom)
     hist = ST.spacing_histogram(unfolded, bins=config.bins)
@@ -346,7 +334,7 @@ def _cmd_stats(config: RunConfig) -> dict:
             "ks_poisson": sig12(hist.ks_poisson),
             "ks_wigner": sig12(hist.ks_wigner),
         }
-        discretization[tag] = _discretization(config, spectrum)
+        discretization[tag] = _discretization(study)
     _atomic_write(
         os.path.join(out_dir, "sectors.json"), json.dumps(summary, indent=2) + "\n"
     )

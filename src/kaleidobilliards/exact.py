@@ -22,7 +22,7 @@ from scipy.special import eval_genlaguerre, sph_legendre_p
 
 from .errors import RankDeficiencyError
 from .masses import CoxeterSpec
-from .groups import ReflectionGroup, degeneracy, spectrum_generators
+from .groups import ReflectionGroup, degeneracy, ladder
 from .polynomials import HomogeneousPolynomial, product_of_linear_forms
 
 __all__ = [
@@ -316,18 +316,15 @@ def energy_levels(spec: CoxeterSpec, e_max: float, n_particles: int) -> list:
         raise ValueError(
             f"{spec.name} describes {spec.rank + 1} particles, got N={n_particles}"
         )
-    gen_a, gen_b = spectrum_generators(spec)
     zero = n_particles / 2.0
     top = math.floor(e_max - zero)  # largest lam + 2 nu + n
     levels = []
-    for n1 in range((top - spec.lambda0) // gen_a + 1):
-        for n2 in range((top - spec.lambda0 - gen_a * n1) // gen_b + 1) if gen_b else (0,):
-            lam = spec.lambda0 + gen_a * n1 + (gen_b or 0) * n2
-            for nu in range((top - lam) // 2 + 1):
-                for n in range(top - lam - 2 * nu + 1):
-                    levels.append(EnergyLevel(
-                        energy=lam + 2 * nu + n + zero, n=n, nu=nu, n1=n1, n2=n2, lam=lam
-                    ))
+    for n1, n2, lam in ladder(spec, top):
+        for nu in range((top - lam) // 2 + 1):
+            for n in range(top - lam - 2 * nu + 1):
+                levels.append(EnergyLevel(
+                    energy=lam + 2 * nu + n + zero, n=n, nu=nu, n1=n1, n2=n2, lam=lam
+                ))
     return sorted(levels, key=lambda lv: (lv.energy, lv.n, lv.nu, lv.n1, lv.n2))
 
 

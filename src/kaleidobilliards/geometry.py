@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .masses import MassSequence, sector_angle
+from .masses import MassSequence, _unit_scaled, sector_angle
 
 __all__ = [
     "PlaneSet",
@@ -64,45 +64,17 @@ def coincidence_normals(masses: MassSequence) -> PlaneSet:
     """Six unit plane normals in the relative (z1, z2, z3) frame."""
     if len(masses) != 4:
         raise GeometryError("coincidence normals are implemented for four particles")
-    m1, m2, m3, m4 = masses.masses
-    big_m = m1 + m2 + m3 + m4
-
-    def unit(v):
-        v = np.asarray(v, dtype=float)
-        return v / np.linalg.norm(v)
-
-    normals = {
-        (1, 2): np.array([1.0, 0.0, 0.0]),
-        (3, 4): np.array([0.0, 1.0, 0.0]),
-        (1, 3): unit(
-            [
-                math.sqrt(m2 * (m3 + m4) / (m1 * big_m)),
-                -math.sqrt(m4 * (m1 + m2) / (m3 * big_m)),
-                1.0,
-            ]
-        ),
-        (1, 4): unit(
-            [
-                math.sqrt(m2 * (m3 + m4) / (m1 * big_m)),
-                math.sqrt(m3 * (m1 + m2) / (m4 * big_m)),
-                1.0,
-            ]
-        ),
-        (2, 3): unit(
-            [
-                math.sqrt(m1 * (m3 + m4) / (m2 * big_m)),
-                math.sqrt(m4 * (m1 + m2) / (m3 * big_m)),
-                -1.0,
-            ]
-        ),
-        (2, 4): unit(
-            [
-                math.sqrt(m1 * (m3 + m4) / (m2 * big_m)),
-                -math.sqrt(m3 * (m1 + m2) / (m4 * big_m)),
-                -1.0,
-            ]
-        ),
-    }
+    # the normals depend on mass ratios only
+    m = dict(zip((1, 2, 3, 4), _unit_scaled(masses.masses)))
+    big_m = m[1] + m[2] + m[3] + m[4]
+    normals = {(1, 2): np.array([1.0, 0.0, 0.0]), (3, 4): np.array([0.0, 1.0, 0.0])}
+    # plane (i, k) joins one particle of each pair; z1 and z2 carry the
+    # partner masses, z3 enters with +1 for i = 1 and -1 for i = 2
+    for i, k in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        z1 = math.sqrt(m[3 - i] * (m[3] + m[4]) / (m[i] * big_m))
+        z2 = math.sqrt(m[7 - k] * (m[1] + m[2]) / (m[k] * big_m))
+        v = np.array([z1, z2 if (i == 1) == (k == 4) else -z2, 1.0 if i == 1 else -1.0])
+        normals[(i, k)] = v / np.linalg.norm(v)
     return PlaneSet(masses, normals)
 
 

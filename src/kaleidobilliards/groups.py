@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import CharacterTableError, NonCoxeterRootsError
 from .geometry import sig12
 from .masses import CoxeterSpec, MassSequence, brackets_for_rank, coxeter_spec
-from .polynomials import HomogeneousPolynomial, linear_form
+from .polynomials import HomogeneousPolynomial, product_of_linear_forms
 
 __all__ = [
     "OrthogonalElement",
@@ -30,13 +31,13 @@ __all__ = [
     "o3_character",
     "degeneracy",
     "lambda_spectrum",
+    "ladder",
     "spectrum_generators",
     "invariant_polynomials",
     "group_to_json",
 ]
 
 _MATCH_TOL = 1e-9
-_MAX_ORDER = 120  # largest rank-3 group in the table
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ class ReflectionGroup:
         return np.array(normals)
 
 
-def _identify_bracket(roots: np.ndarray, tol: float = 1e-8) -> CoxeterSpec:
+def _identify_bracket(roots: np.ndarray) -> CoxeterSpec:
     """Match pairwise root angles to a rank-3 table bracket."""
+    tol = 1e-8
     dots = [abs(float(roots[0] @ roots[1])), abs(float(roots[1] @ roots[2]))]
     if abs(float(roots[0] @ roots[2])) > tol:
         raise NonCoxeterRootsError("non-adjacent roots are not orthogonal")
@@ -144,18 +146,14 @@ def generate_group(simple_root_normals) -> ReflectionGroup:
 
     add(np.eye(3))
     frontier = [np.eye(3)]
-    while frontier:
+    # stop once the closure outgrows the order of the matched table row
+    while frontier and len(elements) <= spec.order:
         new_frontier = []
         for m in frontier:
             for g in generators:
                 prod = g @ m
                 if add(prod):
                     new_frontier.append(prod)
-        if len(elements) > 2 * _MAX_ORDER:
-            raise NonCoxeterRootsError(
-                f"closure exceeded {2 * _MAX_ORDER} elements; roots do not generate "
-                "a finite Coxeter group from the table"
-            )
         frontier = new_frontier
 
     if len(elements) != spec.order:
@@ -217,9 +215,9 @@ def conjugacy_classes(group: ReflectionGroup) -> list:
     return sorted(classes, key=lambda c: (-c.parity, c.angle, c.size))
 
 
-def _element_order(m: np.ndarray, cap: int = 64) -> int:
+def _element_order(m: np.ndarray) -> int:
     p = np.eye(3)
-    for k in range(1, cap + 1):
+    for k in range(1, 65):  # rank-3 table elements have order at most 10
         p = p @ m
         if np.abs(p - np.eye(3)).max() < 1e-8:
             return k
@@ -257,95 +255,51 @@ def degeneracy(lam: int, group: ReflectionGroup) -> int:
 
 
 def spectrum_generators(spec: CoxeterSpec) -> tuple:
-    """Degrees (a, b) of the two symmetric-invariant generators above rho^2."""
-    key = spec.name
-    if key == "A3":
-        return (3, 4)
-    if key == "C3":
-        return (4, 6)
-    if key == "H3":
-        return (6, 10)
-    if spec.rank == 2:
-        return (spec.bracket[0], None)
-    raise ValueError(f"no ladder spectrum implemented for {spec.name}")
+    """Degrees (a, b) of the two symmetric-invariant generators above rho^2.
+
+    These are the second and third invariant degrees; b is None at rank 2.
+    """
+    if spec.rank > 3:
+        raise ValueError(f"no ladder spectrum implemented for {spec.name}")
+    return (spec.degrees[1], spec.degrees[2] if spec.rank == 3 else None)
+
+
+def ladder(spec: CoxeterSpec, lambda_max: int):
+    """(n1, n2, lambda) for every lambda = lambda0 + a*n1 + b*n2 <= lambda_max."""
+    a, b = spectrum_generators(spec)
+    for n1 in range((lambda_max - spec.lambda0) // a + 1):
+        base = spec.lambda0 + a * n1
+        for n2 in range((lambda_max - base) // b + 1) if b else (0,):
+            yield n1, n2, base + (b or 0) * n2
 
 
 def lambda_spectrum(spec: CoxeterSpec, lambda_max: int) -> dict:
-    """Multiplicity of every allowed lambda = lambda0 + a*n1 + b*n2 <= lambda_max."""
-    a, b = spectrum_generators(spec)
-    out: dict[int, int] = {}
-    for n1 in range((lambda_max - spec.lambda0) // a + 1):
-        base = spec.lambda0 + a * n1
-        for lam in range(base, lambda_max + 1, b) if b else (base,):
-            out[lam] = out.get(lam, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def _rotation_axes(group: ReflectionGroup, angle: float, tol: float = 1e-8) -> np.ndarray:
-    """Axes of the proper rotations with the given angle, one per +/- pair."""
-    axes = []
-    for el in group.elements:
-        if el.det != 1 or abs(el.rotation_angle - angle) > tol:
-            continue
-        w, v = np.linalg.eigh(0.5 * (el.matrix + el.matrix.T))
-        axis = v[:, np.argmax(w)]  # eigenvalue +1 of the symmetric part
-        # residual check: the axis must be fixed by the rotation
-        if np.abs(el.matrix @ axis - axis).max() > 1e-8:
-            raise CharacterTableError("axis extraction failed")
-        for known in axes:
-            if min(np.abs(known - axis).max(), np.abs(known + axis).max()) < 1e-6:
-                break
-        else:
-            axes.append(axis)
-    return np.array(axes)
-
-
-def _tetrahedral_signs(axes: np.ndarray) -> np.ndarray:
-    """Orient the four 3-fold axes pairwise obtuse (tetrahedron vertices)."""
-    out = [axes[0]]
-    for ax in axes[1:]:
-        out.append(ax if ax @ out[0] < 0 else -ax)
-    return np.array(out)
+    """Multiplicity of every allowed lambda <= lambda_max on the ladder."""
+    return dict(sorted(Counter(lam for _, _, lam in ladder(spec, lambda_max)).items()))
 
 
 def invariant_polynomials(group: ReflectionGroup) -> list:
     """Power sums over the characteristic axis set, one per invariant degree.
 
-    H3: six 5-fold axes, degrees (2, 6, 10).  C3: three 4-fold axes, degrees
-    (2, 4, 6).  A3: four 3-fold axes oriented as a tetrahedron, degrees
-    (2, 3, 4).  Unnormalized; invariance is verified coefficient-wise.
+    The axis set is the orbit of the line where the two simple mirrors with
+    the larger bracket entry meet, one vector per +/- pair: six 5-fold axes
+    for H3, three 4-fold axes for C3, and for A3 the four 3-fold axes, which
+    the orbit already orients as a tetrahedron.  The degrees are
+    ``group.spec.degrees``.  Unnormalized; invariance is verified
+    coefficient-wise.
     """
-    name = group.spec.name
-    if name == "H3":
-        axes = _rotation_axes(group, 2.0 * math.pi / 5.0)
-        degrees = (2, 6, 10)
-        expected_axes = 6
-    elif name == "C3":
-        axes = _rotation_axes(group, math.pi / 2.0)
-        degrees = (2, 4, 6)
-        expected_axes = 3
-    elif name == "A3":
-        axes = _rotation_axes(group, 2.0 * math.pi / 3.0)
-        degrees = (2, 3, 4)
-        expected_axes = 4
-    else:
-        raise CharacterTableError(f"no axis construction for {name}")
-    if len(axes) != expected_axes:
-        raise CharacterTableError(
-            f"found {len(axes)} axes for {name}, expected {expected_axes}"
-        )
-    if name == "A3":
-        axes = _tetrahedral_signs(axes)
-    polys = []
-    for m in degrees:
-        total = HomogeneousPolynomial(m)
-        for ax in axes:
-            form = linear_form(ax)
-            power = HomogeneousPolynomial.constant(1.0)
-            for _ in range(m):
-                power = power * form
-            total = total + power
-        polys.append(total)
+    r = group.simple_roots
+    # |r_a . r_b| = cos(pi/q) grows with the bracket entry q
+    i = 0 if abs(r[0] @ r[1]) >= abs(r[1] @ r[2]) else 1
+    axis = np.cross(r[i], r[i + 1])
+    axes = []
+    for v in group.matrices @ (axis / np.linalg.norm(axis)):
+        if all(min(np.abs(a - v).max(), np.abs(a + v).max()) > 1e-6 for a in axes):
+            axes.append(v)
+    polys = [
+        sum((product_of_linear_forms([ax] * m) for ax in axes), HomogeneousPolynomial(m))
+        for m in group.spec.degrees
+    ]
     # invariance must hold exactly (up to float round-off) for every element
     for q in polys:
         scale = q.max_abs_coeff()

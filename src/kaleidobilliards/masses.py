@@ -65,13 +65,16 @@ class MassSequence:
 
 @dataclass(frozen=True)
 class CoxeterSpec:
-    """Table row of a finite connected non-branching reflection group."""
+    """Table row of a finite connected non-branching reflection group.
+
+    The degrees d_i of the basic invariants fix the rest: the rank is their
+    count, the group order is prod d_i and the number of reflections, which
+    is the ground-state degree lambda0, is sum (d_i - 1).
+    """
 
     name: str
-    rank: int
     bracket: tuple
-    lambda0: int
-    order: int
+    degrees: tuple
 
     def __post_init__(self):
         if any(q < 3 for q in self.bracket):
@@ -79,28 +82,36 @@ class CoxeterSpec:
         if len(self.bracket) != self.rank - 1:
             raise ValueError("bracket length must be rank-1")
 
+    @property
+    def rank(self) -> int:
+        return len(self.degrees)
+
+    @property
+    def lambda0(self) -> int:
+        return sum(d - 1 for d in self.degrees)
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.degrees)
+
 
 def _a_spec(rank: int) -> CoxeterSpec:
-    return CoxeterSpec(
-        f"A{rank}", rank, (3,) * (rank - 1), rank * (rank + 1) // 2, math.factorial(rank + 1)
-    )
+    return CoxeterSpec(f"A{rank}", (3,) * (rank - 1), tuple(range(2, rank + 2)))
 
 
 def _c_spec(rank: int) -> CoxeterSpec:
-    return CoxeterSpec(
-        f"C{rank}", rank, (4,) + (3,) * (rank - 2), rank * rank, 2**rank * math.factorial(rank)
-    )
+    return CoxeterSpec(f"C{rank}", (4,) + (3,) * (rank - 2), tuple(range(2, 2 * rank + 1, 2)))
 
 
 def _i2_spec(q: int) -> CoxeterSpec:
-    return CoxeterSpec(f"I2({q})", 2, (q,), q, 2 * q)
+    return CoxeterSpec(f"I2({q})", (q,), (2, q))
 
 
 _EXCEPTIONAL = {
     "H2": _i2_spec(5),
-    "H3": CoxeterSpec("H3", 3, (5, 3), 15, 120),
-    "H4": CoxeterSpec("H4", 4, (5, 3, 3), 60, 14400),
-    "F4": CoxeterSpec("F4", 4, (3, 4, 3), 24, 1152),
+    "H3": CoxeterSpec("H3", (5, 3), (2, 6, 10)),
+    "H4": CoxeterSpec("H4", (5, 3, 3), (2, 12, 20, 30)),
+    "F4": CoxeterSpec("F4", (3, 4, 3), (2, 6, 8, 12)),
 }
 
 
@@ -133,12 +144,27 @@ def brackets_for_rank(rank: int) -> list:
     return [_a_spec(rank), _c_spec(rank)]
 
 
+def _unit_scaled(masses) -> tuple:
+    """The masses divided by the power of two at their maximum.
+
+    The division is exact while the mass ratios stay in float64's normal
+    range, so formulas in ratios keep their bits and can no longer overflow.
+    """
+    shift = -math.frexp(max(masses))[1]
+    return tuple(math.ldexp(m, shift) for m in masses)
+
+
 def sector_angle(m_i: float, m_j: float, m_k: float) -> float:
     """Dihedral angle between the coincidence planes of (i,j) and (j,k)."""
     for m in (m_i, m_j, m_k):
         if not math.isfinite(m) or m <= 0.0:
             raise MassDomainError(f"non-positive mass {m!r}")
-    return math.atan(math.sqrt(m_j * (m_i + m_j + m_k) / (m_i * m_k)))
+    s_i, s_j, s_k = _unit_scaled((m_i, m_j, m_k))
+    denom = s_i * s_k
+    angle = math.atan(math.sqrt(s_j * (s_i + s_j + s_k) / denom)) if denom else 0.0
+    if not 0.0 < angle < math.inf:
+        raise MassDomainError(f"mass ratios of ({m_i!r}, {m_j!r}, {m_k!r}) leave float64 range")
+    return angle
 
 
 def _tan_sq(q: int) -> float:
@@ -180,11 +206,11 @@ def _is_feasible(spec: CoxeterSpec, r: float) -> bool:
         return False
 
 
-def feasibility_interval(spec: CoxeterSpec, tol: float = 1e-12) -> tuple:
+def feasibility_interval(spec: CoxeterSpec) -> tuple:
     """Open interval of feasible ratios r = m2/m1 (bisection on the recurrence)."""
     # the feasible set is an interval (0, r_max) for every connected bracket:
     # each denominator is decreasing in the running ratio
-    lo, hi = tol, 1.0
+    lo, hi = 1e-12, 1.0
     while _is_feasible(spec, hi):
         hi *= 2.0
         if hi > 1e12:
@@ -239,7 +265,7 @@ def family_curve(spec: CoxeterSpec, ratio_grid) -> FamilyCurve:
     return FamilyCurve(spec, points, infeasible)
 
 
-def symmetric_member(spec: CoxeterSpec, tol: float = 1e-14) -> MassSequence:
+def symmetric_member(spec: CoxeterSpec) -> MassSequence:
     """Family member with equal first and last mass fraction (bisection)."""
 
     def imbalance(r):
@@ -255,7 +281,7 @@ def symmetric_member(spec: CoxeterSpec, tol: float = 1e-14) -> MassSequence:
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = imbalance(mid)
-        if abs(fm) < tol:
+        if abs(fm) < 1e-14:
             a = b = mid
             break
         if fa * fm <= 0:

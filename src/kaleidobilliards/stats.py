@@ -68,8 +68,8 @@ def unfold(spectrum: EigenSpectrum, geometry: SectorGeometry) -> UnfoldedSpectru
     return UnfoldedSpectrum(epsilon=np.asarray(eps), source=spectrum, geometry=geometry)
 
 
-def unfold_polyfit(spectrum: EigenSpectrum, degree: int = 5) -> UnfoldedSpectrum:
-    """Cross-check unfolding: polynomial fit of the empirical staircase."""
+def unfold_polyfit(spectrum: EigenSpectrum) -> UnfoldedSpectrum:
+    """Cross-check unfolding: quintic fit of the empirical staircase."""
     n = spectrum.converged_count
     if n < 50:
         raise InsufficientLevelsError(
@@ -77,7 +77,7 @@ def unfold_polyfit(spectrum: EigenSpectrum, degree: int = 5) -> UnfoldedSpectrum
         )
     e = spectrum.values[:n]
     stair = np.arange(1, n + 1) - 0.5
-    coeffs = np.polyfit(e, stair, degree)
+    coeffs = np.polyfit(e, stair, 5)
     return UnfoldedSpectrum(epsilon=np.polyval(coeffs, e), source=spectrum, geometry=None)
 
 
@@ -174,8 +174,9 @@ def histogram_to_csv(hist: SpacingHistogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_curves_to_csv(s_max: float = 4.0, n: int = 401) -> str:
-    s = np.linspace(0.0, s_max, n)
+def reference_curves_to_csv() -> str:
+    """Poisson and Wigner spacing densities on 401 points of [0, 4]."""
+    s = np.linspace(0.0, 4.0, 401)
     lines = ["s,poisson,wigner"]
     for si, pi, wi in zip(s, poisson_pdf(s), wigner_pdf(s)):
         lines.append(f"{si:.12g},{pi:.12g},{wi:.12g}")

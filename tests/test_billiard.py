@@ -521,6 +521,30 @@ def test_convergence_study_lower_spectra_are_submatrix_solves():
         np.testing.assert_allclose(spec.values, direct.values, rtol=1e-10)
 
 
+def test_solve_sector_is_one_entry_study():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    study = convergence_study(sec, (14,), k=12)
+    spec = solve_sector(sec, 14, 12)
+    assert np.array_equal(spec.values, study.final.values)
+    assert np.array_equal(spec.effective_lambda, study.final.effective_lambda)
+    assert spec.truncation == study.final.truncation
+    assert spec.converged_count == study.converged_count == 12
+    assert study.last_deltas is None
+    assert study.deltas.shape == (0, 12)
+    assert study.quadrature_order == 42
+
+
+def test_convergence_study_records_quadrature_order():
+    assert convergence_study(octant_sector(), (8, 10), k=4).quadrature_order == 30
+    study = convergence_study(octant_sector(), (8, 10), k=4, quadrature_order=33)
+    assert study.quadrature_order == 33
+
+
+def test_convergence_study_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        convergence_study(octant_sector(), (), k=4)
+
+
 def test_convergence_study_octant_ground_level():
     study = convergence_study(octant_sector(), (10, 15, 20), k=5, tolerance=1e-2)
     # ground level drift shrinks with refinement and is already below 1e-3

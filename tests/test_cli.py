@@ -162,6 +162,28 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+# masses whose sums or products leave float64 range although their ratios do not
+EXTREME_SCALES = [
+    ["classify", "--masses", "1e308,1e308,1e308"],
+    ["classify", "--masses", "1e-200,1e-200,1e-200"],
+    ["classify", "--masses", "1e200,1e200,1e200,1e200"],
+    ["geometry", "--masses", "1e-200,1e-200,1e-200,1e-200", "--ordering", "1,2,3,4"],
+    ["geometry", "--masses", "1e160,1e160,1e160,1e160", "--ordering", "1,2,3,4"],
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_SCALES, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_extreme_equal_masses_succeed(argv, tmp_path, capsys):
+    assert main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    out = capsys.readouterr().out
+    assert argv[0] == "geometry" or "max deviation 0.000000e+00" in out
+
+
+def test_unresolved_sector_angle_exits_3(capsys):
+    assert main(["classify", "--masses", "1e-300,1,1e-300"]) == 3
+    assert "MassDomainError" in capsys.readouterr().err
+
+
 # -- family -----------------------------------------------------------------------
 
 def test_family_csv_and_metadata(tmp_path, capsys):
@@ -374,3 +396,21 @@ def test_reruns_byte_identical(name, tmp_path, capsys):
         })
     capsys.readouterr()
     assert runs[0] and runs[0] == runs[1]
+
+
+def test_threaded_stats_matches_sequential(tmp_path, capsys, monkeypatch):
+    argv = ["stats", "--masses", "1,1,1,2", "--n-max-grid", "22,26", "--k", "70",
+            "--tol-spacings", "0.5", "--output"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        monkeypatch.setenv("KBILLIARDS_THREADS", threads)
+        assert main([*argv, str(out)]) == 0
+        runs.append({
+            p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*")
+            if p.is_file() and p.name != "run_metadata.json"
+        })
+    capsys.readouterr()
+    assert len(json.loads((tmp_path / "threads1" / "sectors.json").read_text())) == 2
+    assert runs[0] == runs[1]

@@ -164,3 +164,12 @@ def test_geometry_json_digits():
     assert data["area"] == pytest.approx(math.pi / 30, rel=1e-11)
     assert len(data["dihedral_angles"]) == 3
     assert len(data["bounding_normals"]) == 3
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e200, 1e308])
+def test_equal_mass_geometry_is_scale_free(scale):
+    planes, ref = coincidence_normals(MassSequence((scale,) * 4)), coincidence_normals(EQUAL)
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        assert geometry_to_json(sector_geometry(planes, perm)) == geometry_to_json(
+            sector_geometry(ref, perm)
+        )

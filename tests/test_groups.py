@@ -12,6 +12,7 @@ from kaleidobilliards.groups import (
     invariant_polynomials,
     lambda_spectrum,
     o3_character,
+    spectrum_generators,
 )
 from kaleidobilliards.masses import (
     MassSequence,
@@ -171,6 +172,23 @@ def test_lambda_spectrum_examples():
     assert lambda_spectrum(coxeter_spec("I2(5)"), 20) == {5: 1, 10: 1, 15: 1, 20: 1}
 
 
+GENERATORS = {
+    "I2(3)": (3, None), "I2(4)": (4, None), "H2": (5, None), "I2(7)": (7, None),
+    "A2": (3, None), "C2": (4, None), "A3": (3, 4), "C3": (4, 6), "H3": (6, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_spectrum_generators_table(name):
+    assert spectrum_generators(coxeter_spec(name)) == GENERATORS[name]
+
+
+@pytest.mark.parametrize("name", ["A4", "C4", "H4", "F4", "A5"])
+def test_spectrum_generators_above_rank_3_raise(name):
+    with pytest.raises(ValueError, match="no ladder spectrum"):
+        spectrum_generators(coxeter_spec(name))
+
+
 # -- invariant polynomials --------------------------------------------------------
 
 def test_invariant_degrees(a3, c3, h3):
@@ -200,6 +218,28 @@ def test_h3_sextic_not_power_of_quadratic(h3):
     cube = q2n * q2n * q2n
     lead = q6.coefficients[(6, 0, 0)] / cube.coefficients[(6, 0, 0)]
     assert not (q6 - lead * cube).is_zero(1e-6 * q6.max_abs_coeff())
+
+
+# members whose simple roots carry the bracket reversed: the larger entry sits
+# on the second pair of mirrors
+REVERSED = {
+    "H3": MassSequence(symmetric_member(coxeter_spec("H3")).masses[::-1]),
+    "C3": MassSequence((6, 2, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSED))
+def test_invariants_of_reversed_bracket_members(name):
+    group = group_from_masses(REVERSED[name])
+    roots = group.simple_roots
+    assert abs(roots[0] @ roots[1]) < abs(roots[1] @ roots[2])
+    polys = invariant_polynomials(group)
+    assert group.spec.name == name
+    assert tuple(q.degree for q in polys) == coxeter_spec(name).degrees
+    for q in polys:
+        scale = q.max_abs_coeff()
+        for el in group.elements:
+            assert (q.compose(el.matrix) - q).is_zero(1e-10 * scale)
 
 
 def test_a3_cubic_invariance(a3):

@@ -92,6 +92,19 @@ def test_sector_angle_range_and_errors():
         sector_angle(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
+def test_equal_masses_classify_at_any_scale(scale):
+    three = classify(MassSequence((scale,) * 3))
+    assert three.best.name == "I2(3)" and three.max_deviation == 0.0
+    four = classify(MassSequence((scale,) * 4))
+    assert four.best.name == "A3" and four.max_deviation == 0.0
+
+
+def test_sector_angle_outside_float_range_raises():
+    with pytest.raises(MassDomainError, match="float64 range"):
+        sector_angle(1e-300, 1.0, 1e-300)
+
+
 def test_middle_angle_sum_identity():
     # the three angles around a triple-coincidence line sum to pi
     rng = np.random.default_rng(1)

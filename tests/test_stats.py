@@ -103,7 +103,7 @@ def test_unfold_weyl_inverse_round_trip():
 def test_unfold_polyfit_cross_check():
     spec = octant_exact_spectrum(300)
     unf_w = unfold(spec, OCTANT)
-    unf_p = unfold_polyfit(spec, degree=5)
+    unf_p = unfold_polyfit(spec)
     assert unf_p.mean_spacing == pytest.approx(unf_w.mean_spacing, rel=0.05)
 
 
