@@ -122,7 +122,6 @@ class ConvergenceStudy:
     n_max_grid: tuple
     spectra: tuple  # EigenSpectrum per grid entry
     deltas: np.ndarray  # (len(grid)-1, k) per-level |E_k(n_{j+1}) - E_k(n_j)|
-    tolerance: float
     converged_count: int
     quadrature_order: int  # of the one assembly at the top truncation
 
@@ -490,7 +489,6 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
         n_max_grid=grid,
         spectra=tuple(spectra),
         deltas=deltas,
-        tolerance=tolerance,
         converged_count=converged,
         quadrature_order=order,
     )

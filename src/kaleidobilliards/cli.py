@@ -45,7 +45,6 @@ class RunConfig:
     n_max_grid: tuple | None = None
     quadrature_order: int | None = None
     k_levels: int = 50
-    lambda_max: int = 45
     e_max: float = 25.0
     bins: int = 24
     grid: int = 100
@@ -197,11 +196,11 @@ def _cmd_exact(config: RunConfig) -> dict:
     spec = M.coxeter_spec(config.spec)
     levels = E.energy_levels(spec, config.e_max, spec.rank + 1)
     _atomic_write(config.output_path, E.levels_to_csv(levels))
+    # the multiplicity of every lambda up to the largest one in the CSV
+    top = max((lv.lam for lv in levels), default=-1)
     extra = {
         "n_levels": len(levels),
-        "lambda_spectrum": {
-            str(k): v for k, v in GR.lambda_spectrum(spec, config.lambda_max).items()
-        },
+        "lambda_spectrum": {str(k): v for k, v in GR.lambda_spectrum(spec, top).items()},
     }
     if config.ground_state_path:
         lo, hi = M.feasibility_interval(spec)
@@ -561,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="algebraic energy ladder CSV")
     common(p, spec=True)
     p.add_argument("--e-max", type=float, default=None, help="energy cutoff")
-    p.add_argument("--lambda-max", type=int, default=None)
     p.add_argument("--ground-state", dest="ground_state_path", default=None,
                    help="also write the ground-state polynomial JSON here")
 

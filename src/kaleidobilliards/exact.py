@@ -245,45 +245,31 @@ def ground_state(group: ReflectionGroup) -> HyperangularState:
 
 
 def excited_basis(lam: int, group: ReflectionGroup) -> list:
-    """All anti-invariant harmonic states of degree lam, orthonormalized.
+    """All anti-invariant harmonic states of degree lam, orthonormal.
 
-    Gram-Schmidt of the projected harmonics P Y_{lam,mu} in descending
-    projection norm, skipping those already in the span (residual below 1e-8
-    of the norm), in harmonic coordinates where the sphere inner product is
-    the dot product.  Each state must change sign under every generator s,
-    |p(s x) + p(x)| <= 1e-8 max |p(x)| over 2 (2 lam + 1) Fibonacci-lattice
-    points x, evaluated in harmonic coordinates, before it becomes a
-    monomial polynomial.
+    The states are the columns of the ``projection_tables`` basis, whose size
+    is certified against the character count, in harmonic coordinates where
+    the sphere inner product is the dot product.  Each state must change sign
+    under every generator s, |p(s x) + p(x)| <= 1e-8 max |p(x)| over
+    2 (2 lam + 1) Fibonacci-lattice points x, evaluated in harmonic
+    coordinates, before it becomes a monomial polynomial.
     """
     basis = projection_tables(group, [lam])[lam]
-    # row mu holds P Y_{lam,mu} in harmonic coordinates; the rows span the
-    # a-dimensional range of P, so exactly a states are accepted
-    projector = basis @ basis.T
-    norms = np.linalg.norm(projector, axis=1)
-    states: list[np.ndarray] = []
-    for row in np.argsort(-norms, kind="stable"):
-        vec = projector[row]
-        for _ in range(2):  # re-orthogonalization pass
-            for s in states:
-                vec = vec - (s @ vec) * s
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-8 * norms[row]:
-            states.append(vec / nrm)
-    if states:
-        # p(s x) = -p(x) for every generator s, at generic points off the grid
-        points = _fibonacci_points(2 * (2 * lam + 1))
-        vecs = np.array(states).T
-        values = _harmonics_at(lam, points) @ vecs
-        scale = np.abs(values).max(axis=0)
-        for root in group.simple_roots:
-            flipped = _harmonics_at(lam, _reflect(points, root)) @ vecs
-            if np.any(np.abs(flipped + values).max(axis=0) > 1e-8 * scale):
-                raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
-    polys = [
-        HomogeneousPolynomial._from_coeff_vector(lam, s @ _harmonic_matrix(lam))
-        for s in states
+    if not basis.shape[1]:
+        return []
+    # p(s x) = -p(x) for every generator s, at generic points off the grid
+    points = _fibonacci_points(2 * (2 * lam + 1))
+    values = _harmonics_at(lam, points) @ basis
+    scale = np.abs(values).max(axis=0)
+    for root in group.simple_roots:
+        flipped = _harmonics_at(lam, _reflect(points, root)) @ basis
+        if np.any(np.abs(flipped + values).max(axis=0) > 1e-8 * scale):
+            raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
+    coeffs = basis.T @ _harmonic_matrix(lam)
+    return [
+        HyperangularState(lam=lam, polynomial=HomogeneousPolynomial._from_coeff_vector(lam, row))
+        for row in coeffs
     ]
-    return [HyperangularState(lam=lam, polynomial=poly) for poly in polys]
 
 
 # ---------------------------------------------------------------------------

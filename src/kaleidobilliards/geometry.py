@@ -91,6 +91,11 @@ class SectorGeometry:
     perimeter: float
 
 
+def _angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between two vectors, resolved near 0 and pi alike."""
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
+
+
 def _triangle_geometry(ordering, inward) -> SectorGeometry:
     inward = np.asarray(inward, dtype=float)
     # vertex k lies on the two planes other than k, on the inside of plane k
@@ -110,22 +115,14 @@ def _triangle_geometry(ordering, inward) -> SectorGeometry:
     interior /= np.linalg.norm(interior)
     if np.any(inward @ interior <= 0):
         raise GeometryError("inconsistent orientation: interior point outside sector")
-    # interior dihedral angle between half-planes with inward normals a, b
-    dihedral = []
-    for k in range(3):
-        a, b = (k + 1) % 3, (k + 2) % 3
-        dot = float(np.clip(np.dot(inward[a], inward[b]), -1.0, 1.0))
-        dihedral.append(math.pi - math.acos(dot))
+    # dihedral angle k lies between the half-planes with inward normals a, b;
+    # side k joins the vertices a and b
+    pairs = [((k + 1) % 3, (k + 2) % 3) for k in range(3)]
+    dihedral = [math.pi - _angle(inward[a], inward[b]) for a, b in pairs]
     area = sum(dihedral) - math.pi
     if area <= 1e-12:
         raise GeometryError(f"degenerate sector: Girard area {area:.3e} <= 0")
-    # sides by the spherical law of cosines for angles (cyclic)
-    sides = []
-    for k in range(3):
-        a, b = (k + 1) % 3, (k + 2) % 3
-        num = math.cos(dihedral[k]) + math.cos(dihedral[a]) * math.cos(dihedral[b])
-        den = math.sin(dihedral[a]) * math.sin(dihedral[b])
-        sides.append(math.acos(min(1.0, max(-1.0, num / den))))
+    sides = [_angle(vertices[a], vertices[b]) for a, b in pairs]
     for s in sides:
         if not 0.0 < s < math.pi:
             raise GeometryError("side length outside (0, pi)")
@@ -193,7 +190,6 @@ def angle_cross_check(planes: PlaneSet) -> float:
         mid = shared.pop()
         outer = sorted(set((i, j, k, l)) - {mid})
         expected = sector_angle(m[outer[0] - 1], m[mid - 1], m[outer[1] - 1])
-        dot = float(np.clip(np.dot(planes.normal(i, j), planes.normal(k, l)), -1, 1))
-        ang = math.acos(dot)
+        ang = _angle(planes.normal(i, j), planes.normal(k, l))
         worst = max(worst, min(abs(ang - expected), abs(math.pi - ang - expected)))
     return worst

@@ -198,33 +198,21 @@ def generate_family(spec: CoxeterSpec, m1: float, m2: float) -> MassSequence:
     return MassSequence(tuple(masses))
 
 
-def _is_feasible(spec: CoxeterSpec, r: float) -> bool:
-    try:
-        generate_family(spec, 1.0, r)
-        return True
-    except (InfeasibleFamilyError, MassDomainError, OverflowError):
-        return False
-
-
 def feasibility_interval(spec: CoxeterSpec) -> tuple:
-    """Open interval of feasible ratios r = m2/m1 (bisection on the recurrence)."""
-    # the feasible set is an interval (0, r_max) for every connected bracket:
-    # each denominator is decreasing in the running ratio
-    lo, hi = 1e-12, 1.0
-    while _is_feasible(spec, hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return (0.0, math.inf)
-    if not _is_feasible(spec, lo):
-        raise InfeasibleFamilyError(f"no feasible ratio found for {spec.name}")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if _is_feasible(spec, mid):
-            a = mid
-        else:
-            b = mid
-    return (0.0, a)
+    """Open interval (0, r_max) of feasible ratios r = m2/m1, in closed form.
+
+    With x_i = m_{i+1}/m_i and t_i = tan^2(pi/q_i), ``generate_family`` steps
+    x_{i+1} = (1 + x_i)/(t_i - x_i), which is feasible exactly when x_i < t_i
+    and increases with x_i.  The last bound x_last < t_last therefore pulls
+    back one step at a time, c <- (t_i c - 1)/(1 + c), to r < r_max.  Raises
+    InfeasibleFamilyError when a bound reaches c <= 0.
+    """
+    c = _tan_sq(spec.bracket[-1])
+    for q in reversed(spec.bracket[:-1]):
+        c = (_tan_sq(q) * c - 1.0) / (1.0 + c)
+        if c <= 0.0:
+            raise InfeasibleFamilyError(f"no feasible ratio for {spec.name}")
+    return (0.0, c)
 
 
 @dataclass(frozen=True)

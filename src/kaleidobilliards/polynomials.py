@@ -290,44 +290,32 @@ def product_of_linear_forms(vectors) -> HomogeneousPolynomial:
     return out
 
 
+def _times_linear(block: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Dense polynomials (n, k, k) of degree k-1, each times row . z."""
+    n, k, _ = block.shape
+    out = np.zeros((n, k + 1, k + 1))
+    out[:, 1:, :k] += row[0] * block
+    out[:, :k, 1:] += row[1] * block
+    out[:, :k, :k] += row[2] * block
+    return out
+
+
 def monomial_images(matrix: np.ndarray, degree: int) -> np.ndarray:
     """Images of all degree-d monomials under z -> M z.
 
     The array has shape (n_monomials(d), d+1, d+1), ordered like
-    ``monomial_exponents(d)``.  Level k comes from level k-1 by multiplying a
-    canonical parent with one substituted linear form; the canonical ordering
-    makes all three parent blocks contiguous slices, so a level costs a few
-    whole-array multiply-adds.
+    ``monomial_exponents(d)``.  In that order the degree-k monomials are
+    z3 times the first degree-(k-1) one, z2 times the first k and z1 times
+    all of them, so level k is three parent blocks, each times one row of M.
     """
-    if degree == 0:
-        return np.ones((1, 1, 1))
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("matrix must be 3x3")
-    # canonical order of monomial_exponents(1) is [(0,0)=z3, (0,1)=z2, (1,0)=z1]
-    level = np.zeros((3, 2, 2))
-    for idx, j in ((0, 2), (1, 1), (2, 0)):
-        level[idx, 1, 0] = m[j, 0]
-        level[idx, 0, 1] = m[j, 1]
-        level[idx, 0, 0] = m[j, 2]
-    for k in range(2, degree + 1):
-        n_cur = (k + 1) * (k + 2) // 2
-        new = np.zeros((n_cur, k + 1, k + 1))
-        # index layout at degree k: a=0 block first (indices 0..k in b),
-        # then a=1, ... so:
-        #   index 0        = (0,0): parent (0,0) via z3
-        #   indices 1..k   = (0,b): parent (0,b-1) via z2  [level[0:k]]
-        #   indices k+1..  = (a,b), a>0: parent (a-1,b) via z1 [all of level]
-        src0 = level[0]
-        new[0, 1:, :k] += m[2, 0] * src0
-        new[0, :k, 1:] += m[2, 1] * src0
-        new[0, :k, :k] += m[2, 2] * src0
-        srcb = level[:k]
-        new[1 : k + 1, 1:, :k] += m[1, 0] * srcb
-        new[1 : k + 1, :k, 1:] += m[1, 1] * srcb
-        new[1 : k + 1, :k, :k] += m[1, 2] * srcb
-        new[k + 1 :, 1:, :k] += m[0, 0] * level
-        new[k + 1 :, :k, 1:] += m[0, 1] * level
-        new[k + 1 :, :k, :k] += m[0, 2] * level
-        level = new
+    level = np.ones((1, 1, 1))
+    for k in range(1, degree + 1):
+        level = np.concatenate([
+            _times_linear(level[:1], m[2]),
+            _times_linear(level[:k], m[1]),
+            _times_linear(level, m[0]),
+        ])
     return level

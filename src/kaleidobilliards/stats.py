@@ -49,8 +49,6 @@ def weyl_count(e_tilde, geometry: SectorGeometry):
 @dataclass(frozen=True)
 class UnfoldedSpectrum:
     epsilon: np.ndarray
-    source: EigenSpectrum
-    geometry: SectorGeometry | None
 
     @property
     def mean_spacing(self) -> float:
@@ -65,7 +63,7 @@ def unfold(spectrum: EigenSpectrum, geometry: SectorGeometry) -> UnfoldedSpectru
             f"only {n} converged levels; at least 50 are required for statistics"
         )
     eps = weyl_count(spectrum.values[:n], geometry)
-    return UnfoldedSpectrum(epsilon=np.asarray(eps), source=spectrum, geometry=geometry)
+    return UnfoldedSpectrum(epsilon=np.asarray(eps))
 
 
 def unfold_polyfit(spectrum: EigenSpectrum) -> UnfoldedSpectrum:
@@ -78,7 +76,7 @@ def unfold_polyfit(spectrum: EigenSpectrum) -> UnfoldedSpectrum:
     e = spectrum.values[:n]
     stair = np.arange(1, n + 1) - 0.5
     coeffs = np.polyfit(e, stair, 5)
-    return UnfoldedSpectrum(epsilon=np.polyval(coeffs, e), source=spectrum, geometry=None)
+    return UnfoldedSpectrum(epsilon=np.polyval(coeffs, e))
 
 
 def poisson_pdf(s):

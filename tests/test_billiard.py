@@ -154,6 +154,15 @@ def test_extreme_mass_imbalance_raises_hemisphere_error():
         flatten_sector(MassSequence((1e-20, 1.0, 1.0, 1.0)), (1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("light", [2e-16, 1e-18])
+def test_light_masses_chart_every_ordering(light):
+    # a light mass m opens dihedral angles of order sqrt(m), far below the
+    # 1e-8 rad that an arccosine of a dot product near -1 resolves
+    seq = MassSequence((light, 1.0, 1.0, 1.0))
+    for ordering in itertools.permutations((1, 2, 3, 4)):
+        assert flatten_sector(seq, ordering).geometry.area > 0
+
+
 def test_measure_pullback_reproduces_girard_area():
     # integral of sqrt(g) over the triangle equals the spherical area
     for sec in (

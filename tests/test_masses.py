@@ -159,10 +159,19 @@ def test_family_feasibility_error():
 
 
 def test_feasibility_intervals_match_closed_forms():
-    assert feasibility_interval(A3)[1] == pytest.approx(2.0, rel=1e-9)
-    assert feasibility_interval(C3)[1] == pytest.approx(0.5, rel=1e-9)
+    assert feasibility_interval(coxeter_spec("A2"))[1] == 3.0
+    assert feasibility_interval(A3)[1] == 2.0
+    assert feasibility_interval(C3)[1] == 0.5
     t = 5.0 - 2.0 * math.sqrt(5.0)
     assert feasibility_interval(H3)[1] == pytest.approx((3 * t - 1) / 4, rel=1e-9)
+    # the bound is sharp on every table row: the recurrence fails just past it
+    for rank in range(2, 6):
+        for spec in brackets_for_rank(rank):
+            lo, hi = feasibility_interval(spec)
+            assert lo == 0.0
+            generate_family(spec, 1.0, hi * (1.0 - 1e-9))
+            with pytest.raises(InfeasibleFamilyError):
+                generate_family(spec, 1.0, hi * (1.0 + 1e-9))
 
 
 def test_generalized_series_to_six_particles():

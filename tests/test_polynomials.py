@@ -79,6 +79,8 @@ def test_monomial_images_against_linear_form_products():
         c = degree - a - b
         brute = product_of_linear_forms([m[0]] * a + [m[1]] * b + [m[2]] * c)
         assert np.abs(images[idx] - brute._dense).max() < 1e-10
+    with pytest.raises(ValueError):
+        monomial_images(np.eye(2), 0)
 
 
 def monomial(a, b, c):

@@ -7,6 +7,7 @@ from kaleidobilliards.billiard import EigenSpectrum, octant_sector, solve_sector
 from kaleidobilliards.errors import InsufficientLevelsError
 from kaleidobilliards.geometry import geometry_from_inward_normals
 from kaleidobilliards.stats import (
+    UnfoldedSpectrum,
     poisson_cdf,
     poisson_pdf,
     spacing_histogram,
@@ -167,12 +168,7 @@ def test_solved_octant_split_degeneracies_prefer_poisson():
 def test_synthetic_poisson_sample_prefers_poisson():
     rng = np.random.default_rng(12345)
     eps = np.cumsum(rng.exponential(1.0, size=5000))
-    spec = EigenSpectrum(
-        values=eps, effective_lambda=eps, truncation=None, converged_count=len(eps)
-    )
-    unf = type(unfold(octant_exact_spectrum(300), OCTANT))(
-        epsilon=eps, source=spec, geometry=None
-    )
+    unf = UnfoldedSpectrum(epsilon=eps)
     hist = spacing_histogram(unf, bins=24)
     assert hist.ks_poisson < 0.02
     assert hist.ks_poisson < hist.ks_wigner
@@ -189,10 +185,7 @@ def test_synthetic_goe_sample_prefers_wigner():
         s = np.diff(mid)
         spacings.extend(s / s.mean())
     eps = np.cumsum(spacings)
-    spec = EigenSpectrum(np.asarray(eps), np.asarray(eps), None, len(eps))
-    unf = type(unfold(octant_exact_spectrum(300), OCTANT))(
-        epsilon=np.asarray(eps), source=spec, geometry=None
-    )
+    unf = UnfoldedSpectrum(epsilon=np.asarray(eps))
     hist = spacing_histogram(unf, bins=24)
     assert hist.ks_wigner < hist.ks_poisson
 
