@@ -17,8 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,29 +29,6 @@ from . import groups as GR
 from . import masses as M
 from . import stats as ST
 from .geometry import sig12
-
-THREAD_ENV = "KBILLIARDS_THREADS"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    masses: tuple | None = None
-    ordering: tuple | None = None
-    spec: str | None = None
-    n_max: int = 40
-    n_max_grid: tuple | None = None
-    quadrature_order: int | None = None
-    k_levels: int = 50
-    e_max: float = 25.0
-    bins: int = 24
-    grid: int = 100
-    r_min: float | None = None
-    r_max: float | None = None
-    tol_spacings: float = 0.05
-    ground_state_path: str | None = None
-    output_path: str | None = None
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -73,13 +48,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-_NOT_INPUTS = ("command", "r_min", "r_max", "ground_state_path", "output_path")
-
-
-def _write_metadata(base_path: str, config: RunConfig, wall: float, extra=None) -> None:
+def _write_metadata(base_path: str, config: argparse.Namespace, wall: float, extra=None) -> None:
     meta = {
         "command": config.command,
-        "inputs": {k: v for k, v in asdict(config).items() if k not in _NOT_INPUTS},
+        "inputs": {k: v for k, v in vars(config).items() if k != "command"},
         "versions": {
             "kaleidobilliards": __version__,
             "numpy": np.__version__,
@@ -119,20 +91,11 @@ class SystemExit2(Exception):
     """Validation failure; mapped to exit code 2."""
 
 
-def _stats_workers() -> int:
-    """Sector threads for ``stats``: KBILLIARDS_THREADS, default 1."""
-    text = os.environ.get(THREAD_ENV, "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise SystemExit2(f"{THREAD_ENV} must be an integer, got {text!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
 
-def _cmd_classify(config: RunConfig) -> dict:
+def _cmd_classify(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     result = M.classify(seq)
     integrable = result.max_deviation < 1e-10
@@ -157,7 +120,7 @@ def _cmd_classify(config: RunConfig) -> dict:
     return {}
 
 
-def _cmd_family(config: RunConfig) -> dict:
+def _cmd_family(config: argparse.Namespace) -> dict:
     spec = M.coxeter_spec(config.spec)
     lo, hi = M.feasibility_interval(spec)
     r_min = config.r_min if config.r_min is not None else hi * 1e-3
@@ -173,14 +136,14 @@ def _cmd_family(config: RunConfig) -> dict:
     }
 
 
-def _cmd_geometry(config: RunConfig) -> dict:
+def _cmd_geometry(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     geom = G.sector_geometry(G.coincidence_normals(seq), config.ordering)
     _atomic_write(config.output_path, G.geometry_to_json(geom) + "\n")
     return {}
 
 
-def _cmd_group(config: RunConfig) -> dict:
+def _cmd_group(config: argparse.Namespace) -> dict:
     if config.masses:
         seq = M.MassSequence(config.masses)
     else:
@@ -192,7 +155,7 @@ def _cmd_group(config: RunConfig) -> dict:
     return {}
 
 
-def _cmd_exact(config: RunConfig) -> dict:
+def _cmd_exact(config: argparse.Namespace) -> dict:
     spec = M.coxeter_spec(config.spec)
     levels = E.energy_levels(spec, config.e_max, spec.rank + 1)
     _atomic_write(config.output_path, E.levels_to_csv(levels))
@@ -214,7 +177,7 @@ def _cmd_exact(config: RunConfig) -> dict:
 _DRIFT_TOL = 1e-2  # eigenvalue drift under which billiard and weyl count a level converged
 
 
-def _study(config: RunConfig, sector, tolerance: float) -> B.ConvergenceStudy:
+def _study(config: argparse.Namespace, sector, tolerance: float) -> B.ConvergenceStudy:
     """The convergence study over the command's truncations."""
     return B.convergence_study(
         sector,
@@ -233,7 +196,7 @@ def _discretization(study: B.ConvergenceStudy) -> dict:
     }
 
 
-def _cmd_billiard(config: RunConfig) -> dict:
+def _cmd_billiard(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector, _DRIFT_TOL)
@@ -259,7 +222,7 @@ def _weyl_csv(spectrum, geometry) -> tuple:
     return "\n".join(lines) + "\n", after
 
 
-def _cmd_weyl(config: RunConfig) -> dict:
+def _cmd_weyl(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector, _DRIFT_TOL)
@@ -274,7 +237,7 @@ def _cmd_weyl(config: RunConfig) -> dict:
     }
 
 
-def _truncations(config: RunConfig) -> tuple:
+def _truncations(config: argparse.Namespace) -> tuple:
     """The ascending basis truncations a solver command assembles."""
     if config.n_max_grid:
         return config.n_max_grid
@@ -283,7 +246,7 @@ def _truncations(config: RunConfig) -> tuple:
     return (config.n_max,)
 
 
-def _stats_one_sector(seq, perm, config: RunConfig):
+def _stats_one_sector(seq, perm, config: argparse.Namespace):
     planes = G.coincidence_normals(seq)
     inward = [planes.oriented(i, j) for i, j in zip(perm, perm[1:])]
     sector = B.sector_from_inward_normals(inward, label=perm)
@@ -296,24 +259,13 @@ def _stats_one_sector(seq, perm, config: RunConfig):
     return geom, study, spectrum, unfolded, hist
 
 
-def _cmd_stats(config: RunConfig) -> dict:
+def _cmd_stats(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     out_dir = config.output_path
     sectors = distinct_sector_orderings(seq)
-    workers = _stats_workers()
+    results = [(perm, mult, _stats_one_sector(seq, perm, config)) for perm, mult in sectors]
     summary = {}
     discretization = {}
-
-    def run(entry):
-        perm, mult = entry
-        return perm, mult, _stats_one_sector(seq, perm, config)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, sectors))
-    else:
-        results = [run(entry) for entry in sectors]
-
     reference = ST.reference_curves_to_csv()
     for perm, mult, (geom, study, spectrum, unfolded, hist) in results:
         tag = "".join(str(p) for p in perm)
@@ -353,50 +305,54 @@ _IMPLEMENTATIONS = {
 
 
 # ---------------------------------------------------------------------------
-# validation and dispatch
+# validation and entry point
+
+# flags without a default that a command needs whenever it defines them;
+# classify may just print, and group takes --spec or --masses
+_NEEDED = {"masses": "--masses", "ordering": "--ordering", "spec": "--spec",
+           "output_path": "--output"}
+_OPTIONAL = {("classify", "output_path"), ("group", "masses"), ("group", "spec")}
 
 
-def _validate(config: RunConfig) -> None:
-    cmd = config.command
-    _require(cmd in _IMPLEMENTATIONS, f"unknown command {cmd!r}")
-    if cmd in {"geometry", "billiard", "stats", "weyl", "classify"}:
-        _require(config.masses is not None, f"{cmd} requires --masses")
-    if config.masses is not None:
-        try:
-            M.MassSequence(config.masses)
-        except MassDomainError as exc:
-            raise SystemExit2(str(exc)) from exc
-        if cmd != "classify":
-            _require(len(config.masses) == 4, f"{cmd} supports exactly four masses")
-    if cmd in {"geometry", "billiard", "weyl"}:
-        _require(config.ordering is not None, f"{cmd} requires --ordering")
-        _require(
-            sorted(config.ordering) == [1, 2, 3, 4],
-            "--ordering must be a permutation of 1,2,3,4",
-        )
-    if cmd in {"family", "exact"}:
-        _require(config.spec is not None, f"{cmd} requires --spec")
-    if cmd == "exact":
-        _require(math.isfinite(config.e_max), "--e-max must be finite")
+def _validate(config: argparse.Namespace) -> None:
+    cmd, given = config.command, vars(config)
+    for dest, flag in _NEEDED.items():
+        if dest in given and (cmd, dest) not in _OPTIONAL:
+            _require(given[dest] is not None, f"{cmd} requires {flag}")
     if cmd == "group":
         _require(
             config.spec is not None or config.masses is not None,
             "group requires --spec or --masses",
         )
-    if config.spec is not None and config.masses is None:
+    masses = given.get("masses")
+    if masses is not None:
+        try:
+            M.MassSequence(masses)
+        except MassDomainError as exc:
+            raise SystemExit2(str(exc)) from exc
+        if cmd != "classify":
+            _require(len(masses) == 4, f"{cmd} supports exactly four masses")
+    if given.get("ordering") is not None:
+        _require(
+            sorted(config.ordering) == [1, 2, 3, 4],
+            "--ordering must be a permutation of 1,2,3,4",
+        )
+    if "e_max" in given:
+        _require(math.isfinite(config.e_max), "--e-max must be finite")
+    if given.get("spec") is not None and masses is None:
         try:
             spec = M.coxeter_spec(config.spec)
             if cmd == "exact":
                 GR.spectrum_generators(spec)
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
-        if cmd == "group" or config.ground_state_path:
+        if cmd == "group" or given.get("ground_state_path"):
             _require(spec.rank == 3, "group data and ground states need a rank-3 spec")
-    if cmd == "family":
+    if "grid" in given:
         _require(config.grid >= 1, "--grid must be at least 1")
         for flag, ratio in (("--r-min", config.r_min), ("--r-max", config.r_max)):
             _require(ratio is None or 0 < ratio < math.inf, f"{flag} must be positive and finite")
-    if cmd in {"billiard", "weyl", "stats"}:
+    if "n_max" in given:
         grid = _truncations(config)
         _require(
             config.n_max_grid is None or len(grid) >= 2,
@@ -417,44 +373,41 @@ def _validate(config: RunConfig) -> None:
             config.quadrature_order is None or config.quadrature_order >= 3 * grid[-1],
             f"--quadrature-order must be at least 3 n_max = {3 * grid[-1]}",
         )
-    if cmd == "stats":
+    if "bins" in given:
         _require(config.bins >= 1, "--bins must be at least 1")
         _require(config.tol_spacings > 0, "--tol-spacings must be positive")
-        _stats_workers()
-    if cmd != "classify":
-        _require(config.output_path is not None, f"{cmd} requires --output")
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over ``--config`` values over the ``RunConfig`` defaults."""
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                document = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SystemExit2(f"cannot read --config {args.config}: {exc}") from exc
-        _require(
-            isinstance(document, dict) and isinstance(document.get(args.command, {}), dict),
-            "--config must hold a JSON object, with one object per command",
-        )
-        file_values = dict(document.get(args.command, {}))
-        file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
-        flags = _flags(args.command)
-        bad = [k for k, v in file_values.items() if k in flags and not _fits(v, flags[k])]
-        _require(not bad, f"--config value of the wrong type for {', '.join(bad)}")
-    merged = {}
-    for key, val in vars(args).items():
-        val = file_values.get(key) if val is None else val
-        if key != "config" and val is not None:
-            merged[key] = tuple(val) if key in ("masses", "ordering", "n_max_grid") else val
-    return RunConfig(**merged)
-
-
-def dispatch(args: argparse.Namespace) -> int:
-    """Load, validate, run, and write artifacts; returns the process exit code."""
+def _parse(argv) -> argparse.Namespace:
+    """Flags over ``--config`` values over the flags' defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        config = _merge_config(args)
+        with open(args.config) as fh:
+            document = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit2(f"cannot read --config {args.config}: {exc}") from exc
+    _require(
+        isinstance(document, dict) and isinstance(document.get(args.command, {}), dict),
+        "--config must hold a JSON object, with one object per command",
+    )
+    file_values = dict(document.get(args.command, {}))
+    file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    values = {k: v for k, v in file_values.items() if k in flags and v is not None}
+    bad = [k for k, v in values.items() if not _fits(v, flags[k])]
+    _require(not bad, f"--config value of the wrong type for {', '.join(bad)}")
+    sub.set_defaults(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Parse, validate, run, and write artifacts; returns the process exit code."""
+    try:
+        config = _parse(argv)
         _validate(config)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -475,6 +428,13 @@ def dispatch(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends argparse's own errors down the one exit-2 path of ``main``."""
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+
 def _parse_masses(text: str) -> tuple:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -490,9 +450,7 @@ def _parse_ints(text: str) -> tuple:
 
 
 def _fits(val, flag: argparse.Action) -> bool:
-    """Whether a --config value is null or what its flag parses its text to."""
-    if val is None:
-        return True
+    """Whether a --config value is what its flag parses its text to."""
     text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
     try:
         parsed = (flag.type or str)(text)
@@ -501,14 +459,8 @@ def _fits(val, flag: argparse.Action) -> bool:
     return parsed == (tuple(val) if isinstance(val, list) else val)
 
 
-def _flags(command: str) -> dict:
-    """Destination -> argparse action of every flag of one subcommand."""
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return {a.dest: a for a in sub.choices[command]._actions}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kbilliards",
         description=(
             "Integrable mass families of trapped hard-core particles and "
@@ -518,38 +470,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, masses=False, ordering=False, spec=False, solver=False, output=True):
+    def common(p, *, masses=False, ordering=False, spec=False, solver=False):
         if masses:
-            p.add_argument("--masses", type=_parse_masses, default=None,
+            p.add_argument("--masses", type=_parse_masses,
                            help="comma-separated positive masses")
         if ordering:
-            p.add_argument("--ordering", type=_parse_ints, default=None,
+            p.add_argument("--ordering", type=_parse_ints,
                            help="1-based particle ordering, e.g. 1,3,4,2")
         if spec:
-            p.add_argument("--spec", default=None,
-                           help="group name: A3, C3, H3, I2(7), ...")
+            p.add_argument("--spec", help="group name: A3, C3, H3, I2(7), ...")
         if solver:
-            p.add_argument("--n-max", type=int, default=None,
-                           help="basis truncation (default 40)")
-            p.add_argument("--n-max-grid", type=_parse_ints, default=None,
-                           help="ascending truncations for convergence deltas")
-            p.add_argument("--quadrature-order", type=int, default=None,
+            # a grid replaces the single truncation, so the pair is refused
+            truncation = p.add_mutually_exclusive_group()
+            truncation.add_argument("--n-max", type=int, default=40,
+                                    help="basis truncation (default %(default)s)")
+            truncation.add_argument("--n-max-grid", type=_parse_ints,
+                                    help="ascending truncations for convergence deltas")
+            p.add_argument("--quadrature-order", type=int,
                            help="Gauss-Legendre order per direction (default 3*n_max)")
-            p.add_argument("--k", dest="k_levels", type=int, default=None,
-                           help="number of levels to report (default 50)")
-        if output:
-            p.add_argument("--output", dest="output_path", default=None,
-                           help="output file (or directory for stats)")
-        p.add_argument("--config", default=None, help="JSON config file")
+            p.add_argument("--k", dest="k_levels", type=int, default=50,
+                           help="number of levels to report (default %(default)s)")
+        p.add_argument("--output", dest="output_path",
+                       help="output file (or directory for stats)")
+        p.add_argument("--config", help="JSON config file")
 
     p = sub.add_parser("classify", help="score an ordered mass sequence")
-    common(p, masses=True, output=True)
+    common(p, masses=True)
 
     p = sub.add_parser("family", help="one-parameter integrable mass family CSV")
     common(p, spec=True)
-    p.add_argument("--grid", type=int, default=None, help="number of ratio grid points")
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
+    p.add_argument("--grid", type=int, default=100,
+                   help="number of ratio grid points (default %(default)s)")
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
 
     p = sub.add_parser("geometry", help="sector geometry JSON")
     common(p, masses=True, ordering=True)
@@ -559,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="algebraic energy ladder CSV")
     common(p, spec=True)
-    p.add_argument("--e-max", type=float, default=None, help="energy cutoff")
-    p.add_argument("--ground-state", dest="ground_state_path", default=None,
+    p.add_argument("--e-max", type=float, default=25.0,
+                   help="energy cutoff (default %(default)s)")
+    p.add_argument("--ground-state", dest="ground_state_path",
                    help="also write the ground-state polynomial JSON here")
 
     p = sub.add_parser("billiard", help="numerical sector spectrum CSV")
@@ -571,15 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-sector level statistics (six-sector pipeline)")
     common(p, masses=True, solver=True)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--tol-spacings", type=float, default=None,
-                   help="converged-window tolerance in mean spacings (default 0.05)")
+    p.add_argument("--bins", type=int, default=24,
+                   help="spacing histogram bins (default %(default)s)")
+    p.add_argument("--tol-spacings", type=float, default=0.05,
+                   help="converged-window tolerance in mean spacings (default %(default)s)")
 
     return parser
-
-
-def main(argv=None) -> int:
-    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

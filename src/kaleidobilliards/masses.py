@@ -59,9 +59,6 @@ class MassSequence:
         total = self.total
         return tuple(m / total for m in self.masses)
 
-    def scaled(self, factor: float) -> "MassSequence":
-        return MassSequence(tuple(m * factor for m in self.masses))
-
 
 @dataclass(frozen=True)
 class CoxeterSpec:
@@ -218,9 +215,7 @@ def feasibility_interval(spec: CoxeterSpec) -> tuple:
 @dataclass(frozen=True)
 class FamilyPoint:
     r: float
-    masses: MassSequence
     fractions: tuple
-    mu_last: float
 
 
 @dataclass(frozen=True)
@@ -242,8 +237,7 @@ def family_curve(spec: CoxeterSpec, ratio_grid) -> FamilyCurve:
         except InfeasibleFamilyError as exc:
             infeasible.append((float(r), str(exc)))
             continue
-        frac = seq.fractions
-        points.append(FamilyPoint(float(r), MassSequence(frac), frac, frac[-1]))
+        points.append(FamilyPoint(float(r), seq.fractions))
     if not points:
         lo, hi = feasibility_interval(spec)
         raise InfeasibleFamilyError(

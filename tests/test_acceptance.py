@@ -32,7 +32,7 @@ from kaleidobilliards import geometry as G
 from kaleidobilliards import groups as GR
 from kaleidobilliards import masses as M
 from kaleidobilliards import stats as ST
-from kaleidobilliards.cli import RunConfig, _stats_one_sector, distinct_sector_orderings
+from kaleidobilliards.cli import _stats_one_sector, build_parser, distinct_sector_orderings
 
 
 @contextmanager
@@ -62,14 +62,14 @@ def fig_masses():
 @pytest.fixture(scope="module")
 def six_sector_stats(fig_masses):
     """Converged six-sector statistics at the desk-scale refinement pair."""
-    config = RunConfig(
-        command="stats",
-        masses=fig_masses.masses,
-        n_max_grid=(80, 90),
-        k_levels=400,
-        bins=24,
-        tol_spacings=0.05,
-    )
+    config = build_parser().parse_args([
+        "stats",
+        "--masses", ",".join(map(repr, fig_masses.masses)),
+        "--n-max-grid", "80,90",
+        "--k", "400",
+        "--bins", "24",
+        "--tol-spacings", "0.05",
+    ])
     out = []
     for perm, mult in distinct_sector_orderings(fig_masses):
         geom, study, spectrum, unfolded, hist = _stats_one_sector(

@@ -61,7 +61,7 @@ def test_classify_writes_json(tmp_path, capsys):
 EQUAL = ["--masses", "1,1,1,1"]
 SECTOR = EQUAL + ["--ordering", "1,2,3,4"]
 
-# Inputs that pass argparse but must be rejected up front; "{out}" is a fresh
+# Inputs rejected up front, by argparse or by validation; "{out}" is a fresh
 # output directory and "{cfg}" a config file holding the row's text.
 BAD_INPUTS = [
     ("missing ordering", ["geometry", *EQUAL, "--output", "{out}/g.json"], None),
@@ -115,8 +115,6 @@ BAD_INPUTS = [
     ("config string in the mass list", ["billiard", "--ordering", "1,2,3,4", "--config", "{cfg}",
                                         "--output", "{out}/s.csv"], '{"masses": [1, "1", 1, 1]}'),
     ("config number for a path", ["billiard", *SECTOR, "--config", "{cfg}"], '{"output_path": 5}'),
-    ("non-integer thread count", ["stats", *EQUAL, "--n-max-grid", "10,12", "--k", "5",
-                                  "--output", "{out}/st"], None),
     ("r_min nan", ["family", "--spec", "C3", "--r-min", "nan", "--grid", "3",
                    "--output", "{out}/f.csv"], None),
     ("r_min infinite", ["family", "--spec", "C3", "--r-min", "inf", "--grid", "3",
@@ -127,25 +125,26 @@ BAD_INPUTS = [
                         "--output", "{out}/f.csv"], None),
     ("e_max infinite", ["exact", "--spec", "H3", "--e-max", "inf", "--output", "{out}/l.csv"], None),
     ("e_max nan", ["exact", "--spec", "H3", "--e-max", "nan", "--output", "{out}/l.csv"], None),
+    ("n_max not an integer", ["billiard", *SECTOR, "--n-max", "abc",
+                              "--output", "{out}/s.csv"], None),
+    ("unknown flag", ["billiard", *SECTOR, "--n-levels", "5", "--output", "{out}/s.csv"], None),
+    ("ordering for stats", ["stats", *SECTOR, "--output", "{out}/st"], None),
+    ("n_max beside a grid", ["billiard", *SECTOR, "--n-max", "12", "--n-max-grid", "10,20",
+                             "--output", "{out}/s.csv"], None),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
 ]
-# environment a row runs under
-BAD_ENV = {"non-integer thread count": {"KBILLIARDS_THREADS": "abc"}}
 
 
-def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
+def test_validation_failures_exit_2(tmp_path, capsys):
     for reason, argv, config_text in BAD_INPUTS:
         case = tmp_path / reason.replace(" ", "_")
         out, cfg = case / "out", case / "run.json"
         case.mkdir()
         if config_text is not None:
             cfg.write_text(config_text)
-        with monkeypatch.context() as env:
-            for name, value in BAD_ENV.get(reason, {}).items():
-                env.setenv(name, value)
-            code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
+        code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
         err = capsys.readouterr().err
         assert code == 2, f"{reason}: exit {code}"
         assert err.startswith("error: ") and err.count("\n") == 1, f"{reason}: {err!r}"
@@ -326,6 +325,26 @@ def test_config_file_merging(tmp_path, capsys):
     assert meta["inputs"]["n_max"] == 16
 
 
+def test_config_supplies_required_values(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"masses": [1, 1, 1, 1], "billiard": {"ordering": [1, 2, 3, 4]}}))
+    flags_run, config_run = tmp_path / "flags.csv", tmp_path / "config.csv"
+    common = ["--n-max", "12", "--k", "5", "--output"]
+    assert main(["billiard", *SECTOR, *common, str(flags_run)]) == 0
+    assert main(["billiard", "--config", str(cfg), *common, str(config_run)]) == 0
+    capsys.readouterr()
+    assert config_run.read_bytes() == flags_run.read_bytes()
+
+
+def test_metadata_inputs_are_the_command_flags(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--masses", "3,1,2,6", "--output", str(out)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "c.json.meta.json").read_text())
+    assert meta["inputs"] == {"masses": [3.0, 1.0, 2.0, 6.0], "output_path": str(out),
+                              "config": None}
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"billiard": {"n_max": 16, "k_levels": 4}}))
@@ -396,21 +415,3 @@ def test_reruns_byte_identical(name, tmp_path, capsys):
         })
     capsys.readouterr()
     assert runs[0] and runs[0] == runs[1]
-
-
-def test_threaded_stats_matches_sequential(tmp_path, capsys, monkeypatch):
-    argv = ["stats", "--masses", "1,1,1,2", "--n-max-grid", "22,26", "--k", "70",
-            "--tol-spacings", "0.5", "--output"]
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        monkeypatch.setenv("KBILLIARDS_THREADS", threads)
-        assert main([*argv, str(out)]) == 0
-        runs.append({
-            p.relative_to(out): p.read_bytes()
-            for p in out.rglob("*")
-            if p.is_file() and p.name != "run_metadata.json"
-        })
-    capsys.readouterr()
-    assert len(json.loads((tmp_path / "threads1" / "sectors.json").read_text())) == 2
-    assert runs[0] == runs[1]

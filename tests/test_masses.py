@@ -194,7 +194,7 @@ def test_family_curve_a3_equal_masses():
 def test_family_curve_c3_point():
     curve = family_curve(C3, [1.0 / 3.0])
     assert curve.points[0].fractions == pytest.approx((0.25, 1 / 12, 1 / 6, 0.5), rel=1e-12)
-    assert curve.points[0].mu_last == pytest.approx(0.5, rel=1e-12)
+    assert curve.points[0].fractions[-1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_family_curve_reports_infeasible():
