@@ -13,17 +13,20 @@ symmetric Galerkin discretization:
 with G the pushed-forward inverse metric and sqrt(g) the pulled-back sphere
 measure.  Quadrature is tensor Gauss-Legendre collapsed onto the triangle at
 the (-1, 1) vertex, which keeps t a function of one quadrature coordinate.
-Both matrices then come from separable four-tensors over the sine indices:
-small batched GEMMs over xi, then one (n^2 x Q)(Q x n^2) GEMM for B and one
-(n^2 x 4Q)(4Q x n^2) GEMM for A, whose inner dimension stacks the g_ss,
-g_st, transposed g_st and g_tt terms.  Each tensor is gathered onto the
-basis pairs in blocks of rows and freed before the next is built, so at
-most one n^4 tensor is alive at a time.
+Both matrices come from four-tensors over the sine indices, which are never
+stored.  By the product-to-sum identities, a product of two s-factors
+(sines or their derivatives) at p and q is a sum of trig(j alpha) at
+j = |p - q| and p + q, and likewise on the t side, so every term is fixed
+by one (2n+1) x (2n+1) table of grid moments of trig(a alpha) trig(b theta).
+The tables are summed over xi in blocks of eta columns; then each slab
+T[p, :, :, :] is one sparse t-side map times the s-side rows of the
+tables, and is gathered onto the basis pairs before the next is built.
 
-The generalized eigensolver computes only the k lowest eigenvalues.  A
-convergence study assembles once, at its top truncation; a lower
-truncation n' is the principal submatrix on the pairs with m <= n', so the
-Galerkin spaces of the study are exactly nested.
+The generalized eigensolver computes only the k lowest eigenvalues, in the
+storage of the matrices it is given.  A convergence study assembles once,
+at its top truncation; a lower truncation n' is the principal submatrix on
+the pairs with m <= n', so the Galerkin spaces of the study are exactly
+nested.
 """
 
 from __future__ import annotations
@@ -238,8 +241,8 @@ def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
 def basis_function(n: int, m: int, s, t):
     """Antisymmetrized right-triangle Dirichlet mode h_{n,m}.
 
-    Equals sin(n pi (s+1)/2) sin(m pi (t-1)/2) - (n <-> m), from the sine
-    factors that ``assemble`` contracts; the eight-term exponential
+    Equals sin(n pi (s+1)/2) sin(m pi (t-1)/2) - (n <-> m), the products
+    whose grid moments ``assemble`` takes; the eight-term exponential
     combination collapses to this two-product difference.
     """
     if not 1 <= n < m:
@@ -252,9 +255,12 @@ def basis_function(n: int, m: int, s, t):
 # ---------------------------------------------------------------------------
 # assembly
 
-# rows of the pair matrix gathered per block: bounds the gather and the
-# symmetrization temporaries at a few MB whatever the basis size
+# rows of the pair matrix symmetrized per block: bounds the symmetrization
+# temporaries at a few MB whatever the basis size
 _ROW_BLOCK = 16
+# eta columns of the quadrature grid per block of alpha moments: bounds the
+# trig temporaries at a few MB at n_max 90
+_ETA_BLOCK = 8
 
 
 def _quadrature_grid(order: int):
@@ -305,43 +311,98 @@ def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
     return vals, ders
 
 
-def _four_tensor(terms) -> np.ndarray:
-    """T[p,q,r,s] = sum over terms and the grid of W f1_p f2_q g1_r g2_s.
+def _moment_tables(sector: FlattenedSector, n_max: int, order: int) -> dict:
+    """W[a, b] = sum over the grid of w trig(a alpha) trig(b theta), a, b = 0..2 n_max.
 
-    Each term is (f1, f2, weight, g1, g2): f* have shape (n, Qxi, Qeta)
-    (s-direction factors), g* have shape (n, Qeta) (t-direction factors),
-    weight has shape (Qxi, Qeta).  The xi sums are small batched GEMMs; the
-    terms are stacked along the eta axis, so the whole sum is one
-    (n^2 x terms Qeta)(terms Qeta x n^2) GEMM.
+    alpha = pi (s+1)/2 and theta = pi (t-1)/2 are the arguments of the s-
+    and t-direction sine factors.  The sqrt(g), g_ss and g_tt weights give
+    cos-cos tables, the g_st weight a sin-sin table.  The alpha moments are
+    summed over xi in blocks of eta columns, so no (2 n_max + 1, Q, Q) table
+    of trig values is ever alive.
     """
-    n, _, q_eta = terms[0][0].shape
-    m = np.empty((len(terms), q_eta, n, n))
-    k = np.empty_like(m)
-    for i, (f1, f2, weight, g1, g2) in enumerate(terms):
-        f1s = np.ascontiguousarray(f1.transpose(2, 0, 1))  # (Qeta, n, Qxi)
-        f2s = np.ascontiguousarray(f2.transpose(2, 1, 0))  # (Qeta, Qxi, n)
-        np.matmul(f1s * weight.T[:, None, :], f2s, out=m[i])
-        np.multiply(g1.T[:, :, None], g2.T[:, None, :], out=k[i])
-    m = m.reshape(-1, n * n)
-    return (m.T @ k.reshape(-1, n * n)).reshape(n, n, n, n)
+    s, t, quad_w = _quadrature_grid(order)
+    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    freq = np.arange(2 * n_max + 1, dtype=float)
+    alpha = (0.5 * math.pi * (s + 1.0)).T  # [eta, xi]
+    theta = 0.5 * math.pi * (t - 1.0)
+    # [eta, xi, weight]: the three cos weights, then the sin weight
+    weights = np.stack([w_b, w_ss, w_tt, w_st], axis=-1).transpose(1, 0, 2)
+    moments = np.empty((order, len(freq), 4))  # [eta, a, weight]
+    for start in range(0, order, _ETA_BLOCK):
+        cols = slice(start, start + _ETA_BLOCK)
+        phase = freq[None, :, None] * alpha[cols, None, :]  # [eta, a, xi]
+        moments[cols, :, :3] = np.cos(phase) @ weights[cols, :, :3]
+        moments[cols, :, 3:] = np.sin(phase) @ weights[cols, :, 3:]
+    phase = theta[:, None] * freq[None, :]  # [eta, b]
+    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    return {
+        "b": moments[:, :, 0].T @ cos_t,
+        "ss": moments[:, :, 1].T @ cos_t,
+        "tt": moments[:, :, 2].T @ cos_t,
+        "st": moments[:, :, 3].T @ sin_t,
+    }
 
 
-def _gather_pairs(t4: np.ndarray, pairs) -> np.ndarray:
-    """Matrix of the antisymmetrized basis h_(n,m) from the four-tensor.
+def _product_to_sum(d1: int, d2: int, p, q) -> tuple:
+    """Coefficients (u, v) of f1_p f2_q = u trig(|p-q| x) + v trig((p+q) x).
 
-    Entry (i, j) is T[n_i,n_j,m_i,m_j] - T[n_i,m_j,m_i,n_j]
-    - T[m_i,n_j,n_i,m_j] + T[m_i,m_j,n_i,n_j].  With
-    D_i = T[n_i,:,m_i,:] - T[m_i,:,n_i,:] that is D_i[n_j,m_j] - D_i[m_j,n_j],
-    so a block of rows reads contiguous n x n slices of T, and only
-    block-sized temporaries are made.
+    f_p(x) is sin(p x), or for d = 1 its chart derivative (pi/2) p cos(p x);
+    trig is cos when d1 = d2 and sin otherwise.
     """
-    n_i, m_i = np.array(pairs).T - 1
-    out = np.empty((len(pairs), len(pairs)))
-    for start in range(0, len(pairs), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        d = t4[n_i[rows], :, m_i[rows], :]
-        d -= t4[m_i[rows], :, n_i[rows], :]
-        np.subtract(d[:, n_i, m_i], d[:, m_i, n_i], out=out[rows])
+    scale = 0.5 * (0.5 * math.pi * p) ** d1 * (0.5 * math.pi * q) ** d2
+    u = scale if d1 == d2 else (d2 - d1) * np.sign(p - q) * scale
+    v = -scale if d1 == d2 == 0 else scale
+    return u, v
+
+
+def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
+    """Matrix of the antisymmetrized basis h_(n,m) from moment tables.
+
+    Each term is (d1, d2, d3, d4, W): the four-tensor
+    T[p,q,r,s] = sum W-weighted f1_p f2_q g1_r g2_s, whose s-factors f and
+    t-factors g are sines (d = 0) or their derivatives (d = 1).  By product
+    to sum, T[p,q,r,s] = sum_b G[(p,q), b] C[(r,s), b]: G reads the rows
+    |p-q| and p+q of W, and C is sparse with two entries per term and row.
+    T is built one slab T[p,:,:,:] at a time, laid out [r, s, q].  Entry
+    (i, j) is D_i[n_j,m_j] - D_i[m_j,n_j] with
+    D_i = T[n_i,:,m_i,:] - T[m_i,:,n_i,:], so slab p adds to the rows with
+    n_i = p and subtracts from those with m_i = p.
+    """
+    # imported here, so that the commands that never assemble do not load it
+    from scipy.sparse import csr_array
+
+    n = trunc.n_max
+    width = 2 * n + 1
+    idx = np.arange(1, n + 1)
+    p_grid, q_grid = np.meshgrid(idx, idx, indexing="ij")
+    dist, total = np.abs(p_grid - q_grid), p_grid + q_grid
+    g_side, c_cols, c_vals = [], [], []
+    for i, (d1, d2, d3, d4, table) in enumerate(terms):
+        g_side.append((table.T, *_product_to_sum(d1, d2, p_grid, q_grid)))
+        u, v = _product_to_sum(d3, d4, p_grid, q_grid)
+        c_cols += [i * width + dist.ravel(), i * width + total.ravel()]
+        c_vals += [u.ravel(), v.ravel()]
+    c_rows = np.tile(np.arange(n * n), len(c_cols))
+    c_map = csr_array(
+        (np.concatenate(c_vals), (c_rows, np.concatenate(c_cols))),
+        shape=(n * n, len(terms) * width),
+    )
+    n_i, m_i = np.array(trunc.index_pairs).T - 1
+    lower, upper = m_i * n + n_i, n_i * n + m_i
+    pair_row = np.zeros((n, n), dtype=np.intp)
+    pair_row[n_i, m_i] = np.arange(len(n_i))
+    out = np.empty((len(n_i), len(n_i)))
+    for p in range(n):
+        g = np.concatenate([
+            table_t[:, dist[p]] * u[p] + table_t[:, total[p]] * v[p]
+            for table_t, u, v in g_side
+        ])  # [(term, b), q]
+        slab = (c_map @ g).reshape(n, n * n)  # T[p, q, r, s] at [r, (s, q)]
+        z = np.take(slab, lower, axis=1)
+        z -= np.take(slab, upper, axis=1)
+        # slab p is the first to reach the rows with n_i = p
+        out[pair_row[p, p + 1:]] = z[p + 1:]
+        out[pair_row[:p, p]] -= z[:p]
     return out
 
 
@@ -368,7 +429,7 @@ def _symmetrize(mat: np.ndarray, name: str) -> None:
 def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: int):
     """Stiffness and overlap matrices of the weighted Galerkin problem.
 
-    B comes from one four-tensor, A from one more whose GEMM stacks the g_ss
+    B is one term, (sin, sin | sin, sin) under sqrt(g).  A sums the g_ss
     term, the g_st cross term, that term's (1,0,3,2) transpose (what
     cross + cross.T is after the gather) and the g_tt term.
     """
@@ -376,23 +437,14 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
         raise QuadratureError(
             f"quadrature_order {quadrature_order} < 3 n_max = {3 * trunc.n_max}"
         )
-    s, t, quad_w = _quadrature_grid(quadrature_order)
-    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
-    phi, dphi = _sine_factors(trunc.n_max, s, +1.0)  # (n, Qxi, Qeta)
-    psi, dpsi = _sine_factors(trunc.n_max, t, -1.0)  # (n, Qeta)
-
-    pairs = trunc.index_pairs
-    # A first: its GEMM has the larger stacked factors, and B is not yet alive
-    a_mat = _gather_pairs(
-        _four_tensor([
-            (dphi, dphi, w_ss, psi, psi),
-            (dphi, phi, w_st, psi, dpsi),
-            (phi, dphi, w_st, dpsi, psi),
-            (phi, phi, w_tt, dpsi, dpsi),
-        ]),
-        pairs,
-    )
-    b_mat = _gather_pairs(_four_tensor([(phi, phi, w_b, psi, psi)]), pairs)
+    w = _moment_tables(sector, trunc.n_max, quadrature_order)
+    a_mat = _pair_matrix([
+        (1, 1, 0, 0, w["ss"]),
+        (1, 0, 0, 1, w["st"]),
+        (0, 1, 1, 0, w["st"]),
+        (0, 0, 1, 1, w["tt"]),
+    ], trunc)
+    b_mat = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
     _symmetrize(a_mat, "A")
     _symmetrize(b_mat, "B")
     return a_mat, b_mat
@@ -407,15 +459,19 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
     """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense).
 
     Only the min(k, N) lowest values are computed.  The solver factors B
-    itself, so a B that is not positive-definite fails here.
+    itself, so a B that is not positive-definite fails here.  Both matrices
+    are consumed: LAPACK works in their storage, so their contents are
+    undefined afterwards.  They must be symmetric; a C-ordered matrix is
+    passed to LAPACK as its transpose, which is the same matrix in Fortran
+    order and needs no copy.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     count = min(k, len(a_mat))
     try:
         vals = scipy.linalg.eigh(
-            a_mat, b_mat, eigvals_only=True, check_finite=False, driver="gvx",
-            subset_by_index=[0, count - 1],
+            a_mat.T, b_mat.T, eigvals_only=True, check_finite=False, driver="gvx",
+            subset_by_index=[0, count - 1], overwrite_a=True, overwrite_b=True,
         )
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         # LAPACK names the order of the leading minor of B that is not

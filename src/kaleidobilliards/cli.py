@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -58,6 +59,8 @@ def _write_metadata(base_path: str, config: argparse.Namespace, wall: float, ext
             "scipy": __import__("scipy").__version__,
         },
         "wall_time_s": round(wall, 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     if extra:
         meta.update(extra)
@@ -175,6 +178,7 @@ def _cmd_exact(config: argparse.Namespace) -> dict:
 
 
 _DRIFT_TOL = 1e-2  # eigenvalue drift under which billiard and weyl count a level converged
+_N_MAX = 40  # basis truncation of a solver command given neither --n-max nor --n-max-grid
 
 
 def _study(config: argparse.Namespace, sector, tolerance: float) -> B.ConvergenceStudy:
@@ -353,6 +357,11 @@ def _validate(config: argparse.Namespace) -> None:
         for flag, ratio in (("--r-min", config.r_min), ("--r-max", config.r_max)):
             _require(ratio is None or 0 < ratio < math.inf, f"{flag} must be positive and finite")
     if "n_max" in given:
+        _require(config.n_max is None or config.n_max_grid is None,
+                 "--n-max and --n-max-grid exclude each other")
+        # the inputs record the top truncation solved
+        if config.n_max is None:
+            config.n_max = config.n_max_grid[-1] if config.n_max_grid else _N_MAX
         grid = _truncations(config)
         _require(
             config.n_max_grid is None or len(grid) >= 2,
@@ -480,12 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("--spec", help="group name: A3, C3, H3, I2(7), ...")
         if solver:
-            # a grid replaces the single truncation, so the pair is refused
-            truncation = p.add_mutually_exclusive_group()
-            truncation.add_argument("--n-max", type=int, default=40,
-                                    help="basis truncation (default %(default)s)")
-            truncation.add_argument("--n-max-grid", type=_parse_ints,
-                                    help="ascending truncations for convergence deltas")
+            # no parser default: argparse's exclusion test (value is not
+            # default) would miss an explicit --n-max equal to it, so
+            # _validate refuses the pair and fills in the truncation solved
+            p.add_argument("--n-max", type=int,
+                           help=f"basis truncation (default {_N_MAX})")
+            p.add_argument("--n-max-grid", type=_parse_ints,
+                           help="ascending truncations for convergence deltas "
+                                "(instead of --n-max)")
             p.add_argument("--quadrature-order", type=int,
                            help="Gauss-Legendre order per direction (default 3*n_max)")
             p.add_argument("--k", dest="k_levels", type=int, default=50,

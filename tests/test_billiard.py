@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,17 +433,35 @@ def _reference_assemble(sector, trunc, order):
     return a, b
 
 
-@pytest.mark.parametrize("order", [36, 48])
-@pytest.mark.parametrize("chart", ["outer_pair", "centroid"])
+@pytest.mark.parametrize(
+    "chart,order",
+    [("outer_pair", 36), ("centroid", 36), ("outer_pair", 48), ("centroid", 48), ("octant", 60)],
+)
 def test_assemble_matches_four_gather_reference(chart, order):
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     if chart == "centroid":
         sec = sector_from_inward_normals(sec.geometry.bounding_normals)
-    trunc = BasisTruncation(12)
+    elif chart == "octant":
+        sec = octant_sector()
+    trunc = BasisTruncation(20 if chart == "octant" else 12)
     a, b = assemble(sec, trunc, order)
     a_ref, b_ref = _reference_assemble(sec, trunc, order)
     assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
     assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+
+def test_assemble_working_set_is_a_few_matrices():
+    # no n^4 four-tensor and no (n, Q, Q) sine table: the four-tensor of
+    # n_max 40 alone would be 20 MB, twice the two 780 x 780 matrices
+    sec = octant_sector()
+    assemble(sec, BasisTruncation(8), 24)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        a, b = assemble(sec, BasisTruncation(40), 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (a.nbytes + b.nbytes)
 
 
 def test_assemble_at_quadrature_floor_gives_definite_overlap():
@@ -584,10 +603,18 @@ def test_solve_spectrum_rejects_indefinite_overlap():
 def test_solve_spectrum_k_above_basis_returns_all_levels():
     sec = octant_sector()
     a, b = assemble(sec, BasisTruncation(6), quadrature_order=18)
-    spec = solve_spectrum(a, b, 100)
-    assert len(spec.values) == spec.converged_count == len(a) == 15
+    # the reference first: solve_spectrum consumes its matrices
     full = scipy.linalg.eigh(a, b, eigvals_only=True)
+    spec = solve_spectrum(a, b, 100)
+    assert len(spec.values) == spec.converged_count == len(full) == 15
     np.testing.assert_allclose(spec.values, full, rtol=1e-10)
+
+
+def test_solve_spectrum_in_place_matches_copying_solve():
+    a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), BasisTruncation(14), 42)
+    want = scipy.linalg.eigh(a, b, eigvals_only=True, driver="gvx", subset_by_index=[0, 11])
+    spec = solve_spectrum(a.copy(), b.copy(), 12)
+    np.testing.assert_array_equal(spec.values, want)
 
 
 def test_indefinite_overlap_error_names_quadrature_order():

@@ -131,6 +131,11 @@ BAD_INPUTS = [
     ("ordering for stats", ["stats", *SECTOR, "--output", "{out}/st"], None),
     ("n_max beside a grid", ["billiard", *SECTOR, "--n-max", "12", "--n-max-grid", "10,20",
                              "--output", "{out}/s.csv"], None),
+    ("default n_max beside a grid", ["billiard", *SECTOR, "--n-max", "40", "--n-max-grid",
+                                     "10,12", "--k", "3", "--output", "{out}/s.csv"], None),
+    ("config n_max beside a grid", ["billiard", *SECTOR, "--n-max-grid", "10,12", "--config",
+                                    "{cfg}", "--output", "{out}/s.csv"],
+     '{"billiard": {"n_max": 16}}'),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
@@ -283,6 +288,8 @@ def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     assert code == 0
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
     assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 45)
+    assert meta["inputs"]["n_max"] == 14
+    assert meta["peak_rss_mb"] > 0
 
 
 def test_weyl_residual_csv(tmp_path, capsys):
