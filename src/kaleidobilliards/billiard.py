@@ -1,11 +1,11 @@
 """Dirichlet eigenproblem of the spherical Laplacian on an ordering sector.
 
-The sector is flattened by a gnomonic projection (great circles become
-straight lines) followed by an affine map onto the right isosceles triangle
-with corners (-1,-1), (-1,1), (1,-1).  On that triangle the antisymmetrized
-sine products h_{n,m} form a complete Dirichlet basis, and the spherical
-Laplacian becomes a variable-coefficient operator handled with a weighted
-symmetric Galerkin discretization:
+The sector is flattened by a gnomonic projection about its vertex centroid
+(great circles become straight lines) followed by an affine map onto the
+right isosceles triangle with corners (-1,-1), (-1,1), (1,-1).  On that
+triangle the antisymmetrized sine products h_{n,m} form a complete Dirichlet
+basis, and the spherical Laplacian becomes a variable-coefficient operator
+handled with a weighted symmetric Galerkin discretization:
 
     A_ij = int grad(h_i) . G grad(h_j) sqrt(g) ds dt,
     B_ij = int h_i h_j sqrt(g) ds dt,
@@ -83,8 +83,12 @@ class FlattenedSector:
     frame: np.ndarray  # rows: chart axis, u-axis, v-axis (orthonormal)
     affine: np.ndarray  # 2x2 matrix of the (u,v) -> (s,t) map
     offset: np.ndarray  # (s, t) offset
-    jacobian_const: float  # |det d(u,v)/d(s,t)| = 1/|det affine|
     geometry: SectorGeometry
+
+    @property
+    def jacobian_const(self) -> float:
+        """|det d(u,v)/d(s,t)| = 1/|det affine|."""
+        return 1.0 / abs(float(np.linalg.det(self.affine)))
 
     def to_uv(self, s, t) -> tuple:
         """Pre-image of chart points (vectorized)."""
@@ -142,9 +146,10 @@ class ConvergenceStudy:
 # flattening
 
 
-def _chart(geometry: SectorGeometry, axis, corners) -> FlattenedSector:
-    """Gnomonic projection about ``axis``, then the affine map sending vertex k
-    of ``geometry`` to ``corners[k]``."""
+def _chart(geometry: SectorGeometry, corners) -> FlattenedSector:
+    """Gnomonic projection about the vertex centroid, which congruent sectors
+    share, then the affine map sending vertex k of ``geometry`` to ``corners[k]``."""
+    axis = geometry.vertices.sum(axis=0)
     axis = axis / np.linalg.norm(axis)
     cos_theta = geometry.vertices @ axis
     if np.any(cos_theta <= 1e-9):
@@ -162,27 +167,17 @@ def _chart(geometry: SectorGeometry, axis, corners) -> FlattenedSector:
     edges_c = np.array([corners[1] - corners[0], corners[2] - corners[0]]).T
     affine = edges_c @ np.linalg.inv(edges_p)
     offset = corners[0] - affine @ pts[0]
-    return FlattenedSector(
-        frame=frame,
-        affine=affine,
-        offset=offset,
-        jacobian_const=1.0 / abs(float(np.linalg.det(affine))),
-        geometry=geometry,
-    )
+    return FlattenedSector(frame=frame, affine=affine, offset=offset, geometry=geometry)
 
 
 def flatten_sector(masses: MassSequence, ordering) -> FlattenedSector:
-    """Chart of the ordering sector about the normal of its outer-pair plane.
+    """Chart of the ordering sector x_{p1} <= x_{p2} <= x_{p3} <= x_{p4}.
 
-    x_{p4} - x_{p1} > 0 on the whole closed sector, so every vertex lies
-    strictly inside the hemisphere about the inward normal of the (p1, p4)
-    plane.  Vertex 1 joins the (p1,p2) and (p3,p4) planes, which are
-    orthogonal in mass-weighted coordinates; that right angle goes to (-1,-1).
+    Vertex 1 joins the (p1,p2) and (p3,p4) planes, which are orthogonal in
+    mass-weighted coordinates; that right angle goes to (-1,-1).
     """
-    planes = coincidence_normals(masses)
-    geometry = sector_geometry(planes, ordering)
-    p = geometry.ordering
-    return _chart(geometry, planes.oriented(p[0], p[3]), _CORNERS[[2, 0, 1]])
+    geometry = sector_geometry(coincidence_normals(masses), ordering)
+    return _chart(geometry, _CORNERS[[2, 0, 1]])
 
 
 def octant_sector() -> FlattenedSector:
@@ -191,9 +186,8 @@ def octant_sector() -> FlattenedSector:
 
 
 def sector_from_inward_normals(inward, label=("manual",)) -> FlattenedSector:
-    """General chart: gnomonic projection about the sector's own centroid."""
-    geometry = geometry_from_inward_normals(inward, label)
-    return _chart(geometry, geometry.vertices.sum(axis=0), _CORNERS)
+    """Chart of a sector given by its inward normals, vertices to corners in order."""
+    return _chart(geometry_from_inward_normals(inward, label), _CORNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,13 @@ def _write_metadata(base_path: str, config: argparse.Namespace, wall: float, ext
 def distinct_sector_orderings(masses: M.MassSequence) -> list:
     """Representative ordering + multiplicity per congruence class.
 
-    Orderings are congruent when their mass sequences, rounded to 12
+    Orderings are congruent when their scale-free masses, to 12 significant
     digits, are equal (equal-mass relabeling) or reversed (inversion).
     """
+    scaled = [sig12(m) for m in M._unit_scaled(masses.masses)]
     groups: dict = {}
     for perm in itertools.permutations(range(1, len(masses) + 1)):
-        seq = tuple(round(masses.masses[p - 1], 12) for p in perm)
+        seq = tuple(scaled[p - 1] for p in perm)
         sig = min(seq, seq[::-1])
         groups.setdefault(sig, []).append(perm)
     return sorted((min(v), len(v)) for v in groups.values())

@@ -38,6 +38,14 @@ def test_generic_rational_masses_give_twelve_sectors():
     assert all(mult == 2 for _, mult in sectors)
 
 
+@pytest.mark.parametrize("masses", [(1, 2, 3, 4), (3, 1, 2, 6)])
+@pytest.mark.parametrize("scale", [1e-13, 1e-200])
+def test_sector_classes_do_not_depend_on_mass_scale(masses, scale):
+    # congruence is a property of the mass ratios
+    scaled = MassSequence(tuple(scale * m for m in masses))
+    assert distinct_sector_orderings(scaled) == distinct_sector_orderings(MassSequence(masses))
+
+
 # -- classify ---------------------------------------------------------------------
 
 def test_classify_integrable_stdout(capsys):
@@ -157,13 +165,16 @@ def test_validation_failures_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
+    # 1e-30 drops out of the pair sums, so this sector degenerates
     out = tmp_path / "bad.csv"
     code = main([
-        "billiard", "--masses", "1e-20,1,1,1", "--ordering", "1,2,3,4",
+        "billiard", "--masses", "1e-30,1,1,1", "--ordering", "2,1,3,4",
         "--n-max", "6", "--k", "3", "--output", str(out),
     ])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 3
+    assert err.startswith("error: GeometryError") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # masses whose sums or products leave float64 range although their ratios do not
