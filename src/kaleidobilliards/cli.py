@@ -178,18 +178,14 @@ def _cmd_exact(config: argparse.Namespace) -> dict:
     return extra
 
 
-_DRIFT_TOL = 1e-2  # eigenvalue drift under which billiard and weyl count a level converged
-_N_MAX = 40  # basis truncation of a solver command given neither --n-max nor --n-max-grid
-
-
-def _study(config: argparse.Namespace, sector, tolerance: float) -> B.ConvergenceStudy:
+def _study(config: argparse.Namespace, sector, **tolerance) -> B.ConvergenceStudy:
     """The convergence study over the command's truncations."""
     return B.convergence_study(
         sector,
-        _truncations(config),
+        config.n_max,
         config.k_levels,
-        tolerance=tolerance,
         quadrature_order=config.quadrature_order,
+        **tolerance,
     )
 
 
@@ -204,7 +200,7 @@ def _discretization(study: B.ConvergenceStudy) -> dict:
 def _cmd_billiard(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    study = _study(config, sector, _DRIFT_TOL)
+    study = _study(config, sector)
     spectrum = study.final
     _atomic_write(config.output_path, B.spectrum_to_csv(spectrum, study.last_deltas))
     return {
@@ -230,10 +226,10 @@ def _weyl_csv(spectrum, geometry) -> tuple:
 def _cmd_weyl(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    study = _study(config, sector, _DRIFT_TOL)
+    study = _study(config, sector)
     spectrum = study.final
     if spectrum.converged_count == 0:
-        raise InsufficientLevelsError("no level converged across --n-max-grid")
+        raise InsufficientLevelsError("no level converged across --n-max")
     text, after = _weyl_csv(spectrum, sector.geometry)
     _atomic_write(config.output_path, text)
     return {
@@ -242,22 +238,13 @@ def _cmd_weyl(config: argparse.Namespace) -> dict:
     }
 
 
-def _truncations(config: argparse.Namespace) -> tuple:
-    """The ascending basis truncations a solver command assembles."""
-    if config.n_max_grid:
-        return config.n_max_grid
-    if config.command == "stats":
-        return (config.n_max - 10, config.n_max)
-    return (config.n_max,)
-
-
 def _stats_one_sector(seq, perm, config: argparse.Namespace):
     planes = G.coincidence_normals(seq)
     inward = [planes.oriented(i, j) for i, j in zip(perm, perm[1:])]
     sector = B.sector_from_inward_normals(inward, label=perm)
     geom = sector.geometry
     spacing = 4.0 * math.pi / geom.area
-    study = _study(config, sector, config.tol_spacings * spacing)
+    study = _study(config, sector, tolerance=config.tol_spacings * spacing)
     spectrum = study.final
     unfolded = ST.unfold(spectrum, geom)
     hist = ST.spacing_histogram(unfolded, bins=config.bins)
@@ -319,6 +306,19 @@ _NEEDED = {"masses": "--masses", "ordering": "--ordering", "spec": "--spec",
 _OPTIONAL = {("classify", "output_path"), ("group", "masses"), ("group", "spec")}
 
 
+def _check_output(flag: str, path: str, directory: bool) -> None:
+    """Refuse a path that cannot become the output file (or, for stats, directory)."""
+    kind = "directory" if directory else "file"
+    _require(path != "", f"{flag} must name a {kind}")
+    _require(not os.path.exists(path) or os.path.isdir(path) == directory,
+             f"{flag} {path} exists and is not a {kind}")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    _require(os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK),
+             f"{flag} {path}: {parent} is not a writable directory")
+
+
 def _validate(config: argparse.Namespace) -> None:
     cmd, given = config.command, vars(config)
     for dest, flag in _NEEDED.items():
@@ -329,6 +329,9 @@ def _validate(config: argparse.Namespace) -> None:
             config.spec is not None or config.masses is not None,
             "group requires --spec or --masses",
         )
+    for dest, flag in (("output_path", "--output"), ("ground_state_path", "--ground-state")):
+        if given.get(dest) is not None:
+            _check_output(flag, given[dest], directory=cmd == "stats")
     masses = given.get("masses")
     if masses is not None:
         try:
@@ -358,21 +361,13 @@ def _validate(config: argparse.Namespace) -> None:
         for flag, ratio in (("--r-min", config.r_min), ("--r-max", config.r_max)):
             _require(ratio is None or 0 < ratio < math.inf, f"{flag} must be positive and finite")
     if "n_max" in given:
-        _require(config.n_max is None or config.n_max_grid is None,
-                 "--n-max and --n-max-grid exclude each other")
-        # the inputs record the top truncation solved
-        if config.n_max is None:
-            config.n_max = config.n_max_grid[-1] if config.n_max_grid else _N_MAX
-        grid = _truncations(config)
-        _require(
-            config.n_max_grid is None or len(grid) >= 2,
-            "--n-max-grid needs at least two truncations",
-        )
+        grid = config.n_max
+        # stats' converged window is the drift between its last two truncations
+        _require(cmd != "stats" or len(grid) >= 2, "stats needs at least two truncations")
         _require(
             all(b > a for a, b in zip(grid, grid[1:])),
-            "--n-max-grid must be strictly ascending",
+            "--n-max must be strictly ascending",
         )
-        # stats without --n-max-grid also solves at n_max - 10
         _require(grid[0] >= 2, f"every truncation must be at least 2, got {list(grid)}")
         basis = grid[0] * (grid[0] - 1) // 2
         _require(
@@ -403,14 +398,18 @@ def _parse(argv) -> argparse.Namespace:
         isinstance(document, dict) and isinstance(document.get(args.command, {}), dict),
         "--config must hold a JSON object, with one object per command",
     )
-    file_values = dict(document.get(args.command, {}))
-    file_values.update({k: v for k, v in document.items() if not isinstance(v, dict)})
+    own = document.get(args.command, {})
     sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    values = {k: v for k, v in file_values.items() if k in flags and v is not None}
-    bad = [k for k, v in values.items() if not _fits(v, flags[k])]
+    unknown = sorted(set(own) - set(flags))
+    _require(not unknown, f"--config {args.command} has unknown keys: {', '.join(unknown)}")
+    # top-level scalars are shared, so each command takes the ones it defines
+    file_values = {k: v for k, v in document.items() if k in flags and not isinstance(v, dict)}
+    file_values.update(own)
+    values = {k: _config_value(v, flags[k]) for k, v in file_values.items() if v is not None}
+    bad = [k for k, v in values.items() if v is None]
     _require(not bad, f"--config value of the wrong type for {', '.join(bad)}")
-    sub.set_defaults(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    sub.set_defaults(**values)
     return parser.parse_args(argv)
 
 
@@ -459,14 +458,16 @@ def _parse_ints(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _fits(val, flag: argparse.Action) -> bool:
-    """Whether a --config value is what its flag parses its text to."""
-    text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+def _config_value(val, flag: argparse.Action):
+    """What a --config value sets: its flag's parse of the value's text when
+    that equals the value, else None.  A scalar for a list flag is one entry."""
+    items = val if isinstance(val, list) else [val]
     try:
-        parsed = (flag.type or str)(text)
+        parsed = (flag.type or str)(",".join(map(str, items)))
     except (ValueError, argparse.ArgumentTypeError):
-        return False
-    return parsed == (tuple(val) if isinstance(val, list) else val)
+        return None
+    expected = tuple(items) if isinstance(parsed, tuple) else val
+    return parsed if parsed == expected else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, masses=False, ordering=False, spec=False, solver=False):
+    def common(p, *, masses=False, ordering=False, spec=False, solver=None):
         if masses:
             p.add_argument("--masses", type=_parse_masses,
                            help="comma-separated positive masses")
@@ -490,14 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("--spec", help="group name: A3, C3, H3, I2(7), ...")
         if solver:
-            # no parser default: argparse's exclusion test (value is not
-            # default) would miss an explicit --n-max equal to it, so
-            # _validate refuses the pair and fills in the truncation solved
-            p.add_argument("--n-max", type=int,
-                           help=f"basis truncation (default {_N_MAX})")
-            p.add_argument("--n-max-grid", type=_parse_ints,
-                           help="ascending truncations for convergence deltas "
-                                "(instead of --n-max)")
+            # a string default goes through _parse_ints like the flag's text
+            p.add_argument("--n-max", "--n-max-grid", dest="n_max", type=_parse_ints,
+                           default=solver,
+                           help="ascending basis truncations; levels converge "
+                                "across them (default %(default)s)")
             p.add_argument("--quadrature-order", type=int,
                            help="Gauss-Legendre order per direction (default 3*n_max)")
             p.add_argument("--k", dest="k_levels", type=int, default=50,
@@ -530,13 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the ground-state polynomial JSON here")
 
     p = sub.add_parser("billiard", help="numerical sector spectrum CSV")
-    common(p, masses=True, ordering=True, solver=True)
+    common(p, masses=True, ordering=True, solver="40")
 
     p = sub.add_parser("weyl", help="staircase vs Weyl-law residual CSV")
-    common(p, masses=True, ordering=True, solver=True)
+    common(p, masses=True, ordering=True, solver="40")
 
     p = sub.add_parser("stats", help="per-sector level statistics (six-sector pipeline)")
-    common(p, masses=True, solver=True)
+    common(p, masses=True, solver="30,40")
     p.add_argument("--bins", type=int, default=24,
                    help="spacing histogram bins (default %(default)s)")
     p.add_argument("--tol-spacings", type=float, default=0.05,

@@ -65,7 +65,7 @@ def six_sector_stats(fig_masses):
     config = build_parser().parse_args([
         "stats",
         "--masses", ",".join(map(repr, fig_masses.masses)),
-        "--n-max-grid", "80,90",
+        "--n-max", "80,90",
         "--k", "400",
         "--bins", "24",
         "--tol-spacings", "0.05",

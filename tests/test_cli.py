@@ -70,7 +70,8 @@ EQUAL = ["--masses", "1,1,1,1"]
 SECTOR = EQUAL + ["--ordering", "1,2,3,4"]
 
 # Inputs rejected up front, by argparse or by validation; "{out}" is a fresh
-# output directory and "{cfg}" a config file holding the row's text.
+# output directory, "{case}" an existing directory and "{cfg}" a file holding
+# the row's text.
 BAD_INPUTS = [
     ("missing ordering", ["geometry", *EQUAL, "--output", "{out}/g.json"], None),
     ("non-positive mass", ["classify", "--masses", "1,0,1,1"], None),
@@ -81,14 +82,14 @@ BAD_INPUTS = [
                     "--output", "{out}/s.csv"], None),
     ("k above the basis", ["billiard", *SECTOR, "--n-max", "10", "--k", "500",
                            "--output", "{out}/s.csv"], None),
-    ("k above the smallest basis", ["weyl", *SECTOR, "--n-max-grid", "10,20", "--k", "46",
+    ("k above the smallest basis", ["weyl", *SECTOR, "--n-max", "10,20", "--k", "46",
                                     "--output", "{out}/w.csv"], None),
     ("n_max 1", ["billiard", *SECTOR, "--n-max", "1", "--output", "{out}/s.csv"], None),
-    ("stats default grid below 2", ["stats", *EQUAL, "--n-max", "8",
-                                    "--output", "{out}/st"], None),
-    ("one-entry grid", ["stats", *EQUAL, "--n-max-grid", "20", "--output", "{out}/st"], None),
-    ("descending grid", ["billiard", *SECTOR, "--n-max-grid", "20,16",
-                         "--output", "{out}/s.csv"], None),
+    ("stats one truncation", ["stats", *EQUAL, "--n-max", "8", "--output", "{out}/st"], None),
+    ("stats one-entry grid", ["stats", *EQUAL, "--n-max-grid", "20", "--output", "{out}/st"],
+     None),
+    ("descending truncations", ["billiard", *SECTOR, "--n-max", "20,16",
+                                "--output", "{out}/s.csv"], None),
     ("zero bins", ["stats", *EQUAL, "--bins", "0", "--output", "{out}/st"], None),
     ("negative family grid", ["family", "--spec", "C3", "--grid", "-3",
                               "--output", "{out}/f.csv"], None),
@@ -99,7 +100,7 @@ BAD_INPUTS = [
                             "--output", "{out}/st"], None),
     ("quadrature below 3 n_max", ["billiard", *SECTOR, "--n-max", "10",
                                   "--quadrature-order", "29", "--output", "{out}/s.csv"], None),
-    ("quadrature below the top truncation", ["stats", *EQUAL, "--n-max-grid", "10,12",
+    ("quadrature below the top truncation", ["stats", *EQUAL, "--n-max", "10,12",
                                              "--quadrature-order", "30",
                                              "--output", "{out}/st"], None),
     ("ordering not a permutation", ["billiard", *EQUAL, "--ordering", "1,1,3,4",
@@ -137,13 +138,23 @@ BAD_INPUTS = [
                               "--output", "{out}/s.csv"], None),
     ("unknown flag", ["billiard", *SECTOR, "--n-levels", "5", "--output", "{out}/s.csv"], None),
     ("ordering for stats", ["stats", *SECTOR, "--output", "{out}/st"], None),
-    ("n_max beside a grid", ["billiard", *SECTOR, "--n-max", "12", "--n-max-grid", "10,20",
-                             "--output", "{out}/s.csv"], None),
-    ("default n_max beside a grid", ["billiard", *SECTOR, "--n-max", "40", "--n-max-grid",
-                                     "10,12", "--k", "3", "--output", "{out}/s.csv"], None),
-    ("config n_max beside a grid", ["billiard", *SECTOR, "--n-max-grid", "10,12", "--config",
-                                    "{cfg}", "--output", "{out}/s.csv"],
-     '{"billiard": {"n_max": 16}}'),
+    ("config key the command lacks", ["billiard", *SECTOR, "--config", "{cfg}",
+                                      "--output", "{out}/s.csv"],
+     '{"billiard": {"k": 5, "nmax": 8}}'),
+    ("config grid key", ["billiard", *SECTOR, "--config", "{cfg}", "--output", "{out}/s.csv"],
+     '{"billiard": {"n_max_grid": [10, 12]}}'),
+    ("output a directory", ["billiard", *SECTOR, "--n-max", "6", "--k", "3",
+                            "--output", "{case}"], None),
+    ("weyl output a directory", ["weyl", *SECTOR, "--n-max", "6", "--k", "3",
+                                 "--output", "{case}"], None),
+    ("classify output a directory", ["classify", *EQUAL, "--output", "{case}"], None),
+    ("output under a file", ["billiard", *SECTOR, "--n-max", "6", "--k", "3",
+                             "--output", "{cfg}/s.csv"], ""),
+    ("empty output", ["billiard", *SECTOR, "--n-max", "6", "--k", "3", "--output", ""], None),
+    ("stats output a file", ["stats", *EQUAL, "--n-max", "6,8", "--k", "3",
+                             "--output", "{cfg}"], ""),
+    ("ground state under a file", ["exact", "--spec", "H3", "--e-max", "10", "--output",
+                                   "{out}/l.csv", "--ground-state", "{cfg}/gs.json"], ""),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
@@ -157,7 +168,8 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         case.mkdir()
         if config_text is not None:
             cfg.write_text(config_text)
-        code = main([a.replace("{out}", str(out)).replace("{cfg}", str(cfg)) for a in argv])
+        code = main([a.replace("{out}", str(out)).replace("{case}", str(case))
+                     .replace("{cfg}", str(cfg)) for a in argv])
         err = capsys.readouterr().err
         assert code == 2, f"{reason}: exit {code}"
         assert err.startswith("error: ") and err.count("\n") == 1, f"{reason}: {err!r}"
@@ -292,14 +304,14 @@ def test_billiard_first_lambda(tmp_path, capsys):
 def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = main([
-        command, *SECTOR, "--n-max-grid", "10,14", "--k", "8",
+        command, *SECTOR, "--n-max", "10,14", "--k", "8",
         "--quadrature-order", "45", "--output", str(out),
     ])
     capsys.readouterr()
     assert code == 0
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
     assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 45)
-    assert meta["inputs"]["n_max"] == 14
+    assert meta["inputs"]["n_max"] == [10, 14]
     assert meta["peak_rss_mb"] > 0
 
 
@@ -321,7 +333,7 @@ def test_weyl_without_converged_levels_exits_3(tmp_path, capsys):
     out = tmp_path / "weyl.csv"
     code = main([
         "weyl", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
-        "--n-max-grid", "3,4", "--k", "3", "--output", str(out),
+        "--n-max", "3,4", "--k", "3", "--output", str(out),
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: InsufficientLevelsError")
@@ -340,12 +352,14 @@ def test_config_file_merging(tmp_path, capsys):
     assert code == 0
     assert len(out.read_text().strip().split("\n")) == 5  # header + 4 levels
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    assert meta["inputs"]["n_max"] == 16
+    assert meta["inputs"]["n_max"] == [16]
 
 
 def test_config_supplies_required_values(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"masses": [1, 1, 1, 1], "billiard": {"ordering": [1, 2, 3, 4]}}))
+    # a top-level value is shared, and commands that lack it skip it
+    cfg.write_text(json.dumps({"masses": [1, 1, 1, 1], "bins": 12,
+                               "billiard": {"ordering": [1, 2, 3, 4]}}))
     flags_run, config_run = tmp_path / "flags.csv", tmp_path / "config.csv"
     common = ["--n-max", "12", "--k", "5", "--output"]
     assert main(["billiard", *SECTOR, *common, str(flags_run)]) == 0
@@ -361,6 +375,18 @@ def test_metadata_inputs_are_the_command_flags(tmp_path, capsys):
     meta = json.loads((tmp_path / "c.json.meta.json").read_text())
     assert meta["inputs"] == {"masses": [3.0, 1.0, 2.0, 6.0], "output_path": str(out),
                               "config": None}
+
+
+def test_n_max_grid_is_a_second_spelling_of_n_max(tmp_path, capsys):
+    runs = {}
+    for flag in ("--n-max", "--n-max-grid"):
+        out = tmp_path / f"{flag}.csv"
+        assert main(["billiard", *SECTOR, flag, "10,12", "--k", "8", "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / f"{flag}.csv.meta.json").read_text())
+        assert meta["inputs"]["n_max"] == [10, 12] and "n_max_grid" not in meta["inputs"]
+        runs[flag] = out.read_bytes()
+    capsys.readouterr()
+    assert runs["--n-max"] == runs["--n-max-grid"]
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -381,7 +407,7 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "stats"
     code = main([
         "stats", "--masses", "1,1,1,1",
-        "--n-max-grid", "22,26", "--k", "70",
+        "--n-max", "22,26", "--k", "70",
         "--tol-spacings", "0.5", "--output", str(out_dir),
     ])
     capsys.readouterr()
@@ -413,9 +439,9 @@ RERUNS = {
     "billiard": ["billiard", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
                  "--n-max", "12", "--k", "8", "--output", "{out}/s.csv"],
     "billiard-grid": ["billiard", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
-                      "--n-max-grid", "10,12", "--k", "8", "--output", "{out}/s.csv"],
+                      "--n-max", "10,12", "--k", "8", "--output", "{out}/s.csv"],
     "weyl": ["weyl", *SECTOR, "--n-max", "14", "--k", "20", "--output", "{out}/w.csv"],
-    "stats": ["stats", *EQUAL, "--n-max-grid", "22,26", "--k", "70",
+    "stats": ["stats", *EQUAL, "--n-max", "22,26", "--k", "70",
               "--tol-spacings", "0.5", "--output", "{out}/stats"],
 }
 
