@@ -32,7 +32,7 @@ nested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -55,7 +55,6 @@ from .masses import MassSequence
 __all__ = [
     "FlattenedSector",
     "BasisTruncation",
-    "EigenSpectrum",
     "ConvergenceStudy",
     "flatten_sector",
     "octant_sector",
@@ -117,29 +116,34 @@ class BasisTruncation:
 
 
 @dataclass(frozen=True)
-class EigenSpectrum:
-    values: np.ndarray  # ascending eigenvalues of -Laplacian
-    effective_lambda: np.ndarray  # lambda with value = lambda (lambda + 1)
-    truncation: BasisTruncation | None
-    converged_count: int
-
-
-@dataclass(frozen=True)
 class ConvergenceStudy:
+    """The record of a sector solve: levels at every truncation of a grid."""
+
     n_max_grid: tuple
-    spectra: tuple  # EigenSpectrum per grid entry
+    spectra: tuple  # ascending eigenvalues of -Laplacian per grid entry
     deltas: np.ndarray  # (len(grid)-1, k) per-level |E_k(n_{j+1}) - E_k(n_j)|
     converged_count: int
     quadrature_order: int  # of the one assembly at the top truncation
 
     @property
+    def values(self) -> np.ndarray:
+        """Levels at the top truncation."""
+        return self.spectra[-1]
+
+    @property
+    def effective_lambda(self) -> np.ndarray:
+        """lambda with value = lambda (lambda + 1), at the top truncation."""
+        return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * self.values))
+
+    @property
+    def window(self) -> np.ndarray:
+        """The converged levels: the first converged_count of the top truncation."""
+        return self.values[:self.converged_count]
+
+    @property
     def last_deltas(self) -> np.ndarray | None:
         """Drifts of the last refinement; None for a one-entry grid."""
         return self.deltas[-1] if len(self.deltas) else None
-
-    @property
-    def final(self) -> EigenSpectrum:
-        return replace(self.spectra[-1], converged_count=self.converged_count)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +452,8 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 # spectrum
 
 
-def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
-                   truncation: BasisTruncation | None = None) -> EigenSpectrum:
-    """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense).
+def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense), ascending.
 
     Only the min(k, N) lowest values are computed.  The solver factors B
     itself, so a B that is not positive-definite fails here.  Both matrices
@@ -479,21 +482,13 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int,
             f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
             "or overlap ill-conditioned"
         )
-    lam = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * vals))
-    return EigenSpectrum(
-        values=vals,
-        effective_lambda=lam,
-        truncation=truncation,
-        converged_count=len(vals),
-    )
+    return vals
 
 
 def solve_sector(sector: FlattenedSector, n_max: int, k: int,
-                 quadrature_order: int | None = None) -> EigenSpectrum:
+                 quadrature_order: int | None = None) -> ConvergenceStudy:
     """Lowest k levels at one truncation: a one-entry convergence study."""
-    return convergence_study(
-        sector, (n_max,), k, quadrature_order=quadrature_order
-    ).final
+    return convergence_study(sector, (n_max,), k, quadrature_order=quadrature_order)
 
 
 def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
@@ -521,16 +516,11 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     for n_max in grid[:-1]:
         rows = np.flatnonzero(m_of_pair <= n_max)
         keep = np.ix_(rows, rows)
-        spectra.append(
-            solve_spectrum(a_top[keep], b_top[keep], k, truncation=BasisTruncation(n_max))
-        )
-    spectra.append(solve_spectrum(a_top, b_top, k, truncation=top))
-    n_common = min(len(sp.values) for sp in spectra)
+        spectra.append(solve_spectrum(a_top[keep], b_top[keep], k))
+    spectra.append(solve_spectrum(a_top, b_top, k))
+    n_common = min(len(vals) for vals in spectra)
     deltas = np.array(
-        [
-            np.abs(nxt.values[:n_common] - prv.values[:n_common])
-            for prv, nxt in zip(spectra, spectra[1:])
-        ]
+        [np.abs(nxt[:n_common] - prv[:n_common]) for prv, nxt in zip(spectra, spectra[1:])]
     ).reshape(len(grid) - 1, n_common)
     # deltas[-1:] is the last row, or no row for a one-entry grid
     above = np.flatnonzero(deltas[-1:] > tolerance)
@@ -544,9 +534,11 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     )
 
 
-def spectrum_to_csv(spectrum: EigenSpectrum, deltas=None) -> str:
+def spectrum_to_csv(study: ConvergenceStudy) -> str:
+    """Top-truncation levels with the drift of the last refinement, where there is one."""
+    deltas = study.last_deltas
     lines = ["k,eigenvalue,lambda_eff,delta_last_refinement"]
-    for i, (val, lam) in enumerate(zip(spectrum.values, spectrum.effective_lambda)):
+    for i, (val, lam) in enumerate(zip(study.values, study.effective_lambda)):
         delta = "" if deltas is None or i >= len(deltas) else f"{deltas[i]:.12g}"
         lines.append(f"{i + 1},{val:.12g},{lam:.12g},{delta}")
     return "\n".join(lines) + "\n"

@@ -49,7 +49,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_metadata(base_path: str, config: argparse.Namespace, wall: float, extra=None) -> None:
+def _write_metadata(config: argparse.Namespace, wall: float, extra=None) -> None:
     meta = {
         "command": config.command,
         "inputs": {k: v for k, v in vars(config).items() if k != "command"},
@@ -64,11 +64,19 @@ def _write_metadata(base_path: str, config: argparse.Namespace, wall: float, ext
     }
     if extra:
         meta.update(extra)
-    if os.path.isdir(base_path):
-        target = os.path.join(base_path, "run_metadata.json")
-    else:
-        target = base_path + ".meta.json"
-    _atomic_write(target, json.dumps(meta, indent=2) + "\n")
+    _atomic_write(_metadata_path(config), json.dumps(meta, indent=2) + "\n")
+
+
+def _metadata_path(config: argparse.Namespace) -> str:
+    """Beside the output file, or inside the stats output directory."""
+    if config.command == "stats":
+        return os.path.join(config.output_path, "run_metadata.json")
+    return config.output_path + ".meta.json"
+
+
+def _sector_dir(out_dir: str, perm) -> str:
+    """The stats output directory of one sector class."""
+    return os.path.join(out_dir, "sector_" + "".join(str(p) for p in perm))
 
 
 def distinct_sector_orderings(masses: M.MassSequence) -> list:
@@ -192,7 +200,7 @@ def _study(config: argparse.Namespace, sector, **tolerance) -> B.ConvergenceStud
 def _discretization(study: B.ConvergenceStudy) -> dict:
     """Basis size and quadrature order of the study's top truncation."""
     return {
-        "basis_size": len(study.final.truncation),
+        "basis_size": len(B.BasisTruncation(study.n_max_grid[-1])),
         "quadrature_order": study.quadrature_order,
     }
 
@@ -201,20 +209,19 @@ def _cmd_billiard(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector)
-    spectrum = study.final
-    _atomic_write(config.output_path, B.spectrum_to_csv(spectrum, study.last_deltas))
+    _atomic_write(config.output_path, B.spectrum_to_csv(study))
     return {
         "area": sig12(sector.geometry.area),
         "perimeter": sig12(sector.geometry.perimeter),
-        "n_levels": len(spectrum.values),
-        "first_lambda_eff": sig12(spectrum.effective_lambda[0]),
+        "n_levels": len(study.values),
+        "first_lambda_eff": sig12(study.effective_lambda[0]),
         **_discretization(study),
     }
 
 
-def _weyl_csv(spectrum, geometry) -> tuple:
+def _weyl_csv(study: B.ConvergenceStudy, geometry) -> tuple:
     """Weyl-residual CSV of the converged window, and its residual column."""
-    e, stair, weyl, after, _ = ST.weyl_residuals(spectrum, geometry)
+    e, stair, weyl, after, _ = ST.weyl_residuals(study.window, geometry)
     lines = ["k,eigenvalue,staircase,weyl,residual"]
     for i in range(len(e)):
         lines.append(
@@ -227,10 +234,9 @@ def _cmd_weyl(config: argparse.Namespace) -> dict:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector)
-    spectrum = study.final
-    if spectrum.converged_count == 0:
+    if study.converged_count == 0:
         raise InsufficientLevelsError("no level converged across --n-max")
-    text, after = _weyl_csv(spectrum, sector.geometry)
+    text, after = _weyl_csv(study, sector.geometry)
     _atomic_write(config.output_path, text)
     return {
         "max_abs_residual": sig12(np.abs(after).max()),
@@ -245,10 +251,9 @@ def _stats_one_sector(seq, perm, config: argparse.Namespace):
     geom = sector.geometry
     spacing = 4.0 * math.pi / geom.area
     study = _study(config, sector, tolerance=config.tol_spacings * spacing)
-    spectrum = study.final
-    unfolded = ST.unfold(spectrum, geom)
+    unfolded = ST.unfold(study.window, geom)
     hist = ST.spacing_histogram(unfolded, bins=config.bins)
-    return geom, study, spectrum, unfolded, hist
+    return geom, study, unfolded, hist
 
 
 def _cmd_stats(config: argparse.Namespace) -> dict:
@@ -259,21 +264,21 @@ def _cmd_stats(config: argparse.Namespace) -> dict:
     summary = {}
     discretization = {}
     reference = ST.reference_curves_to_csv()
-    for perm, mult, (geom, study, spectrum, unfolded, hist) in results:
+    for perm, mult, (geom, study, unfolded, hist) in results:
         tag = "".join(str(p) for p in perm)
         files = {
-            "spectrum.csv": B.spectrum_to_csv(spectrum, study.last_deltas),
+            "spectrum.csv": B.spectrum_to_csv(study),
             "histogram.csv": ST.histogram_to_csv(hist),
             "reference.csv": reference,
-            "weyl_residual.csv": _weyl_csv(spectrum, geom)[0],
+            "weyl_residual.csv": _weyl_csv(study, geom)[0],
             "summary.json": ST.summary_to_json(hist, unfolded) + "\n",
         }
         for name, text in files.items():
-            _atomic_write(os.path.join(out_dir, f"sector_{tag}", name), text)
+            _atomic_write(os.path.join(_sector_dir(out_dir, perm), name), text)
         summary[tag] = {
             "multiplicity": mult,
             "area": sig12(geom.area),
-            "converged_levels": spectrum.converged_count,
+            "converged_levels": study.converged_count,
             "ks_poisson": sig12(hist.ks_poisson),
             "ks_wigner": sig12(hist.ks_wigner),
         }
@@ -307,7 +312,7 @@ _OPTIONAL = {("classify", "output_path"), ("group", "masses"), ("group", "spec")
 
 
 def _check_output(flag: str, path: str, directory: bool) -> None:
-    """Refuse a path that cannot become the output file (or, for stats, directory)."""
+    """Refuse a path that cannot become an output file or directory; flag names it."""
     kind = "directory" if directory else "file"
     _require(path != "", f"{flag} must name a {kind}")
     _require(not os.path.exists(path) or os.path.isdir(path) == directory,
@@ -340,6 +345,16 @@ def _validate(config: argparse.Namespace) -> None:
             raise SystemExit2(str(exc)) from exc
         if cmd != "classify":
             _require(len(masses) == 4, f"{cmd} supports exactly four masses")
+    if given.get("output_path"):
+        # what the command writes beside or under --output: (path, is a directory)
+        derived = [(_metadata_path(config), False)]
+        if cmd == "stats":
+            out = config.output_path
+            derived.append((os.path.join(out, "sectors.json"), False))
+            derived += [(_sector_dir(out, perm), True)
+                        for perm, _ in distinct_sector_orderings(M.MassSequence(masses))]
+        for path, directory in derived:
+            _check_output("derived output", path, directory)
     if given.get("ordering") is not None:
         _require(
             sorted(config.ordering) == [1, 2, 3, 4],
@@ -429,7 +444,7 @@ def main(argv=None) -> int:
         return 3
     wall = time.perf_counter() - start
     if config.output_path:
-        _write_metadata(config.output_path, config, wall, extra)
+        _write_metadata(config, wall, extra)
     return 0
 
 

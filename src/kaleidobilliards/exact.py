@@ -238,9 +238,7 @@ def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> Homogen
 def ground_state(group: ReflectionGroup) -> HyperangularState:
     """Product of linear forms over all reflection normals, unit L2 norm."""
     normals = group.reflection_normals()
-    poly = product_of_linear_forms(normals)
-    n = poly.sphere_norm()
-    poly = poly * (1.0 / n)
+    poly = product_of_linear_forms(normals).l2_normalized()
     return HyperangularState(lam=group.spec.lambda0, polynomial=poly)
 
 

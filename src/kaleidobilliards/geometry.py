@@ -143,7 +143,16 @@ def sector_geometry(planes: PlaneSet, ordering) -> SectorGeometry:
     if sorted(p) != [1, 2, 3, 4]:
         raise GeometryError(f"ordering {ordering!r} is not a permutation of 1..4")
     inward = np.array([planes.oriented(p[k], p[k + 1]) for k in range(3)])
-    return _triangle_geometry(p, inward)
+    try:
+        return _triangle_geometry(p, inward)
+    except GeometryError as exc:
+        # a mass ratio below float64 resolution drops out of the pair sums
+        ratio, eps = min(planes.masses.masses) / max(planes.masses.masses), np.finfo(float).eps
+        if ratio >= eps:
+            raise
+        raise GeometryError(
+            f"{exc}; the mass ratio {ratio:.3e} is below float64 resolution ({eps:.3e})"
+        ) from exc
 
 
 def geometry_from_inward_normals(inward, label=("manual",)) -> SectorGeometry:

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import EigenSpectrum
 from .errors import InsufficientLevelsError
 from .geometry import SectorGeometry, sig12
 
 __all__ = [
-    "UnfoldedSpectrum",
     "SpacingHistogram",
     "weyl_count",
     "unfold",
@@ -46,37 +44,25 @@ def weyl_count(e_tilde, geometry: SectorGeometry):
     return float(val) if val.ndim == 0 else val
 
 
-@dataclass(frozen=True)
-class UnfoldedSpectrum:
-    epsilon: np.ndarray
-
-    @property
-    def mean_spacing(self) -> float:
-        return float(np.mean(np.diff(self.epsilon)))
-
-
-def unfold(spectrum: EigenSpectrum, geometry: SectorGeometry) -> UnfoldedSpectrum:
-    """Map converged levels through the Weyl staircase; mean spacing -> 1."""
-    n = spectrum.converged_count
-    if n < 50:
+def _require_levels(levels) -> np.ndarray:
+    levels = np.asarray(levels, dtype=float)
+    if len(levels) < 50:
         raise InsufficientLevelsError(
-            f"only {n} converged levels; at least 50 are required for statistics"
+            f"only {len(levels)} converged levels; at least 50 are required for statistics"
         )
-    eps = weyl_count(spectrum.values[:n], geometry)
-    return UnfoldedSpectrum(epsilon=np.asarray(eps))
+    return levels
 
 
-def unfold_polyfit(spectrum: EigenSpectrum) -> UnfoldedSpectrum:
+def unfold(levels, geometry: SectorGeometry) -> np.ndarray:
+    """Map ascending converged levels through the Weyl staircase; mean spacing -> 1."""
+    return np.asarray(weyl_count(_require_levels(levels), geometry))
+
+
+def unfold_polyfit(levels) -> np.ndarray:
     """Cross-check unfolding: quintic fit of the empirical staircase."""
-    n = spectrum.converged_count
-    if n < 50:
-        raise InsufficientLevelsError(
-            f"only {n} converged levels; at least 50 are required for statistics"
-        )
-    e = spectrum.values[:n]
-    stair = np.arange(1, n + 1) - 0.5
-    coeffs = np.polyfit(e, stair, 5)
-    return UnfoldedSpectrum(epsilon=np.polyval(coeffs, e))
+    e = _require_levels(levels)
+    stair = np.arange(1, len(e) + 1) - 0.5
+    return np.polyval(np.polyfit(e, stair, 5), e)
 
 
 def poisson_pdf(s):
@@ -119,13 +105,13 @@ class SpacingHistogram:
     spacings: np.ndarray
 
 
-def spacing_histogram(unfolded: UnfoldedSpectrum, bins: int = 24) -> SpacingHistogram:
+def spacing_histogram(unfolded, bins: int = 24) -> SpacingHistogram:
     """Density-normalized nearest-neighbor spacing histogram with distances.
 
     Zero spacings from exact degeneracies are retained; they carry the
     integrability signal.
     """
-    spacings = np.diff(unfolded.epsilon)
+    spacings = np.diff(unfolded)
     if len(spacings) < 50:
         raise InsufficientLevelsError(
             f"only {len(spacings)} spacings; at least 50 are required"
@@ -151,16 +137,15 @@ def spacing_histogram(unfolded: UnfoldedSpectrum, bins: int = 24) -> SpacingHist
     )
 
 
-def weyl_residuals(spectrum: EigenSpectrum, geometry: SectorGeometry):
-    """Staircase-minus-Weyl series over the converged window.
+def weyl_residuals(levels, geometry: SectorGeometry):
+    """Staircase-minus-Weyl series over ascending levels (a converged window).
 
     Returns (energies, staircase, weyl, residual_after, residual_before):
     the staircase takes the value k just after the k-th level and k-1 just
     before it, so both one-sided residuals bound the sup over the window.
     """
-    n = spectrum.converged_count
-    e = spectrum.values[:n]
-    stair = np.arange(1, n + 1, dtype=float)
+    e = np.asarray(levels, dtype=float)
+    stair = np.arange(1, len(e) + 1, dtype=float)
     weyl = weyl_count(e, geometry)
     return e, stair, weyl, stair - weyl, (stair - 1.0) - weyl
 
@@ -181,11 +166,11 @@ def reference_curves_to_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_to_json(hist: SpacingHistogram, unfolded: UnfoldedSpectrum) -> str:
+def summary_to_json(hist: SpacingHistogram, unfolded) -> str:
     return json.dumps(
         {
-            "n_levels": len(unfolded.epsilon),
-            "mean_spacing": sig12(unfolded.mean_spacing),
+            "n_levels": len(unfolded),
+            "mean_spacing": sig12(float(np.mean(np.diff(unfolded)))),
             "ks_poisson": sig12(hist.ks_poisson),
             "ks_wigner": sig12(hist.ks_wigner),
             "chi2_poisson": sig12(hist.chi2_poisson),

@@ -72,10 +72,8 @@ def six_sector_stats(fig_masses):
     ])
     out = []
     for perm, mult in distinct_sector_orderings(fig_masses):
-        geom, study, spectrum, unfolded, hist = _stats_one_sector(
-            fig_masses, perm, config
-        )
-        out.append((perm, mult, geom, study, spectrum, unfolded, hist))
+        geom, study, unfolded, hist = _stats_one_sector(fig_masses, perm, config)
+        out.append((perm, mult, geom, study, unfolded, hist))
     return out
 
 
@@ -177,11 +175,11 @@ def test_criterion_6_octant_analytic_oracle():
 def test_criterion_7_weyl_residual(six_sector_stats):
     with verdict(7, "staircase minus two-term Weyl bounded by 0.75 sqrt(E), oscillatory"):
         # every solved sector: the six statistics sectors plus the octant
-        solved = [(geom, spectrum) for _, _, geom, _, spectrum, _, _ in six_sector_stats]
-        oct_spec = B.solve_sector(B.octant_sector(), n_max=40, k=80)
-        solved.append((G.geometry_from_inward_normals(np.eye(3)), oct_spec))
-        for geom, spectrum in solved:
-            e, stair, weyl, after, before = ST.weyl_residuals(spectrum, geom)
+        solved = [(geom, study) for _, _, geom, study, _, _ in six_sector_stats]
+        oct_study = B.solve_sector(B.octant_sector(), n_max=40, k=80)
+        solved.append((G.geometry_from_inward_normals(np.eye(3)), oct_study))
+        for geom, study in solved:
+            e, stair, weyl, after, before = ST.weyl_residuals(study.window, geom)
             bound = 0.75 * np.sqrt(np.maximum(e, 1.0))
             assert np.all(np.abs(after) < bound)
             assert np.all(np.abs(before) < bound)
@@ -211,14 +209,14 @@ def test_criterion_8_statistics_discrimination(six_sector_stats):
         "deficit side) in >= 4/5 non-Coxeter sectors and not in the Coxeter sector",
     ):
         rows = []
-        for perm, mult, geom, study, spectrum, unfolded, hist in six_sector_stats:
+        for perm, mult, geom, study, unfolded, hist in six_sector_stats:
             excess, deficit = _poisson_ks_sides(hist.spacings)
             assert math.isclose(max(excess, deficit), hist.ks_poisson, abs_tol=1e-12)
             critical = float(kstwo.isf(0.01, hist.n_spacings))
             side = "deficit" if deficit > excess else "excess"
             repulsion = side == "deficit" and hist.ks_poisson > critical
             rows.append(
-                (perm, spectrum.converged_count, hist.ks_poisson, hist.ks_wigner,
+                (perm, study.converged_count, hist.ks_poisson, hist.ks_wigner,
                  critical, side, repulsion)
             )
         lines = [

@@ -432,8 +432,8 @@ def test_assemble_working_set_is_a_few_matrices():
 def test_assemble_at_quadrature_floor_gives_definite_overlap():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     a, b = assemble(sec, BasisTruncation(12), quadrature_order=36)
-    spec = solve_spectrum(a, b, 10)
-    assert len(spec.values) == 10 and spec.values[0] > 0
+    vals = solve_spectrum(a, b, 10)
+    assert len(vals) == 10 and vals[0] > 0
 
 
 def test_trace_stable_under_quadrature_doubling():
@@ -502,7 +502,7 @@ def test_variational_monotonicity_in_truncation():
     sec = flatten_sector(EQUAL, (1, 2, 3, 4))
     study = convergence_study(sec, (16, 20, 24), k=25)
     for prev, nxt in zip(study.spectra, study.spectra[1:]):
-        assert np.all(nxt.values[:25] <= prev.values[:25] + 1e-9)
+        assert np.all(nxt[:25] <= prev[:25] + 1e-9)
 
 
 def test_convergence_study_assembles_once(monkeypatch):
@@ -521,19 +521,20 @@ def test_convergence_study_assembles_once(monkeypatch):
 def test_convergence_study_lower_spectra_are_submatrix_solves():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     study = convergence_study(sec, (12, 15, 18), k=30)
-    for n_max, spec in zip(study.n_max_grid, study.spectra):
+    for n_max, vals in zip(study.n_max_grid, study.spectra):
         direct = solve_sector(sec, n_max, 30, quadrature_order=3 * 18)
-        assert len(spec.truncation) == len(direct.truncation)
-        np.testing.assert_allclose(spec.values, direct.values, rtol=1e-10)
+        assert direct.n_max_grid == (n_max,)
+        np.testing.assert_allclose(vals, direct.values, rtol=1e-10)
 
 
 def test_solve_sector_is_one_entry_study():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     study = convergence_study(sec, (14,), k=12)
     spec = solve_sector(sec, 14, 12)
-    assert np.array_equal(spec.values, study.final.values)
-    assert np.array_equal(spec.effective_lambda, study.final.effective_lambda)
-    assert spec.truncation == study.final.truncation
+    assert spec.n_max_grid == study.n_max_grid == (14,)
+    assert np.array_equal(spec.values, study.values)
+    assert np.array_equal(spec.effective_lambda, study.effective_lambda)
+    assert np.array_equal(spec.window, study.values)
     assert spec.converged_count == study.converged_count == 12
     assert study.last_deltas is None
     assert study.deltas.shape == (0, 12)
@@ -583,16 +584,15 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
     a, b = assemble(sec, BasisTruncation(6), quadrature_order=18)
     # the reference first: solve_spectrum consumes its matrices
     full = scipy.linalg.eigh(a, b, eigvals_only=True)
-    spec = solve_spectrum(a, b, 100)
-    assert len(spec.values) == spec.converged_count == len(full) == 15
-    np.testing.assert_allclose(spec.values, full, rtol=1e-10)
+    vals = solve_spectrum(a, b, 100)
+    assert len(vals) == len(full) == 15
+    np.testing.assert_allclose(vals, full, rtol=1e-10)
 
 
 def test_solve_spectrum_in_place_matches_copying_solve():
     a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), BasisTruncation(14), 42)
     want = scipy.linalg.eigh(a, b, eigvals_only=True, driver="gvx", subset_by_index=[0, 11])
-    spec = solve_spectrum(a.copy(), b.copy(), 12)
-    np.testing.assert_array_equal(spec.values, want)
+    np.testing.assert_array_equal(solve_spectrum(a.copy(), b.copy(), 12), want)
 
 
 def test_indefinite_overlap_error_names_quadrature_order():
@@ -609,11 +609,12 @@ def test_solve_spectrum_rejects_k_below_one(k):
 
 
 def test_spectrum_csv_format():
-    spec = solve_sector(octant_sector(), 12, 5)
-    text = spectrum_to_csv(spec, deltas=np.zeros(3))
+    # n_max 3 has a basis of 3, so the drifts cover the first 3 of 5 levels
+    text = spectrum_to_csv(convergence_study(octant_sector(), (3, 12), 5))
     assert text.endswith("\n")
     lines = text.strip().split("\n")
     assert lines[0] == "k,eigenvalue,lambda_eff,delta_last_refinement"
     assert len(lines) == 6
     assert lines[1].startswith("1,")
-    assert lines[5].endswith(",")  # delta column empty past the study length
+    assert not lines[3].endswith(",")
+    assert lines[4].endswith(",") and lines[5].endswith(",")  # past the drifts

@@ -70,8 +70,9 @@ EQUAL = ["--masses", "1,1,1,1"]
 SECTOR = EQUAL + ["--ordering", "1,2,3,4"]
 
 # Inputs rejected up front, by argparse or by validation; "{out}" is a fresh
-# output directory, "{case}" an existing directory and "{cfg}" a file holding
-# the row's text.
+# output directory, "{case}" an existing directory, "{cfg}" a file holding
+# the row's text, and "{blocked}" a directory holding a directory
+# m.csv.meta.json and a file sector_1234, which block paths derived from --output.
 BAD_INPUTS = [
     ("missing ordering", ["geometry", *EQUAL, "--output", "{out}/g.json"], None),
     ("non-positive mass", ["classify", "--masses", "1,0,1,1"], None),
@@ -155,6 +156,10 @@ BAD_INPUTS = [
                              "--output", "{cfg}"], ""),
     ("ground state under a file", ["exact", "--spec", "H3", "--e-max", "10", "--output",
                                    "{out}/l.csv", "--ground-state", "{cfg}/gs.json"], ""),
+    ("metadata path a directory", ["billiard", *SECTOR, "--n-max", "6", "--k", "3",
+                                   "--output", "{blocked}/m.csv"], None),
+    ("sector path a file", ["stats", *EQUAL, "--n-max", "6,8", "--k", "3",
+                            "--output", "{blocked}"], None),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
@@ -164,16 +169,19 @@ BAD_INPUTS = [
 def test_validation_failures_exit_2(tmp_path, capsys):
     for reason, argv, config_text in BAD_INPUTS:
         case = tmp_path / reason.replace(" ", "_")
-        out, cfg = case / "out", case / "run.json"
-        case.mkdir()
+        out, cfg, blocked = case / "out", case / "run.json", case / "blocked"
+        (blocked / "m.csv.meta.json").mkdir(parents=True)
+        (blocked / "sector_1234").write_text("")
         if config_text is not None:
             cfg.write_text(config_text)
+        before = sorted(case.rglob("*"))
         code = main([a.replace("{out}", str(out)).replace("{case}", str(case))
-                     .replace("{cfg}", str(cfg)) for a in argv])
+                     .replace("{cfg}", str(cfg)).replace("{blocked}", str(blocked))
+                     for a in argv])
         err = capsys.readouterr().err
         assert code == 2, f"{reason}: exit {code}"
         assert err.startswith("error: ") and err.count("\n") == 1, f"{reason}: {err!r}"
-        assert not out.exists(), f"{reason}: wrote {sorted(out.rglob('*'))}"
+        assert sorted(case.rglob("*")) == before, f"{reason}: wrote a file"
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
@@ -186,6 +194,7 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: GeometryError") and err.count("\n") == 1
+    assert "mass ratio 1.000e-30 is below float64 resolution" in err
     assert not out.exists()
 
 

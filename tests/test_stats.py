@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kaleidobilliards.billiard import EigenSpectrum, octant_sector, solve_sector
+from kaleidobilliards.billiard import convergence_study, octant_sector, solve_sector
 from kaleidobilliards.errors import InsufficientLevelsError
 from kaleidobilliards.geometry import geometry_from_inward_normals
 from kaleidobilliards.stats import (
-    UnfoldedSpectrum,
     poisson_cdf,
     poisson_pdf,
     spacing_histogram,
@@ -30,10 +29,7 @@ def octant_exact_spectrum(count):
         mult = (lam - 3) // 2 + 1
         values.extend([lam * (lam + 1.0)] * mult)
         lam += 2
-    vals = np.array(values[:count], dtype=float)
-    lams = 0.5 * (-1 + np.sqrt(1 + 4 * vals))
-    return EigenSpectrum(values=vals, effective_lambda=lams, truncation=None,
-                         converged_count=count)
+    return np.array(values[:count], dtype=float)
 
 
 def synthetic_spectrum_from_weyl(geometry, count):
@@ -45,10 +41,7 @@ def synthetic_spectrum_from_weyl(geometry, count):
         disc = per * per + 16.0 * math.pi * area * k
         x = (per + math.sqrt(disc)) / (2.0 * area)
         levels.append(x * x)
-    vals = np.array(levels)
-    lams = 0.5 * (-1 + np.sqrt(1 + 4 * vals))
-    return EigenSpectrum(values=vals, effective_lambda=lams, truncation=None,
-                         converged_count=count)
+    return np.array(levels)
 
 
 # -- weyl counting ------------------------------------------------------------
@@ -70,49 +63,50 @@ def test_weyl_rejects_negative_energy():
 
 
 def test_weyl_tracks_exact_octant_staircase():
-    spec = octant_exact_spectrum(200)
-    counts = weyl_count(spec.values, OCTANT)
+    levels = octant_exact_spectrum(200)
+    counts = weyl_count(levels, OCTANT)
     stair = np.arange(1, 201)
     # two-term Weyl stays within O(sqrt(E)) of the true staircase
-    assert np.abs(stair - counts).max() < 0.75 * math.sqrt(spec.values[-1])
+    assert np.abs(stair - counts).max() < 0.75 * math.sqrt(levels[-1])
 
 
 # -- unfolding -----------------------------------------------------------------
 
 def test_unfold_requires_50_levels():
-    spec = octant_exact_spectrum(30)
-    with pytest.raises(InsufficientLevelsError):
-        unfold(spec, OCTANT)
+    for unfolding in (lambda e: unfold(e, OCTANT), unfold_polyfit):
+        with pytest.raises(InsufficientLevelsError):
+            unfolding(octant_exact_spectrum(49))
 
 
 def test_unfold_monotone_and_unit_mean_spacing():
-    spec = octant_exact_spectrum(300)
-    unf = unfold(spec, OCTANT)
-    assert np.all(np.diff(unf.epsilon) >= -1e-12)
-    assert unf.mean_spacing == pytest.approx(1.0, abs=0.05)
+    unf = unfold(octant_exact_spectrum(300), OCTANT)
+    assert np.all(np.diff(unf) >= -1e-12)
+    assert np.mean(np.diff(unf)) == pytest.approx(1.0, abs=0.05)
 
 
 def test_unfold_weyl_inverse_round_trip():
     # unfolding levels manufactured from the Weyl staircase itself
-    spec = synthetic_spectrum_from_weyl(OCTANT, 500)
-    unf = unfold(spec, OCTANT)
-    spacings = np.diff(unf.epsilon)
+    unf = unfold(synthetic_spectrum_from_weyl(OCTANT, 500), OCTANT)
+    spacings = np.diff(unf)
     assert abs(spacings.mean() - 1.0) < 0.02
     assert spacings.std() < 1e-9  # exactly unit spacings by construction
 
 
 def test_unfold_polyfit_cross_check():
-    spec = octant_exact_spectrum(300)
-    unf_w = unfold(spec, OCTANT)
-    unf_p = unfold_polyfit(spec)
-    assert unf_p.mean_spacing == pytest.approx(unf_w.mean_spacing, rel=0.05)
+    levels = octant_exact_spectrum(300)
+    mean_w = np.mean(np.diff(unfold(levels, OCTANT)))
+    mean_p = np.mean(np.diff(unfold_polyfit(levels)))
+    assert mean_p == pytest.approx(mean_w, rel=0.05)
 
 
 def test_unfold_respects_converged_window():
-    spec = octant_exact_spectrum(300)
-    trimmed = EigenSpectrum(spec.values, spec.effective_lambda, None, 120)
-    unf = unfold(trimmed, OCTANT)
-    assert len(unf.epsilon) == 120
+    # the last refinement's drifts exceed 0.5 from level 75 on
+    study = convergence_study(octant_sector(), (24, 28), k=100, tolerance=0.5)
+    assert 50 <= study.converged_count < 100
+    assert np.array_equal(study.window, study.values[:study.converged_count])
+    assert np.all(study.last_deltas[:study.converged_count] <= 0.5)
+    assert study.last_deltas[study.converged_count] > 0.5
+    assert len(unfold(study.window, OCTANT)) == study.converged_count
 
 
 # -- reference densities ---------------------------------------------------------
@@ -138,8 +132,7 @@ def test_wigner_mean_spacing_is_one():
 # -- spacing histogram ------------------------------------------------------------
 
 def test_histogram_mass_is_one():
-    spec = octant_exact_spectrum(300)
-    hist = spacing_histogram(unfold(spec, OCTANT), bins=24)
+    hist = spacing_histogram(unfold(octant_exact_spectrum(300), OCTANT), bins=24)
     mass = np.sum(hist.densities * np.diff(hist.bin_edges))
     assert mass == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= hist.ks_poisson <= 1.0
@@ -147,8 +140,7 @@ def test_histogram_mass_is_one():
 
 
 def test_octant_degenerate_spacings_retained():
-    spec = octant_exact_spectrum(300)
-    hist = spacing_histogram(unfold(spec, OCTANT), bins=24)
+    hist = spacing_histogram(unfold(octant_exact_spectrum(300), OCTANT), bins=24)
     zero_fraction = np.mean(hist.spacings < 1e-9)
     # multiplicity (lam-3)/2 + 1 means most gaps vanish; with exactly zero
     # gaps both reference CDFs start at 0, so the KS distances tie
@@ -159,17 +151,15 @@ def test_octant_degenerate_spacings_retained():
 def test_solved_octant_split_degeneracies_prefer_poisson():
     # the numerical solver splits exact degeneracies by tiny amounts, which
     # lands the jam of near-zero spacings on the Poisson side of the CDF gap
-    spec = solve_sector(octant_sector(), n_max=40, k=120)
-    unf = unfold(spec, OCTANT)
-    hist = spacing_histogram(unf, bins=24)
+    study = solve_sector(octant_sector(), n_max=40, k=120)
+    hist = spacing_histogram(unfold(study.window, OCTANT), bins=24)
     assert hist.ks_poisson < hist.ks_wigner
 
 
 def test_synthetic_poisson_sample_prefers_poisson():
     rng = np.random.default_rng(12345)
     eps = np.cumsum(rng.exponential(1.0, size=5000))
-    unf = UnfoldedSpectrum(epsilon=eps)
-    hist = spacing_histogram(unf, bins=24)
+    hist = spacing_histogram(eps, bins=24)
     assert hist.ks_poisson < 0.02
     assert hist.ks_poisson < hist.ks_wigner
 
@@ -185,23 +175,23 @@ def test_synthetic_goe_sample_prefers_wigner():
         s = np.diff(mid)
         spacings.extend(s / s.mean())
     eps = np.cumsum(spacings)
-    unf = UnfoldedSpectrum(epsilon=np.asarray(eps))
-    hist = spacing_histogram(unf, bins=24)
+    hist = spacing_histogram(np.asarray(eps), bins=24)
     assert hist.ks_wigner < hist.ks_poisson
 
 
 def test_histogram_needs_enough_spacings():
-    spec = octant_exact_spectrum(60)
-    trimmed = EigenSpectrum(spec.values[:40], spec.effective_lambda[:40], None, 40)
-    with pytest.raises(InsufficientLevelsError):
-        unfold(trimmed, OCTANT)
+    # 50 unfolded levels pass unfold's guard but leave 49 spacings
+    unfolded = unfold(octant_exact_spectrum(50), OCTANT)
+    with pytest.raises(InsufficientLevelsError, match="only 49 spacings"):
+        spacing_histogram(unfolded)
+    spacing_histogram(unfold(octant_exact_spectrum(51), OCTANT))
 
 
 # -- weyl residual oracle -----------------------------------------------------------
 
 def test_weyl_residual_bound_and_crossings_on_solved_octant():
-    spec = solve_sector(octant_sector(), n_max=40, k=60)
-    e, stair, weyl, after, before = weyl_residuals(spec, OCTANT)
+    study = solve_sector(octant_sector(), n_max=40, k=60)
+    e, stair, weyl, after, before = weyl_residuals(study.window, OCTANT)
     bound = 0.75 * np.sqrt(e)
     assert np.abs(after).max() < bound.max()
     assert np.all(np.abs(after) < np.maximum(bound, 2.0))
