@@ -1,10 +1,11 @@
 """Command-line entry point wiring the library into reproducible runs.
 
-Every command validates its inputs up front (exit 2), runs the corresponding
-module pipeline (numerical failures exit 3), writes data files atomically,
-and drops a run-metadata JSON (inputs, package/library versions, wall time)
-next to the outputs.  Data files carry no timestamps, so identical configs
-reproduce byte-identical CSV bodies.
+Every command validates its inputs and the paths it will write up front
+(exit 2), then runs the corresponding module pipeline (numerical failures
+exit 3) and returns its files as text.  ``main`` writes every file, each
+atomically, and a run-metadata JSON (inputs, package/library versions, wall
+time) last; a failed run writes none.  Data files carry no timestamps, so
+identical configs reproduce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_metadata(config: argparse.Namespace, wall: float, extra=None) -> None:
+def _metadata(config: argparse.Namespace, wall: float, extra: dict) -> str:
     meta = {
         "command": config.command,
         "inputs": {k: v for k, v in vars(config).items() if k != "command"},
@@ -62,21 +63,32 @@ def _write_metadata(config: argparse.Namespace, wall: float, extra=None) -> None
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    if extra:
-        meta.update(extra)
-    _atomic_write(_metadata_path(config), json.dumps(meta, indent=2) + "\n")
+    meta.update(extra)
+    return json.dumps(meta, indent=2) + "\n"
 
 
-def _metadata_path(config: argparse.Namespace) -> str:
-    """Beside the output file, or inside the stats output directory."""
+# the files of one stats sector class, in the order _cmd_stats makes their texts
+_SECTOR_FILES = ("spectrum.csv", "histogram.csv", "reference.csv", "weyl_residual.csv",
+                 "summary.json")
+
+
+def _sector_files(out_dir: str, perm) -> list:
+    """The stats output files of one sector class."""
+    sub = os.path.join(out_dir, "sector_" + "".join(str(p) for p in perm))
+    return [os.path.join(sub, name) for name in _SECTOR_FILES]
+
+
+def _outputs(config: argparse.Namespace, sectors) -> list:
+    """Every path the run writes, in order: the data files, then the metadata
+    file; none without --output.  ``sectors`` are the stats sector classes."""
+    out = config.output_path
+    if not out:
+        return []
     if config.command == "stats":
-        return os.path.join(config.output_path, "run_metadata.json")
-    return config.output_path + ".meta.json"
-
-
-def _sector_dir(out_dir: str, perm) -> str:
-    """The stats output directory of one sector class."""
-    return os.path.join(out_dir, "sector_" + "".join(str(p) for p in perm))
+        data = [path for perm, _ in sectors for path in _sector_files(out, perm)]
+        return data + [os.path.join(out, "sectors.json"), os.path.join(out, "run_metadata.json")]
+    ground_state = vars(config).get("ground_state_path")
+    return [out, *([ground_state] if ground_state else []), out + ".meta.json"]
 
 
 def distinct_sector_orderings(masses: M.MassSequence) -> list:
@@ -104,10 +116,11 @@ class SystemExit2(Exception):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns ({path: text}, metadata extras), its
+# paths exactly the data files _outputs declares
 
 
-def _cmd_classify(config: argparse.Namespace) -> dict:
+def _cmd_classify(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     result = M.classify(seq)
     integrable = result.max_deviation < 1e-10
@@ -117,30 +130,29 @@ def _cmd_classify(config: argparse.Namespace) -> dict:
         f"({'integrable' if integrable else 'not integrable'} in this order)"
     )
     print(line)
-    if config.output_path:
-        payload = {
-            "masses": list(seq.masses),
-            "best": result.best.name,
-            "bracket": list(result.best.bracket),
-            "reversed_bracket": result.reversed_bracket,
-            "measured_angles": [sig12(a) for a in result.measured_angles],
-            "target_angles": [sig12(a) for a in result.target_angles],
-            "max_deviation": sig12(result.max_deviation),
-            "integrable": integrable,
-        }
-        _atomic_write(config.output_path, json.dumps(payload, indent=2) + "\n")
-    return {}
+    if not config.output_path:
+        return {}, {}
+    payload = {
+        "masses": list(seq.masses),
+        "best": result.best.name,
+        "bracket": list(result.best.bracket),
+        "reversed_bracket": result.reversed_bracket,
+        "measured_angles": [sig12(a) for a in result.measured_angles],
+        "target_angles": [sig12(a) for a in result.target_angles],
+        "max_deviation": sig12(result.max_deviation),
+        "integrable": integrable,
+    }
+    return {config.output_path: json.dumps(payload, indent=2) + "\n"}, {}
 
 
-def _cmd_family(config: argparse.Namespace) -> dict:
+def _cmd_family(config: argparse.Namespace) -> tuple:
     spec = M.coxeter_spec(config.spec)
     lo, hi = M.feasibility_interval(spec)
     r_min = config.r_min if config.r_min is not None else hi * 1e-3
     r_max = config.r_max if config.r_max is not None else hi * (1.0 - 1e-6)
     ratios = np.linspace(r_min, r_max, config.grid)
     curve = M.family_curve(spec, ratios)
-    _atomic_write(config.output_path, M.write_family_csv(curve))
-    return {
+    return {config.output_path: M.write_family_csv(curve)}, {
         "feasible_interval": [sig12(lo), sig12(hi)],
         "ratio_range": [r_min, r_max],
         "n_points": len(curve.points),
@@ -148,14 +160,13 @@ def _cmd_family(config: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_geometry(config: argparse.Namespace) -> dict:
+def _cmd_geometry(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     geom = G.sector_geometry(G.coincidence_normals(seq), config.ordering)
-    _atomic_write(config.output_path, G.geometry_to_json(geom) + "\n")
-    return {}
+    return {config.output_path: G.geometry_to_json(geom) + "\n"}, {}
 
 
-def _cmd_group(config: argparse.Namespace) -> dict:
+def _cmd_group(config: argparse.Namespace) -> tuple:
     if config.masses:
         seq = M.MassSequence(config.masses)
     else:
@@ -163,14 +174,13 @@ def _cmd_group(config: argparse.Namespace) -> dict:
         lo, hi = M.feasibility_interval(spec)
         seq = M.generate_family(spec, 1.0, 0.5 * hi)
     grp = GR.group_from_masses(seq)
-    _atomic_write(config.output_path, GR.group_to_json(grp) + "\n")
-    return {}
+    return {config.output_path: GR.group_to_json(grp) + "\n"}, {}
 
 
-def _cmd_exact(config: argparse.Namespace) -> dict:
+def _cmd_exact(config: argparse.Namespace) -> tuple:
     spec = M.coxeter_spec(config.spec)
     levels = E.energy_levels(spec, config.e_max, spec.rank + 1)
-    _atomic_write(config.output_path, E.levels_to_csv(levels))
+    files = {config.output_path: E.levels_to_csv(levels)}
     # the multiplicity of every lambda up to the largest one in the CSV
     top = max((lv.lam for lv in levels), default=-1)
     extra = {
@@ -181,9 +191,9 @@ def _cmd_exact(config: argparse.Namespace) -> dict:
         lo, hi = M.feasibility_interval(spec)
         grp = GR.group_from_masses(M.generate_family(spec, 1.0, 0.5 * hi))
         state = E.ground_state(grp)
-        _atomic_write(config.ground_state_path, state.polynomial.to_json() + "\n")
+        files[config.ground_state_path] = state.polynomial.to_json() + "\n"
         extra["ground_state_degree"] = state.polynomial.degree
-    return extra
+    return files, extra
 
 
 def _study(config: argparse.Namespace, sector, **tolerance) -> B.ConvergenceStudy:
@@ -205,12 +215,11 @@ def _discretization(study: B.ConvergenceStudy) -> dict:
     }
 
 
-def _cmd_billiard(config: argparse.Namespace) -> dict:
+def _cmd_billiard(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector)
-    _atomic_write(config.output_path, B.spectrum_to_csv(study))
-    return {
+    return {config.output_path: B.spectrum_to_csv(study)}, {
         "area": sig12(sector.geometry.area),
         "perimeter": sig12(sector.geometry.perimeter),
         "n_levels": len(study.values),
@@ -230,15 +239,14 @@ def _weyl_csv(study: B.ConvergenceStudy, geometry) -> tuple:
     return "\n".join(lines) + "\n", after
 
 
-def _cmd_weyl(config: argparse.Namespace) -> dict:
+def _cmd_weyl(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
     study = _study(config, sector)
     if study.converged_count == 0:
         raise InsufficientLevelsError("no level converged across --n-max")
     text, after = _weyl_csv(study, sector.geometry)
-    _atomic_write(config.output_path, text)
-    return {
+    return {config.output_path: text}, {
         "max_abs_residual": sig12(np.abs(after).max()),
         **_discretization(study),
     }
@@ -256,25 +264,16 @@ def _stats_one_sector(seq, perm, config: argparse.Namespace):
     return geom, study, unfolded, hist
 
 
-def _cmd_stats(config: argparse.Namespace) -> dict:
+def _cmd_stats(config: argparse.Namespace, sectors: list) -> tuple:
     seq = M.MassSequence(config.masses)
-    out_dir = config.output_path
-    sectors = distinct_sector_orderings(seq)
-    results = [(perm, mult, _stats_one_sector(seq, perm, config)) for perm, mult in sectors]
-    summary = {}
-    discretization = {}
+    files, summary, discretization = {}, {}, {}
     reference = ST.reference_curves_to_csv()
-    for perm, mult, (geom, study, unfolded, hist) in results:
+    for perm, mult in sectors:
+        geom, study, unfolded, hist = _stats_one_sector(seq, perm, config)
+        texts = (B.spectrum_to_csv(study), ST.histogram_to_csv(hist), reference,
+                 _weyl_csv(study, geom)[0], ST.summary_to_json(hist, unfolded) + "\n")
+        files.update(zip(_sector_files(config.output_path, perm), texts))
         tag = "".join(str(p) for p in perm)
-        files = {
-            "spectrum.csv": B.spectrum_to_csv(study),
-            "histogram.csv": ST.histogram_to_csv(hist),
-            "reference.csv": reference,
-            "weyl_residual.csv": _weyl_csv(study, geom)[0],
-            "summary.json": ST.summary_to_json(hist, unfolded) + "\n",
-        }
-        for name, text in files.items():
-            _atomic_write(os.path.join(_sector_dir(out_dir, perm), name), text)
         summary[tag] = {
             "multiplicity": mult,
             "area": sig12(geom.area),
@@ -283,10 +282,8 @@ def _cmd_stats(config: argparse.Namespace) -> dict:
             "ks_wigner": sig12(hist.ks_wigner),
         }
         discretization[tag] = _discretization(study)
-    _atomic_write(
-        os.path.join(out_dir, "sectors.json"), json.dumps(summary, indent=2) + "\n"
-    )
-    return {"n_sectors": len(sectors), "sectors": discretization}
+    files[os.path.join(config.output_path, "sectors.json")] = json.dumps(summary, indent=2) + "\n"
+    return files, {"n_sectors": len(sectors), "sectors": discretization}
 
 
 _IMPLEMENTATIONS = {
@@ -311,20 +308,18 @@ _NEEDED = {"masses": "--masses", "ordering": "--ordering", "spec": "--spec",
 _OPTIONAL = {("classify", "output_path"), ("group", "masses"), ("group", "spec")}
 
 
-def _check_output(flag: str, path: str, directory: bool) -> None:
-    """Refuse a path that cannot become an output file or directory; flag names it."""
-    kind = "directory" if directory else "file"
-    _require(path != "", f"{flag} must name a {kind}")
-    _require(not os.path.exists(path) or os.path.isdir(path) == directory,
-             f"{flag} {path} exists and is not a {kind}")
+def _check_output(path: str) -> None:
+    """Refuse a path that cannot become an output file."""
+    _require(not os.path.isdir(path), f"output {path} exists and is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
     _require(os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK),
-             f"{flag} {path}: {parent} is not a writable directory")
+             f"output {path}: {parent} is not a writable directory")
 
 
-def _validate(config: argparse.Namespace) -> None:
+def _validate(config: argparse.Namespace) -> tuple:
+    """Refuse bad inputs; returns the stats sector classes and the declared outputs."""
     cmd, given = config.command, vars(config)
     for dest, flag in _NEEDED.items():
         if dest in given and (cmd, dest) not in _OPTIONAL:
@@ -335,8 +330,7 @@ def _validate(config: argparse.Namespace) -> None:
             "group requires --spec or --masses",
         )
     for dest, flag in (("output_path", "--output"), ("ground_state_path", "--ground-state")):
-        if given.get(dest) is not None:
-            _check_output(flag, given[dest], directory=cmd == "stats")
+        _require(given.get(dest) != "", f"{flag} must name a path")
     masses = given.get("masses")
     if masses is not None:
         try:
@@ -345,16 +339,6 @@ def _validate(config: argparse.Namespace) -> None:
             raise SystemExit2(str(exc)) from exc
         if cmd != "classify":
             _require(len(masses) == 4, f"{cmd} supports exactly four masses")
-    if given.get("output_path"):
-        # what the command writes beside or under --output: (path, is a directory)
-        derived = [(_metadata_path(config), False)]
-        if cmd == "stats":
-            out = config.output_path
-            derived.append((os.path.join(out, "sectors.json"), False))
-            derived += [(_sector_dir(out, perm), True)
-                        for perm, _ in distinct_sector_orderings(M.MassSequence(masses))]
-        for path, directory in derived:
-            _check_output("derived output", path, directory)
     if given.get("ordering") is not None:
         _require(
             sorted(config.ordering) == [1, 2, 3, 4],
@@ -396,6 +380,15 @@ def _validate(config: argparse.Namespace) -> None:
     if "bins" in given:
         _require(config.bins >= 1, "--bins must be at least 1")
         _require(config.tol_spacings > 0, "--tol-spacings must be positive")
+    sectors = distinct_sector_orderings(M.MassSequence(masses)) if cmd == "stats" else None
+    paths = _outputs(config, sectors)
+    for path in paths:
+        _check_output(path)
+    # no file takes two outputs, and none lies where another needs a directory
+    for a, b in itertools.combinations(map(os.path.realpath, paths), 2):
+        shared = os.path.commonpath([a, b])
+        _require(shared not in (a, b), f"two outputs need the path {shared}")
+    return sectors, paths
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -429,22 +422,26 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Parse, validate, run, and write artifacts; returns the process exit code."""
+    """Parse, validate, run, then write the declared outputs; returns the exit code."""
     try:
         config = _parse(argv)
-        _validate(config)
+        sectors, paths = _validate(config)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
+    command = _IMPLEMENTATIONS[config.command]
     try:
-        extra = _IMPLEMENTATIONS[config.command](config)
+        files, extra = command(config, sectors) if sectors is not None else command(config)
     except KaleidoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    if config.output_path:
-        _write_metadata(config, wall, extra)
+    if set(files) != set(paths[:-1]):
+        raise RuntimeError(f"{config.command} returned {sorted(files)}, not {paths[:-1]}")
+    for path in paths[:-1]:
+        _atomic_write(path, files[path])
+    if paths:
+        _atomic_write(paths[-1], _metadata(config, time.perf_counter() - start, extra))
     return 0
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kaleidobilliards import cli
 from kaleidobilliards.cli import distinct_sector_orderings, main
 from kaleidobilliards.masses import (
     MassSequence,
@@ -72,7 +74,8 @@ SECTOR = EQUAL + ["--ordering", "1,2,3,4"]
 # Inputs rejected up front, by argparse or by validation; "{out}" is a fresh
 # output directory, "{case}" an existing directory, "{cfg}" a file holding
 # the row's text, and "{blocked}" a directory holding a directory
-# m.csv.meta.json and a file sector_1234, which block paths derived from --output.
+# m.csv.meta.json, a file sector_1234 and a directory st/sector_1234/spectrum.csv,
+# which block paths derived from --output.
 BAD_INPUTS = [
     ("missing ordering", ["geometry", *EQUAL, "--output", "{out}/g.json"], None),
     ("non-positive mass", ["classify", "--masses", "1,0,1,1"], None),
@@ -160,6 +163,16 @@ BAD_INPUTS = [
                                    "--output", "{blocked}/m.csv"], None),
     ("sector path a file", ["stats", *EQUAL, "--n-max", "6,8", "--k", "3",
                             "--output", "{blocked}"], None),
+    ("sector file a directory", ["stats", *EQUAL, "--n-max", "22,26", "--k", "70",
+                                 "--tol-spacings", "0.5", "--output", "{blocked}/st"], None),
+    ("ground state is the output", ["exact", "--spec", "H3", "--e-max", "10", "--output",
+                                    "{out}/l.csv", "--ground-state", "{out}/l.csv"], None),
+    ("ground state is the metadata", ["exact", "--spec", "H3", "--e-max", "10", "--output",
+                                      "{out}/m.csv", "--ground-state", "{out}/m.csv.meta.json"],
+     None),
+    ("ground state under the output", ["exact", "--spec", "H3", "--e-max", "10", "--output",
+                                       "{out}/l.csv", "--ground-state", "{out}/l.csv/gs.json"],
+     None),
 ] + [
     (f"no ladder for {name}", ["exact", "--spec", name, "--output", "{out}/l.csv"], None)
     for name in ("H4", "F4", "A4", "C4")
@@ -172,6 +185,7 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         out, cfg, blocked = case / "out", case / "run.json", case / "blocked"
         (blocked / "m.csv.meta.json").mkdir(parents=True)
         (blocked / "sector_1234").write_text("")
+        (blocked / "st" / "sector_1234" / "spectrum.csv").mkdir(parents=True)
         if config_text is not None:
             cfg.write_text(config_text)
         before = sorted(case.rglob("*"))
@@ -184,18 +198,38 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert sorted(case.rglob("*")) == before, f"{reason}: wrote a file"
 
 
-def test_numerical_failures_exit_3(tmp_path, capsys):
+# Runs that fail in the pipeline: (argv, error class, message detail); "{out}"
+# is a fresh output directory
+NUMERICAL_FAILURES = [
     # 1e-30 drops out of the pair sums, so this sector degenerates
-    out = tmp_path / "bad.csv"
-    code = main([
-        "billiard", "--masses", "1e-30,1,1,1", "--ordering", "2,1,3,4",
-        "--n-max", "6", "--k", "3", "--output", str(out),
-    ])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: GeometryError") and err.count("\n") == 1
-    assert "mass ratio 1.000e-30 is below float64 resolution" in err
-    assert not out.exists()
+    (["billiard", "--masses", "1e-30,1,1,1", "--ordering", "2,1,3,4", "--n-max", "6",
+      "--k", "3", "--output", "{out}/bad.csv"],
+     "GeometryError", "mass ratio 1.000e-30 is below float64 resolution"),
+    # no level drifts by less than 1e-4 spacings between such small truncations
+    (["stats", *EQUAL, "--n-max", "3,4", "--k", "3", "--tol-spacings", "0.0001",
+      "--output", "{out}/st"],
+     "InsufficientLevelsError", "only 0 converged levels"),
+]
+
+
+def test_outputs_through_a_symlink_collide(tmp_path, capsys):
+    (tmp_path / "alias").symlink_to(tmp_path)
+    code = main(["exact", "--spec", "H3", "--e-max", "10", "--output", str(tmp_path / "l.csv"),
+                 "--ground-state", str(tmp_path / "alias" / "l.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: two outputs need the path")
+    assert [p.name for p in tmp_path.iterdir()] == ["alias"]
+
+
+def test_numerical_failures_exit_3(tmp_path, capsys):
+    for argv, error, detail in NUMERICAL_FAILURES:
+        out = tmp_path / argv[0]
+        code = main([a.replace("{out}", str(out)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3, f"{argv[0]}: exit {code}"
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+        assert detail in err
+        assert not out.exists(), f"{argv[0]}: wrote a file"
 
 
 # masses whose sums or products leave float64 range although their ratios do not
@@ -468,3 +502,36 @@ def test_reruns_byte_identical(name, tmp_path, capsys):
         })
     capsys.readouterr()
     assert runs[0] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(RERUNS))
+def test_written_files_are_the_declared_outputs(name, tmp_path, capsys, monkeypatch):
+    validate, orderings = cli._validate, cli.distinct_sector_orderings
+    declared, calls = [], []
+
+    def recording_validate(config):
+        sectors, paths = validate(config)
+        declared.extend(paths)
+        return sectors, paths
+
+    def counting_orderings(masses):
+        calls.append(masses)
+        return orderings(masses)
+
+    monkeypatch.setattr(cli, "_validate", recording_validate)
+    monkeypatch.setattr(cli, "distinct_sector_orderings", counting_orderings)
+    assert main([a.replace("{out}", str(tmp_path)) for a in RERUNS[name]]) == 0
+    capsys.readouterr()
+    assert declared[-1].endswith(("meta.json", "run_metadata.json"))
+    assert len(set(declared)) == len(declared)
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == {Path(p) for p in declared}
+    assert len(calls) == (name == "stats")
+
+
+def test_undeclared_command_output_is_not_written(tmp_path, capsys, monkeypatch):
+    out, stray = tmp_path / "g.json", tmp_path / "stray.json"
+    monkeypatch.setitem(cli._IMPLEMENTATIONS, "geometry",
+                        lambda config: ({str(out): "{}", str(stray): "{}"}, {}))
+    with pytest.raises(RuntimeError, match="stray.json"):
+        main(["geometry", *SECTOR, "--output", str(out)])
+    assert list(tmp_path.iterdir()) == []
