@@ -22,11 +22,15 @@ The tables are summed over xi in blocks of eta columns; then each slab
 T[p, :, :, :] is one sparse t-side map times the s-side rows of the
 tables, and is gathered onto the basis pairs before the next is built.
 
-The generalized eigensolver computes only the k lowest eigenvalues, in the
-storage of the matrices it is given.  A convergence study assembles once,
-at its top truncation; a lower truncation n' is the principal submatrix on
-the pairs with m <= n', so the Galerkin spaces of the study are exactly
-nested.
+The generalized eigensolver is mixed-precision: a dense float32 solve gives
+the eigenvectors of the k + 10 lowest levels, and the levels are the k
+lowest eigenvalues of the float64 pencil projected onto them (Rayleigh-
+Ritz), so each stays a min-max upper bound on its float64 Galerkin level.
+The float32 pencil is built in the storage of the matrices it is given.
+A convergence study assembles once, at its top truncation; a lower
+truncation n' is the principal submatrix on the pairs with m <= n', solved
+from the top matrices without copying them, so the Galerkin spaces of the
+study are exactly nested.
 """
 
 from __future__ import annotations
@@ -259,6 +263,9 @@ _ROW_BLOCK = 16
 # eta columns of the quadrature grid per block of alpha moments: bounds the
 # trig temporaries at a few MB at n_max 90
 _ETA_BLOCK = 8
+# eigenvectors computed beyond the k levels returned: the Rayleigh-Ritz step
+# then resolves a degenerate cluster that the k-th level splits
+_OVERSAMPLE = 10
 
 
 def _quadrature_grid(order: int):
@@ -452,31 +459,113 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 # spectrum
 
 
-def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int) -> np.ndarray:
+def _float32_pencil(a_mat: np.ndarray, b_mat: np.ndarray, rows) -> tuple:
+    """The float32 pencil (A32, B32) of the solve; only their lower triangles are read.
+
+    With ``rows`` None the pencil moves into the matrices' own storage: B's
+    strict upper triangle goes into A's, and b_mat's buffer becomes B32 in
+    its first half and A32 in its second.  B32 takes the first half because
+    that is the 8-byte aligned one at odd N, and scipy's sygvx copies a
+    misaligned b.  Returns (A32, B32, B's diagonal); the float64 A is then
+    the lower triangle of a_mat and B its strict upper triangle plus that
+    diagonal.  With ``rows`` set, the principal submatrices are gathered
+    into new float32 arrays and a_mat, b_mat are left intact.
+    """
+    n = len(a_mat) if rows is None else len(rows)
+    if rows is not None:
+        # B32 in the first half, the 8-byte aligned one at odd n
+        b32, a32 = np.empty((2, n, n), dtype=np.float32)
+        for start in range(0, n, _ROW_BLOCK):
+            block = np.ix_(rows[start:start + _ROW_BLOCK], rows)
+            a32[start:start + _ROW_BLOCK] = a_mat[block]
+            b32[start:start + _ROW_BLOCK] = b_mat[block]
+        return a32, b32, None
+    b_diag = b_mat.diagonal().copy()
+    for i in range(n - 1):
+        a_mat[i, i + 1:] = b_mat[i, i + 1:]
+    halves = b_mat.reshape(-1).view(np.float32)
+    b32, a32 = halves[:n * n].reshape(n, n), halves[n * n:].reshape(n, n)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        # rows start:stop left of the block's end; right of the diagonal they
+        # hold the other matrix, which LAPACK does not read
+        a32[start:stop, :stop] = a_mat[start:stop, :stop]
+        b32[start:stop, :stop] = a_mat[:stop, start:stop].T
+    b32.flat[::n + 1] = b_diag
+    return a32, b32, b_diag
+
+
+def _eigensolver_error(exc: Exception) -> EigensolverError:
+    """The EigensolverError of a LAPACK failure, worded by its cause."""
+    if "leading minor" in str(exc):
+        # LAPACK names the order of the leading minor of B that is not
+        # positive-definite
+        return EigensolverError(
+            f"generalized eigensolver failed ({exc}); an overlap matrix that is "
+            "not positive-definite needs a higher quadrature_order"
+        )
+    return EigensolverError(
+        f"generalized eigensolver did not converge ({exc}); the pencil is "
+        "too ill-conditioned for its float32 eigenvectors"
+    )
+
+
+def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, rows=None) -> np.ndarray:
     """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense), ascending.
 
-    Only the min(k, N) lowest values are computed.  The solver factors B
-    itself, so a B that is not positive-definite fails here.  Both matrices
-    are consumed: LAPACK works in their storage, so their contents are
-    undefined afterwards.  They must be symmetric; a C-ordered matrix is
-    passed to LAPACK as its transpose, which is the same matrix in Fortran
-    order and needs no copy.
+    Only the min(k, N) lowest values are returned.  The pencil is solved in
+    float32 for the eigenvectors X of the k + ``_OVERSAMPLE`` lowest levels;
+    the levels are the k lowest eigenvalues of the float64 projected pencil
+    (X^T A X, X^T B X).  They are Ritz values of a subspace of the Galerkin
+    space, so each is at or above the float64 Galerkin level, and the
+    oversampling keeps a degenerate cluster split at k accurate.  The
+    solver factors B itself, so a B that is not positive-definite fails
+    here.
+
+    With ``rows`` None both matrices are consumed: the float32 pencil is
+    built in their storage, so their contents are undefined afterwards and
+    no N x N array is allocated.  With ``rows`` (indices into the
+    matrices) the pencil is the principal submatrix on those rows; a_mat
+    and b_mat are left intact, and only its float32 copy is allocated.  The
+    matrices must be symmetric float64; a C-ordered matrix is passed to
+    LAPACK and BLAS as its transpose, the same matrix in Fortran order,
+    which needs no copy.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    count = min(k, len(a_mat))
+    n = len(a_mat) if rows is None else len(rows)
+    count = min(k, n)
+    a32, b32, b_diag = _float32_pencil(a_mat, b_mat, rows)
     try:
-        vals = scipy.linalg.eigh(
-            a_mat.T, b_mat.T, eigvals_only=True, check_finite=False, driver="gvx",
-            subset_by_index=[0, count - 1], overwrite_a=True, overwrite_b=True,
+        # LAPACK reads the Fortran upper triangle of the transposes: the
+        # C-order lower triangles of A32 and B32
+        _, vecs = scipy.linalg.eigh(
+            a32.T, b32.T, lower=False, check_finite=False, driver="gvx",
+            subset_by_index=[0, min(count + _OVERSAMPLE, n) - 1],
+            overwrite_a=True, overwrite_b=True,
         )
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        # LAPACK names the order of the leading minor of B that is not
-        # positive-definite
-        raise EigensolverError(
-            f"generalized eigensolver failed ({exc}); an overlap matrix that is "
-            "not positive-definite needs a higher quadrature_order"
-        ) from exc
+        raise _eigensolver_error(exc) from exc
+    if rows is None:
+        x = np.asfortranarray(vecs, dtype=float)
+        # A in the C-order lower triangle of a_mat (Fortran upper of a_mat.T)
+        a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=0)
+        np.fill_diagonal(a_mat, b_diag)
+        b_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=1)
+    else:
+        x = np.zeros((len(a_mat), vecs.shape[1]), order="F")
+        x[rows] = vecs
+        a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x)
+        b_x = scipy.linalg.blas.dsymm(1.0, b_mat.T, x)
+    a_proj, b_proj = x.T @ a_x, x.T @ b_x
+    try:
+        # twice the symmetric parts: the same eigenvalues
+        vals = scipy.linalg.eigh(
+            a_proj + a_proj.T, b_proj + b_proj.T, eigvals_only=True,
+            check_finite=False, subset_by_index=[0, count - 1],
+        )
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise _eigensolver_error(exc) from exc
     if vals[0] <= 0.0:
         raise EigensolverError(
             f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
@@ -500,7 +589,8 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     3 n_max of the top), serves the whole grid: a lower truncation n' keeps
     the pairs with m <= n', so its matrices are principal submatrices of
     the top ones.  The Galerkin spaces are nested under the same discrete
-    forms, and the eigenvalues cannot rise with n_max.  A one-entry grid
+    forms, so the Galerkin levels cannot rise with n_max; the reported Ritz
+    levels can, by no more than their Ritz error.  A one-entry grid
     has no drifts, and every level of it counts as converged.
     """
     grid = tuple(int(n) for n in n_max_grid)
@@ -515,8 +605,7 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     spectra = []
     for n_max in grid[:-1]:
         rows = np.flatnonzero(m_of_pair <= n_max)
-        keep = np.ix_(rows, rows)
-        spectra.append(solve_spectrum(a_top[keep], b_top[keep], k))
+        spectra.append(solve_spectrum(a_top, b_top, k, rows=rows))
     spectra.append(solve_spectrum(a_top, b_top, k))
     n_common = min(len(vals) for vals in spectra)
     deltas = np.array(

@@ -43,11 +43,27 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp opens 0600; give the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _blas() -> dict:
+    """The BLAS that scipy's solves ran on, and the threads it could use."""
+    build = __import__("scipy").show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "name": build.get("name"),
+        "version": build.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+    }
 
 
 def _metadata(config: argparse.Namespace, wall: float, extra: dict) -> str:
@@ -59,6 +75,7 @@ def _metadata(config: argparse.Namespace, wall: float, extra: dict) -> str:
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
         },
+        "blas": _blas(),
         "wall_time_s": round(wall, 3),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

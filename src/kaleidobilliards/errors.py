@@ -42,8 +42,9 @@ class QuadratureError(KaleidoError):
 
 
 class EigensolverError(KaleidoError):
-    """Generalized eigensolver failed, e.g. on an overlap matrix that is not
-    positive-definite (too low a quadrature order)."""
+    """Generalized eigensolver failed: on an overlap matrix that is not
+    positive-definite (too low a quadrature order), or on eigenvectors that
+    did not converge."""
 
 
 class InsufficientLevelsError(KaleidoError):

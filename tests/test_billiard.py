@@ -589,16 +589,73 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
     np.testing.assert_allclose(vals, full, rtol=1e-10)
 
 
-def test_solve_spectrum_in_place_matches_copying_solve():
-    a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), BasisTruncation(14), 42)
-    want = scipy.linalg.eigh(a, b, eigvals_only=True, driver="gvx", subset_by_index=[0, 11])
-    np.testing.assert_array_equal(solve_spectrum(a.copy(), b.copy(), 12), want)
+@pytest.mark.parametrize(
+    "name,n_max,k",
+    # k 5, 7 and 8 split the octant's degenerate clusters lambda 7 and 9
+    [("H3", 14, 12), ("octant", 40, 5), ("octant", 40, 7), ("octant", 40, 8)],
+)
+def test_solve_spectrum_levels_bound_float64_levels(name, n_max, k):
+    sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    a, b = assemble(sec, BasisTruncation(n_max), 3 * n_max)
+    want = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, k - 1])
+    got = solve_spectrum(a, b, k)
+    # Ritz values of a subspace of the Galerkin space: upper bounds
+    assert np.all(got >= want * (1.0 - 1e-12))
+    np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
+
+
+def _lower_rows(trunc, n_max):
+    return np.flatnonzero(np.array([m for _, m in trunc.index_pairs]) <= n_max)
+
+
+def test_solve_spectrum_rows_leaves_matrices_intact():
+    trunc = BasisTruncation(20)
+    a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), trunc, 60)
+    a_ref, b_ref = a.copy(), b.copy()
+    rows = _lower_rows(trunc, 16)
+    got = solve_spectrum(a, b, 15, rows=rows)
+    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+    want = solve_spectrum(a[np.ix_(rows, rows)], b[np.ix_(rows, rows)], 15)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_solve_spectrum_allocates_no_pencil_copy():
+    # odd N: a float32 matrix in the second half of b's buffer is not 8-byte
+    # aligned, and scipy's sygvx would copy it if it were b
+    trunc = BasisTruncation(30)
+    a, b = assemble(octant_sector(), trunc, 90)
+    assert len(a) % 2 == 1
+    f32_bytes = 4 * len(a) ** 2
+    rows = _lower_rows(trunc, 26)
+    solve_spectrum(a, b, 4, rows=rows)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        solve_spectrum(a, b, 12, rows=rows)
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_spectrum(a, b, 12)
+        in_place_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows_peak < 2 * f32_bytes
+    assert in_place_peak < f32_bytes
 
 
 def test_indefinite_overlap_error_names_quadrature_order():
     with pytest.raises(EigensolverError, match="quadrature_order") as info:
         solve_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 2)
     assert "leading minor of order 2" in str(info.value)
+
+
+def test_unconverged_eigenvectors_error_names_the_cause(monkeypatch):
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("3 eigenvectors failed to converge.")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    with pytest.raises(EigensolverError, match="did not converge") as info:
+        solve_spectrum(np.eye(3), np.eye(3), 2)
+    assert "3 eigenvectors failed to converge" in str(info.value)
+    assert "quadrature_order" not in str(info.value)
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -325,6 +325,20 @@ def test_exact_levels_csv(tmp_path, capsys):
     assert sum(state[0]["exponents"]) == 15
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_take_the_umask_mode(umask, tmp_path, capsys):
+    out = tmp_path / "levels.csv"
+    previous = os.umask(umask)
+    try:
+        code = main(["exact", "--spec", "H3", "--e-max", "10", "--output", str(out)])
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    assert code == 0
+    for path in (out, tmp_path / "levels.csv.meta.json"):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
+
+
 # -- billiard / weyl ----------------------------------------------------------------
 
 def test_billiard_first_lambda(tmp_path, capsys):
@@ -356,6 +370,10 @@ def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 45)
     assert meta["inputs"]["n_max"] == [10, 14]
     assert meta["peak_rss_mb"] > 0
+    blas = meta["blas"]
+    assert blas["name"] and blas["version"]
+    assert blas["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert blas["cpus"] >= 1
 
 
 def test_weyl_residual_csv(tmp_path, capsys):
