@@ -26,11 +26,12 @@ The generalized eigensolver is mixed-precision: a dense float32 solve gives
 the eigenvectors of the k + 10 lowest levels, and the levels are the k
 lowest eigenvalues of the float64 pencil projected onto them (Rayleigh-
 Ritz), so each stays a min-max upper bound on its float64 Galerkin level.
-The float32 pencil is built in the storage of the matrices it is given.
 A convergence study assembles once, at its top truncation; a lower
-truncation n' is the principal submatrix on the pairs with m <= n', solved
-from the top matrices without copying them, so the Galerkin spaces of the
-study are exactly nested.
+truncation n' is the principal submatrix on the pairs with m <= n', so the
+Galerkin spaces of the study are exactly nested.  One call solves every
+truncation the same way: the float64 pencil is packed into A's storage,
+and each float32 pencil is gathered from it into B's, so no copy of the
+matrices is made.
 """
 
 from __future__ import annotations
@@ -459,40 +460,27 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 # spectrum
 
 
-def _float32_pencil(a_mat: np.ndarray, b_mat: np.ndarray, rows) -> tuple:
-    """The float32 pencil (A32, B32) of the solve; only their lower triangles are read.
+def _float32_pencil(packed: np.ndarray, b_diag: np.ndarray, buffer: np.ndarray,
+                    rows: np.ndarray) -> tuple:
+    """The float32 pencil (A32, B32) on ``rows``; only their lower triangles are read.
 
-    With ``rows`` None the pencil moves into the matrices' own storage: B's
-    strict upper triangle goes into A's, and b_mat's buffer becomes B32 in
-    its first half and A32 in its second.  B32 takes the first half because
-    that is the 8-byte aligned one at odd N, and scipy's sygvx copies a
-    misaligned b.  Returns (A32, B32, B's diagonal); the float64 A is then
-    the lower triangle of a_mat and B its strict upper triangle plus that
-    diagonal.  With ``rows`` set, the principal submatrices are gathered
-    into new float32 arrays and a_mat, b_mat are left intact.
+    ``packed`` holds A in its lower triangle and B's strict upper triangle
+    above it.  Both are gathered into ``buffer``: B32 first, because that
+    start is 8-byte aligned and scipy's sygvx copies a misaligned b, then
+    A32.  ``rows`` ascend, so entry (i, j <= i) of A32 lies in the packed
+    lower triangle and that of B32 in the upper one.
     """
-    n = len(a_mat) if rows is None else len(rows)
-    if rows is not None:
-        # B32 in the first half, the 8-byte aligned one at odd n
-        b32, a32 = np.empty((2, n, n), dtype=np.float32)
-        for start in range(0, n, _ROW_BLOCK):
-            block = np.ix_(rows[start:start + _ROW_BLOCK], rows)
-            a32[start:start + _ROW_BLOCK] = a_mat[block]
-            b32[start:start + _ROW_BLOCK] = b_mat[block]
-        return a32, b32, None
-    b_diag = b_mat.diagonal().copy()
-    for i in range(n - 1):
-        a_mat[i, i + 1:] = b_mat[i, i + 1:]
-    halves = b_mat.reshape(-1).view(np.float32)
-    b32, a32 = halves[:n * n].reshape(n, n), halves[n * n:].reshape(n, n)
+    n = len(rows)
+    halves = buffer.reshape(-1).view(np.float32)
+    b32, a32 = halves[:n * n].reshape(n, n), halves[n * n:2 * n * n].reshape(n, n)
     for start in range(0, n, _ROW_BLOCK):
         stop = start + _ROW_BLOCK
         # rows start:stop left of the block's end; right of the diagonal they
         # hold the other matrix, which LAPACK does not read
-        a32[start:stop, :stop] = a_mat[start:stop, :stop]
-        b32[start:stop, :stop] = a_mat[:stop, start:stop].T
-    b32.flat[::n + 1] = b_diag
-    return a32, b32, b_diag
+        a32[start:stop, :stop] = packed[np.ix_(rows[start:stop], rows[:stop])]
+        b32[start:stop, :stop] = packed[np.ix_(rows[:stop], rows[start:stop])].T
+    b32.flat[::n + 1] = b_diag[rows]
+    return a32, b32
 
 
 def _eigensolver_error(exc: Exception) -> EigensolverError:
@@ -510,68 +498,73 @@ def _eigensolver_error(exc: Exception) -> EigensolverError:
     )
 
 
-def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, rows=None) -> np.ndarray:
-    """Lowest k eigenvalues of A x = E B x (symmetric-definite, dense), ascending.
+def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, row_sets=None) -> list:
+    """Lowest k eigenvalues of A x = E B x on each row set (symmetric-definite, dense).
 
-    Only the min(k, N) lowest values are returned.  The pencil is solved in
-    float32 for the eigenvectors X of the k + ``_OVERSAMPLE`` lowest levels;
-    the levels are the k lowest eigenvalues of the float64 projected pencil
-    (X^T A X, X^T B X).  They are Ritz values of a subspace of the Galerkin
-    space, so each is at or above the float64 Galerkin level, and the
-    oversampling keeps a degenerate cluster split at k accurate.  The
-    solver factors B itself, so a B that is not positive-definite fails
-    here.
+    Returns one ascending array per row set: the min(k, N') lowest values
+    of the principal subpencil on those N' rows; ``row_sets`` None is the
+    one set of all rows.  Every set is solved the same way: its pencil is
+    solved in float32 for the eigenvectors X of the k + ``_OVERSAMPLE``
+    lowest levels, and the levels are the k lowest eigenvalues of the
+    float64 projected pencil (X^T A X, X^T B X).  They are Ritz values of a
+    subspace of the Galerkin space, so each is at or above the float64
+    Galerkin level, and the oversampling keeps a degenerate cluster split
+    at k accurate.  The solver factors B itself, so a B that is not
+    positive-definite fails here.
 
-    With ``rows`` None both matrices are consumed: the float32 pencil is
-    built in their storage, so their contents are undefined afterwards and
-    no N x N array is allocated.  With ``rows`` (indices into the
-    matrices) the pencil is the principal submatrix on those rows; a_mat
-    and b_mat are left intact, and only its float32 copy is allocated.  The
+    Both matrices are consumed: B's strict upper triangle moves into A's
+    once, and b_mat's buffer holds each float32 pencil in turn, so their
+    contents are undefined afterwards and no N x N array is allocated.  The
     matrices must be symmetric float64; a C-ordered matrix is passed to
-    LAPACK and BLAS as its transpose, the same matrix in Fortran order,
-    which needs no copy.
+    LAPACK and BLAS as its transpose, the same matrix in Fortran order.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    n = len(a_mat) if rows is None else len(rows)
-    count = min(k, n)
-    a32, b32, b_diag = _float32_pencil(a_mat, b_mat, rows)
-    try:
-        # LAPACK reads the Fortran upper triangle of the transposes: the
-        # C-order lower triangles of A32 and B32
-        _, vecs = scipy.linalg.eigh(
-            a32.T, b32.T, lower=False, check_finite=False, driver="gvx",
-            subset_by_index=[0, min(count + _OVERSAMPLE, n) - 1],
-            overwrite_a=True, overwrite_b=True,
-        )
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise _eigensolver_error(exc) from exc
-    if rows is None:
-        x = np.asfortranarray(vecs, dtype=float)
-        # A in the C-order lower triangle of a_mat (Fortran upper of a_mat.T)
-        a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=0)
-        np.fill_diagonal(a_mat, b_diag)
-        b_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=1)
-    else:
-        x = np.zeros((len(a_mat), vecs.shape[1]), order="F")
-        x[rows] = vecs
-        a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x)
-        b_x = scipy.linalg.blas.dsymm(1.0, b_mat.T, x)
-    a_proj, b_proj = x.T @ a_x, x.T @ b_x
-    try:
-        # twice the symmetric parts: the same eigenvalues
-        vals = scipy.linalg.eigh(
-            a_proj + a_proj.T, b_proj + b_proj.T, eigvals_only=True,
-            check_finite=False, subset_by_index=[0, count - 1],
-        )
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise _eigensolver_error(exc) from exc
-    if vals[0] <= 0.0:
-        raise EigensolverError(
-            f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
-            "or overlap ill-conditioned"
-        )
-    return vals
+    size = len(a_mat)
+    row_sets = [np.asarray(rows, dtype=np.intp)
+                for rows in ([range(size)] if row_sets is None else row_sets)]
+    for rows in row_sets:
+        if not (rows.ndim == 1 and rows.size and 0 <= rows[0] and rows[-1] < size
+                and np.all(np.diff(rows) > 0)):
+            raise ValueError(f"row sets must be strictly ascending indices in [0, {size})")
+    a_diag, b_diag = a_mat.diagonal().copy(), b_mat.diagonal().copy()
+    for i in range(size - 1):
+        a_mat[i, i + 1:] = b_mat[i, i + 1:]
+    spectra = []
+    for rows in row_sets:
+        count = min(k, len(rows))
+        a32, b32 = _float32_pencil(a_mat, b_diag, b_mat, rows)
+        try:
+            # LAPACK reads the Fortran upper triangle of the transposes: the
+            # C-order lower triangles of A32 and B32
+            _, vecs = scipy.linalg.eigh(
+                a32.T, b32.T, lower=False, check_finite=False, driver="gvx",
+                subset_by_index=[0, min(count + _OVERSAMPLE, len(rows)) - 1],
+                overwrite_a=True, overwrite_b=True,
+            )
+            x = np.zeros((size, vecs.shape[1]), order="F")
+            x[rows] = vecs
+            # A in the C-order lower triangle of a_mat (Fortran upper of
+            # a_mat.T), B in the upper one while B's diagonal is in place
+            a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=0)
+            np.fill_diagonal(a_mat, b_diag)
+            b_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=1)
+            np.fill_diagonal(a_mat, a_diag)
+            a_proj, b_proj = x.T @ a_x, x.T @ b_x
+            # twice the symmetric parts: the same eigenvalues
+            vals = scipy.linalg.eigh(
+                a_proj + a_proj.T, b_proj + b_proj.T, eigvals_only=True,
+                check_finite=False, subset_by_index=[0, count - 1],
+            )
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise _eigensolver_error(exc) from exc
+        if vals[0] <= 0.0:
+            raise EigensolverError(
+                f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
+                "or overlap ill-conditioned"
+            )
+        spectra.append(vals)
+    return spectra
 
 
 def solve_sector(sector: FlattenedSector, n_max: int, k: int,
@@ -598,15 +591,14 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
         raise ValueError("n_max grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_max grid must be strictly ascending")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     top = BasisTruncation(grid[-1])
     order = quadrature_order if quadrature_order is not None else 3 * top.n_max
     a_top, b_top = assemble(sector, top, order)
     m_of_pair = np.array([m for _, m in top.index_pairs])
-    spectra = []
-    for n_max in grid[:-1]:
-        rows = np.flatnonzero(m_of_pair <= n_max)
-        spectra.append(solve_spectrum(a_top, b_top, k, rows=rows))
-    spectra.append(solve_spectrum(a_top, b_top, k))
+    spectra = solve_spectrum(a_top, b_top, k,
+                             [np.flatnonzero(m_of_pair <= n_max) for n_max in grid])
     n_common = min(len(vals) for vals in spectra)
     deltas = np.array(
         [np.abs(nxt[:n_common] - prv[:n_common]) for prv, nxt in zip(spectra, spectra[1:])]

@@ -396,7 +396,7 @@ def _validate(config: argparse.Namespace) -> tuple:
         )
     if "bins" in given:
         _require(config.bins >= 1, "--bins must be at least 1")
-        _require(config.tol_spacings > 0, "--tol-spacings must be positive")
+        _require(0 < config.tol_spacings < math.inf, "--tol-spacings must be positive and finite")
     sectors = distinct_sector_orderings(M.MassSequence(masses)) if cmd == "stats" else None
     paths = _outputs(config, sectors)
     for path in paths:

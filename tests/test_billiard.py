@@ -432,7 +432,7 @@ def test_assemble_working_set_is_a_few_matrices():
 def test_assemble_at_quadrature_floor_gives_definite_overlap():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     a, b = assemble(sec, BasisTruncation(12), quadrature_order=36)
-    vals = solve_spectrum(a, b, 10)
+    (vals,) = solve_spectrum(a, b, 10)
     assert len(vals) == 10 and vals[0] > 0
 
 
@@ -560,6 +560,13 @@ def test_convergence_study_octant_ground_level():
     assert study.converged_count >= 1
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-2])
+def test_convergence_study_rejects_tolerance_not_positive_finite(tolerance):
+    # deltas > nan is always False: every level would count as converged
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        convergence_study(octant_sector(), (8, 10), 6, tolerance=tolerance)
+
+
 def test_convergence_count_is_prefix():
     sec = flatten_sector(H3_SEQ, (2, 1, 3, 4))
     study = convergence_study(sec, (20, 26), k=60, tolerance=0.5)
@@ -584,7 +591,7 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
     a, b = assemble(sec, BasisTruncation(6), quadrature_order=18)
     # the reference first: solve_spectrum consumes its matrices
     full = scipy.linalg.eigh(a, b, eigvals_only=True)
-    vals = solve_spectrum(a, b, 100)
+    (vals,) = solve_spectrum(a, b, 100)
     assert len(vals) == len(full) == 15
     np.testing.assert_allclose(vals, full, rtol=1e-10)
 
@@ -598,7 +605,7 @@ def test_solve_spectrum_levels_bound_float64_levels(name, n_max, k):
     sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
     a, b = assemble(sec, BasisTruncation(n_max), 3 * n_max)
     want = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, k - 1])
-    got = solve_spectrum(a, b, k)
+    (got,) = solve_spectrum(a, b, k)
     # Ritz values of a subspace of the Galerkin space: upper bounds
     assert np.all(got >= want * (1.0 - 1e-12))
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
@@ -608,15 +615,25 @@ def _lower_rows(trunc, n_max):
     return np.flatnonzero(np.array([m for _, m in trunc.index_pairs]) <= n_max)
 
 
-def test_solve_spectrum_rows_leaves_matrices_intact():
+@pytest.mark.parametrize("top_first", [False, True], ids=["lower_first", "top_first"])
+def test_solve_spectrum_row_sets_match_submatrix_solves(top_first):
+    # the sets share the packed pencil: each later solve needs A's diagonal back
     trunc = BasisTruncation(20)
     a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), trunc, 60)
-    a_ref, b_ref = a.copy(), b.copy()
-    rows = _lower_rows(trunc, 16)
-    got = solve_spectrum(a, b, 15, rows=rows)
-    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
-    want = solve_spectrum(a[np.ix_(rows, rows)], b[np.ix_(rows, rows)], 15)
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    row_sets = [_lower_rows(trunc, n_max) for n_max in (14, 17, 20)][::-1 if top_first else 1]
+    want = [solve_spectrum(a[np.ix_(rows, rows)], b[np.ix_(rows, rows)], 15)[0]
+            for rows in row_sets]
+    got = solve_spectrum(a, b, 15, row_sets)
+    assert len(got) == len(want)
+    for got_vals, want_vals in zip(got, want):
+        np.testing.assert_allclose(got_vals, want_vals, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("rows", [[1, 0, 2], [0, 1, 1], [0, 3], [-1, 0], []])
+def test_solve_spectrum_rejects_row_sets_not_ascending_in_range(rows):
+    # the packed gather reads the right triangle only for ascending rows
+    with pytest.raises(ValueError, match="strictly ascending indices in \\[0, 3\\)"):
+        solve_spectrum(np.eye(3), np.eye(3), 1, [[0, 1, 2], rows])
 
 
 def test_solve_spectrum_allocates_no_pencil_copy():
@@ -625,20 +642,15 @@ def test_solve_spectrum_allocates_no_pencil_copy():
     trunc = BasisTruncation(30)
     a, b = assemble(octant_sector(), trunc, 90)
     assert len(a) % 2 == 1
-    f32_bytes = 4 * len(a) ** 2
-    rows = _lower_rows(trunc, 26)
-    solve_spectrum(a, b, 4, rows=rows)  # imports and caches outside the trace
+    row_sets = [_lower_rows(trunc, 26), _lower_rows(trunc, 30)]
+    solve_spectrum(a.copy(), b.copy(), 4, row_sets)  # imports and caches outside the trace
     tracemalloc.start()
     try:
-        solve_spectrum(a, b, 12, rows=rows)
-        rows_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        solve_spectrum(a, b, 12)
-        in_place_peak = tracemalloc.get_traced_memory()[1]
+        solve_spectrum(a, b, 12, row_sets)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows_peak < 2 * f32_bytes
-    assert in_place_peak < f32_bytes
+    assert peak < 4 * len(a) ** 2
 
 
 def test_indefinite_overlap_error_names_quadrature_order():

@@ -102,6 +102,8 @@ BAD_INPUTS = [
     ("zero tolerance", ["stats", *EQUAL, "--tol-spacings", "0", "--output", "{out}/st"], None),
     ("negative tolerance", ["stats", *EQUAL, "--tol-spacings", "-0.5",
                             "--output", "{out}/st"], None),
+    ("infinite tolerance", ["stats", *EQUAL, "--tol-spacings", "inf",
+                            "--output", "{out}/st"], None),
     ("quadrature below 3 n_max", ["billiard", *SECTOR, "--n-max", "10",
                                   "--quadrature-order", "29", "--output", "{out}/s.csv"], None),
     ("quadrature below the top truncation", ["stats", *EQUAL, "--n-max", "10,12",
