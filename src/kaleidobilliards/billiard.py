@@ -26,12 +26,13 @@ The generalized eigensolver is mixed-precision: a dense float32 solve gives
 the eigenvectors of the k + 10 lowest levels, and the levels are the k
 lowest eigenvalues of the float64 pencil projected onto them (Rayleigh-
 Ritz), so each stays a min-max upper bound on its float64 Galerkin level.
-A convergence study assembles once, at its top truncation; a lower
-truncation n' is the principal submatrix on the pairs with m <= n', so the
-Galerkin spaces of the study are exactly nested.  One call solves every
+The basis pairs are ordered by m, so a lower truncation n' is the leading
+block of any larger one.  A convergence study assembles once, at its top
+truncation, and solves each n' on the leading block of that assembly, so
+the Galerkin spaces of the study are exactly nested.  One call solves every
 truncation the same way: the float64 pencil is packed into A's storage,
-and each float32 pencil is gathered from it into B's, so no copy of the
-matrices is made.
+and each float32 pencil is copied from its leading block into B's, so no
+copy of the matrices is made.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class FlattenedSector:
 @dataclass(frozen=True)
 class BasisTruncation:
     n_max: int
-    index_pairs: tuple = field(init=False)  # (n, m), 1 <= n < m <= n_max, n-major
+    # (n, m), 1 <= n < m <= n_max, m-major: the pairs of a lower truncation
+    # n' are the first n'(n'-1)/2
+    index_pairs: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
-        pairs = tuple(
-            (n, m) for n in range(1, self.n_max + 1) for m in range(n + 1, self.n_max + 1)
-        )
+        pairs = tuple((n, m) for m in range(2, self.n_max + 1) for n in range(1, m))
         object.__setattr__(self, "index_pairs", pairs)
 
     def __len__(self):
@@ -395,8 +396,8 @@ def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
     )
     n_i, m_i = np.array(trunc.index_pairs).T - 1
     lower, upper = m_i * n + n_i, n_i * n + m_i
-    pair_row = np.zeros((n, n), dtype=np.intp)
-    pair_row[n_i, m_i] = np.arange(len(n_i))
+    # the pairs are m-major: 0-based (n, m) is row first[m] + n
+    first = np.arange(n) * np.arange(-1, n - 1) // 2
     out = np.empty((len(n_i), len(n_i)))
     for p in range(n):
         g = np.concatenate([
@@ -407,8 +408,8 @@ def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
         z = np.take(slab, lower, axis=1)
         z -= np.take(slab, upper, axis=1)
         # slab p is the first to reach the rows with n_i = p
-        out[pair_row[p, p + 1:]] = z[p + 1:]
-        out[pair_row[:p, p]] -= z[:p]
+        out[first[p + 1:] + p] = z[p + 1:]
+        out[first[p]:first[p] + p] -= z[:p]
     return out
 
 
@@ -461,25 +462,23 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 
 
 def _float32_pencil(packed: np.ndarray, b_diag: np.ndarray, buffer: np.ndarray,
-                    rows: np.ndarray) -> tuple:
-    """The float32 pencil (A32, B32) on ``rows``; only their lower triangles are read.
+                    n: int) -> tuple:
+    """The float32 pencil (A32, B32) of the leading n x n block.
 
     ``packed`` holds A in its lower triangle and B's strict upper triangle
-    above it.  Both are gathered into ``buffer``: B32 first, because that
+    above it.  Both are copied into ``buffer``: B32 first, because that
     start is 8-byte aligned and scipy's sygvx copies a misaligned b, then
-    A32.  ``rows`` ascend, so entry (i, j <= i) of A32 lies in the packed
-    lower triangle and that of B32 in the upper one.
+    A32.  Only their lower triangles are read.
     """
-    n = len(rows)
     halves = buffer.reshape(-1).view(np.float32)
     b32, a32 = halves[:n * n].reshape(n, n), halves[n * n:2 * n * n].reshape(n, n)
     for start in range(0, n, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
+        stop = min(start + _ROW_BLOCK, n)
         # rows start:stop left of the block's end; right of the diagonal they
         # hold the other matrix, which LAPACK does not read
-        a32[start:stop, :stop] = packed[np.ix_(rows[start:stop], rows[:stop])]
-        b32[start:stop, :stop] = packed[np.ix_(rows[:stop], rows[start:stop])].T
-    b32.flat[::n + 1] = b_diag[rows]
+        a32[start:stop, :stop] = packed[start:stop, :stop]
+        b32[start:stop, :stop] = packed[:stop, start:stop].T
+    b32.flat[::n + 1] = b_diag[:n]
     return a32, b32
 
 
@@ -498,19 +497,19 @@ def _eigensolver_error(exc: Exception) -> EigensolverError:
     )
 
 
-def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, row_sets=None) -> list:
-    """Lowest k eigenvalues of A x = E B x on each row set (symmetric-definite, dense).
+def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> list:
+    """Lowest k eigenvalues of A x = E B x on leading blocks (symmetric-definite, dense).
 
-    Returns one ascending array per row set: the min(k, N') lowest values
-    of the principal subpencil on those N' rows; ``row_sets`` None is the
-    one set of all rows.  Every set is solved the same way: its pencil is
-    solved in float32 for the eigenvectors X of the k + ``_OVERSAMPLE``
-    lowest levels, and the levels are the k lowest eigenvalues of the
-    float64 projected pencil (X^T A X, X^T B X).  They are Ritz values of a
-    subspace of the Galerkin space, so each is at or above the float64
-    Galerkin level, and the oversampling keeps a degenerate cluster split
-    at k accurate.  The solver factors B itself, so a B that is not
-    positive-definite fails here.
+    Returns one ascending array per entry n of ``sizes``: the min(k, n)
+    lowest values of the subpencil on the leading n x n blocks; ``sizes``
+    None is the one size N of the whole pencil.  Every block is solved the
+    same way: its pencil is solved in float32 for the eigenvectors X of the
+    k + ``_OVERSAMPLE`` lowest levels, and the levels are the k lowest
+    eigenvalues of the float64 projected pencil (X^T A X, X^T B X).  They
+    are Ritz values of a subspace of the Galerkin space, so each is at or
+    above the float64 Galerkin level, and the oversampling keeps a
+    degenerate cluster split at k accurate.  The solver factors B itself,
+    so a B that is not positive-definite fails here.
 
     Both matrices are consumed: B's strict upper triangle moves into A's
     once, and b_mat's buffer holds each float32 pencil in turn, so their
@@ -521,29 +520,27 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, row_sets=None) 
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     size = len(a_mat)
-    row_sets = [np.asarray(rows, dtype=np.intp)
-                for rows in ([range(size)] if row_sets is None else row_sets)]
-    for rows in row_sets:
-        if not (rows.ndim == 1 and rows.size and 0 <= rows[0] and rows[-1] < size
-                and np.all(np.diff(rows) > 0)):
-            raise ValueError(f"row sets must be strictly ascending indices in [0, {size})")
+    sizes = [size] if sizes is None else list(sizes)
+    for n in sizes:
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= size):
+            raise ValueError(f"sizes must be integers in 1..{size}, got {n!r}")
     a_diag, b_diag = a_mat.diagonal().copy(), b_mat.diagonal().copy()
     for i in range(size - 1):
         a_mat[i, i + 1:] = b_mat[i, i + 1:]
     spectra = []
-    for rows in row_sets:
-        count = min(k, len(rows))
-        a32, b32 = _float32_pencil(a_mat, b_diag, b_mat, rows)
+    for n in sizes:
+        count = min(k, n)
+        a32, b32 = _float32_pencil(a_mat, b_diag, b_mat, n)
         try:
             # LAPACK reads the Fortran upper triangle of the transposes: the
             # C-order lower triangles of A32 and B32
             _, vecs = scipy.linalg.eigh(
                 a32.T, b32.T, lower=False, check_finite=False, driver="gvx",
-                subset_by_index=[0, min(count + _OVERSAMPLE, len(rows)) - 1],
+                subset_by_index=[0, min(count + _OVERSAMPLE, n) - 1],
                 overwrite_a=True, overwrite_b=True,
             )
             x = np.zeros((size, vecs.shape[1]), order="F")
-            x[rows] = vecs
+            x[:n] = vecs
             # A in the C-order lower triangle of a_mat (Fortran upper of
             # a_mat.T), B in the upper one while B's diagonal is in place
             a_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=0)
@@ -579,12 +576,12 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     """Per-level eigenvalue drifts across an ascending n_max grid.
 
     One assembly at the top truncation, with quadrature_order (default
-    3 n_max of the top), serves the whole grid: a lower truncation n' keeps
-    the pairs with m <= n', so its matrices are principal submatrices of
-    the top ones.  The Galerkin spaces are nested under the same discrete
-    forms, so the Galerkin levels cannot rise with n_max; the reported Ritz
-    levels can, by no more than their Ritz error.  A one-entry grid
-    has no drifts, and every level of it counts as converged.
+    3 n_max of the top), serves the whole grid: the pairs of a lower
+    truncation n' lead the top one's, so its matrices are the leading
+    blocks of the top ones.  The Galerkin spaces are nested under the same
+    discrete forms, so the Galerkin levels cannot rise with n_max; the
+    reported Ritz levels can, by no more than their Ritz error.  A one-entry
+    grid has no drifts, and every level of it counts as converged.
     """
     grid = tuple(int(n) for n in n_max_grid)
     if not grid:
@@ -596,9 +593,7 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     top = BasisTruncation(grid[-1])
     order = quadrature_order if quadrature_order is not None else 3 * top.n_max
     a_top, b_top = assemble(sector, top, order)
-    m_of_pair = np.array([m for _, m in top.index_pairs])
-    spectra = solve_spectrum(a_top, b_top, k,
-                             [np.flatnonzero(m_of_pair <= n_max) for n_max in grid])
+    spectra = solve_spectrum(a_top, b_top, k, [len(BasisTruncation(n)) for n in grid])
     n_common = min(len(vals) for vals in spectra)
     deltas = np.array(
         [np.abs(nxt[:n_common] - prv[:n_common]) for prv, nxt in zip(spectra, spectra[1:])]

@@ -270,8 +270,7 @@ def _cmd_weyl(config: argparse.Namespace) -> tuple:
 
 
 def _stats_one_sector(seq, perm, config: argparse.Namespace):
-    planes = G.coincidence_normals(seq)
-    inward = [planes.oriented(i, j) for i, j in zip(perm, perm[1:])]
+    inward = G.sector_geometry(G.coincidence_normals(seq), perm).bounding_normals
     sector = B.sector_from_inward_normals(inward, label=perm)
     geom = sector.geometry
     spacing = 4.0 * math.pi / geom.area
@@ -378,8 +377,10 @@ def _validate(config: argparse.Namespace) -> tuple:
             _require(ratio is None or 0 < ratio < math.inf, f"{flag} must be positive and finite")
     if "n_max" in given:
         grid = config.n_max
-        # stats' converged window is the drift between its last two truncations
-        _require(cmd != "stats" or len(grid) >= 2, "stats needs at least two truncations")
+        # the converged window of stats and weyl is the drift between their
+        # last two truncations
+        _require(cmd not in ("stats", "weyl") or len(grid) >= 2,
+                 f"{cmd} needs at least two truncations")
         _require(
             all(b > a for a, b in zip(grid, grid[1:])),
             "--n-max must be strictly ascending",
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, masses=True, ordering=True, solver="40")
 
     p = sub.add_parser("weyl", help="staircase vs Weyl-law residual CSV")
-    common(p, masses=True, ordering=True, solver="40")
+    common(p, masses=True, ordering=True, solver="30,40")
 
     p = sub.add_parser("stats", help="per-sector level statistics (six-sector pipeline)")
     common(p, masses=True, solver="30,40")

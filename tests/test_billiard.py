@@ -342,6 +342,22 @@ def test_truncation_enumeration():
     assert len(BasisTruncation(40)) == 40 * 39 // 2
 
 
+@pytest.mark.parametrize("name", ["octant", "H3"])
+def test_lower_truncation_is_the_leading_block(name):
+    # a convergence study solves every truncation on the leading blocks of
+    # its one top assembly
+    sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    low, top = BasisTruncation(9), BasisTruncation(14)
+    n = len(low)
+    assert low.index_pairs == top.index_pairs[:n]
+    a_low, b_low = assemble(sec, low, 42)
+    a_top, b_top = assemble(sec, top, 42)
+    # the entries that vanish by symmetry are rounding noise of either sum
+    for low_mat, top_mat in ((a_low, a_top), (b_low, b_top)):
+        np.testing.assert_allclose(low_mat, top_mat[:n, :n], rtol=1e-13,
+                                   atol=1e-13 * np.abs(low_mat).max())
+
+
 # -- assembly ---------------------------------------------------------------------
 
 def test_assemble_tiny_truncation_shapes():
@@ -611,42 +627,38 @@ def test_solve_spectrum_levels_bound_float64_levels(name, n_max, k):
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
 
 
-def _lower_rows(trunc, n_max):
-    return np.flatnonzero(np.array([m for _, m in trunc.index_pairs]) <= n_max)
-
-
 @pytest.mark.parametrize("top_first", [False, True], ids=["lower_first", "top_first"])
-def test_solve_spectrum_row_sets_match_submatrix_solves(top_first):
-    # the sets share the packed pencil: each later solve needs A's diagonal back
+def test_solve_spectrum_sizes_match_leading_block_solves(top_first):
+    # the blocks share the packed pencil: each later solve needs A's diagonal back
     trunc = BasisTruncation(20)
     a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), trunc, 60)
-    row_sets = [_lower_rows(trunc, n_max) for n_max in (14, 17, 20)][::-1 if top_first else 1]
-    want = [solve_spectrum(a[np.ix_(rows, rows)], b[np.ix_(rows, rows)], 15)[0]
-            for rows in row_sets]
-    got = solve_spectrum(a, b, 15, row_sets)
+    sizes = [len(BasisTruncation(n_max)) for n_max in (14, 17, 20)][::-1 if top_first else 1]
+    want = [solve_spectrum(a[:n, :n].copy(), b[:n, :n].copy(), 15)[0] for n in sizes]
+    got = solve_spectrum(a, b, 15, sizes)
     assert len(got) == len(want)
     for got_vals, want_vals in zip(got, want):
         np.testing.assert_allclose(got_vals, want_vals, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("rows", [[1, 0, 2], [0, 1, 1], [0, 3], [-1, 0], []])
-def test_solve_spectrum_rejects_row_sets_not_ascending_in_range(rows):
-    # the packed gather reads the right triangle only for ascending rows
-    with pytest.raises(ValueError, match="strictly ascending indices in \\[0, 3\\)"):
-        solve_spectrum(np.eye(3), np.eye(3), 1, [[0, 1, 2], rows])
+@pytest.mark.parametrize("size", [0, -1, 4, 2.0])
+def test_solve_spectrum_rejects_sizes_outside_the_pencil(size):
+    a, b = np.eye(3), np.eye(3)
+    with pytest.raises(ValueError, match="sizes must be integers in 1\\.\\.3"):
+        solve_spectrum(a, b, 1, [3, size])
+    # refused before either matrix is touched
+    assert np.array_equal(a, np.eye(3)) and np.array_equal(b, np.eye(3))
 
 
 def test_solve_spectrum_allocates_no_pencil_copy():
     # odd N: a float32 matrix in the second half of b's buffer is not 8-byte
     # aligned, and scipy's sygvx would copy it if it were b
-    trunc = BasisTruncation(30)
-    a, b = assemble(octant_sector(), trunc, 90)
+    a, b = assemble(octant_sector(), BasisTruncation(30), 90)
     assert len(a) % 2 == 1
-    row_sets = [_lower_rows(trunc, 26), _lower_rows(trunc, 30)]
-    solve_spectrum(a.copy(), b.copy(), 4, row_sets)  # imports and caches outside the trace
+    sizes = [len(BasisTruncation(26)), len(a)]
+    solve_spectrum(a.copy(), b.copy(), 4, sizes)  # imports and caches outside the trace
     tracemalloc.start()
     try:
-        solve_spectrum(a, b, 12, row_sets)
+        solve_spectrum(a, b, 12, sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from kaleidobilliards import cli
+from kaleidobilliards.billiard import sector_from_inward_normals
 from kaleidobilliards.cli import distinct_sector_orderings, main
+from kaleidobilliards.errors import GeometryError
+from kaleidobilliards.geometry import coincidence_normals
 from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
@@ -90,6 +94,8 @@ BAD_INPUTS = [
                                     "--output", "{out}/w.csv"], None),
     ("n_max 1", ["billiard", *SECTOR, "--n-max", "1", "--output", "{out}/s.csv"], None),
     ("stats one truncation", ["stats", *EQUAL, "--n-max", "8", "--output", "{out}/st"], None),
+    ("weyl one truncation", ["weyl", *SECTOR, "--n-max", "12", "--k", "5",
+                             "--output", "{out}/w.csv"], None),
     ("stats one-entry grid", ["stats", *EQUAL, "--n-max-grid", "20", "--output", "{out}/st"],
      None),
     ("descending truncations", ["billiard", *SECTOR, "--n-max", "20,16",
@@ -151,7 +157,7 @@ BAD_INPUTS = [
      '{"billiard": {"n_max_grid": [10, 12]}}'),
     ("output a directory", ["billiard", *SECTOR, "--n-max", "6", "--k", "3",
                             "--output", "{case}"], None),
-    ("weyl output a directory", ["weyl", *SECTOR, "--n-max", "6", "--k", "3",
+    ("weyl output a directory", ["weyl", *SECTOR, "--n-max", "6,8", "--k", "3",
                                  "--output", "{case}"], None),
     ("classify output a directory", ["classify", *EQUAL, "--output", "{case}"], None),
     ("output under a file", ["billiard", *SECTOR, "--n-max", "6", "--k", "3",
@@ -382,7 +388,7 @@ def test_weyl_residual_csv(tmp_path, capsys):
     out = tmp_path / "weyl.csv"
     code = main([
         "weyl", "--masses", "1,1,1,1", "--ordering", "1,2,3,4",
-        "--n-max", "20", "--k", "30", "--output", str(out),
+        "--n-max", "16,20", "--k", "30", "--output", str(out),
     ])
     capsys.readouterr()
     assert code == 0
@@ -488,6 +494,42 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     assert meta["sectors"] == {tag: {"basis_size": 26 * 25 // 2, "quadrature_order": 78}}
 
 
+class _Charted(Exception):
+    """Stops a stats sector once it is charted."""
+
+
+@pytest.mark.parametrize("masses", [symmetric_member(coxeter_spec("H3")).masses,
+                                    (1.3, 0.4, 2.7, 0.9)], ids=["H3", "generic"])
+def test_stats_chart_matches_the_oriented_plane_chart(masses, monkeypatch):
+    # every sector class: the inward normals of sector_geometry are the
+    # oriented planes between consecutive particles, bit for bit
+    def charted(config, sector, **tolerance):
+        raise _Charted(sector)
+
+    monkeypatch.setattr(cli, "_study", charted)
+    config = cli.build_parser().parse_args(["stats", *EQUAL])
+    seq = MassSequence(masses)
+    planes = coincidence_normals(seq)
+    for perm, _ in distinct_sector_orderings(seq):
+        with pytest.raises(_Charted) as info:
+            cli._stats_one_sector(seq, perm, config)
+        got = info.value.args[0]
+        want = sector_from_inward_normals(
+            [planes.oriented(i, j) for i, j in zip(perm, perm[1:])], label=perm)
+        for name in ("frame", "affine", "offset"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (perm, name)
+        for field in dataclasses.fields(want.geometry):
+            assert np.array_equal(getattr(got.geometry, field.name),
+                                  getattr(want.geometry, field.name)), (perm, field.name)
+
+
+def test_stats_light_mass_sector_names_float64_resolution():
+    # 1e-30 drops out of the pair sums, so this sector degenerates
+    config = cli.build_parser().parse_args(["stats", *EQUAL])
+    with pytest.raises(GeometryError, match="mass ratio 1.000e-30 is below float64 resolution"):
+        cli._stats_one_sector(MassSequence((1e-30, 1.0, 1.0, 1.0)), (2, 1, 3, 4), config)
+
+
 # -- reruns -----------------------------------------------------------------------
 
 # every command at tiny size; "{out}" is the run's output directory
@@ -503,7 +545,7 @@ RERUNS = {
                  "--n-max", "12", "--k", "8", "--output", "{out}/s.csv"],
     "billiard-grid": ["billiard", "--masses", H3_MASSES, "--ordering", "1,3,4,2",
                       "--n-max", "10,12", "--k", "8", "--output", "{out}/s.csv"],
-    "weyl": ["weyl", *SECTOR, "--n-max", "14", "--k", "20", "--output", "{out}/w.csv"],
+    "weyl": ["weyl", *SECTOR, "--n-max", "12,14", "--k", "20", "--output", "{out}/w.csv"],
     "stats": ["stats", *EQUAL, "--n-max", "22,26", "--k", "70",
               "--tol-spacings", "0.5", "--output", "{out}/stats"],
 }
