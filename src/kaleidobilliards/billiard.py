@@ -63,6 +63,7 @@ __all__ = [
     "BasisTruncation",
     "ConvergenceStudy",
     "flatten_sector",
+    "flatten_geometry",
     "octant_sector",
     "operator_coefficients",
     "basis_function",
@@ -129,6 +130,7 @@ class ConvergenceStudy:
     spectra: tuple  # ascending eigenvalues of -Laplacian per grid entry
     deltas: np.ndarray  # (len(grid)-1, k) per-level |E_k(n_{j+1}) - E_k(n_j)|
     converged_count: int
+    tol_spacings: float  # the window's drift bound, in mean spacings
     quadrature_order: int  # of the one assembly at the top truncation
 
     @property
@@ -190,14 +192,14 @@ def flatten_sector(masses: MassSequence, ordering) -> FlattenedSector:
     return _chart(geometry, _CORNERS[[2, 0, 1]])
 
 
+def flatten_geometry(geometry: SectorGeometry) -> FlattenedSector:
+    """Chart of a sector geometry, its vertices sent to the corners in order."""
+    return _chart(geometry, _CORNERS)
+
+
 def octant_sector() -> FlattenedSector:
     """Manual sector bounded by three mutually orthogonal planes."""
-    return sector_from_inward_normals(np.eye(3), label=("octant",))
-
-
-def sector_from_inward_normals(inward, label=("manual",)) -> FlattenedSector:
-    """Chart of a sector given by its inward normals, vertices to corners in order."""
-    return _chart(geometry_from_inward_normals(inward, label), _CORNERS)
+    return flatten_geometry(geometry_from_inward_normals(np.eye(3), label=("octant",)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,7 @@ _ETA_BLOCK = 8
 # eigenvectors computed beyond the k levels returned: the Rayleigh-Ritz step
 # then resolves a degenerate cluster that the k-th level splits
 _OVERSAMPLE = 10
+_TOL_SPACINGS = 0.05  # default drift bound of a window, in mean spacings 4 pi/area
 
 
 def _quadrature_grid(order: int):
@@ -566,12 +569,12 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
 
 def solve_sector(sector: FlattenedSector, n_max: int, k: int,
                  quadrature_order: int | None = None) -> ConvergenceStudy:
-    """Lowest k levels at one truncation: a one-entry convergence study."""
+    """Lowest k levels at one truncation: a one-entry study, whose window is empty."""
     return convergence_study(sector, (n_max,), k, quadrature_order=quadrature_order)
 
 
 def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
-                      tolerance: float = 1e-2,
+                      tol_spacings: float = _TOL_SPACINGS,
                       quadrature_order: int | None = None) -> ConvergenceStudy:
     """Per-level eigenvalue drifts across an ascending n_max grid.
 
@@ -580,32 +583,32 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     truncation n' lead the top one's, so its matrices are the leading
     blocks of the top ones.  The Galerkin spaces are nested under the same
     discrete forms, so the Galerkin levels cannot rise with n_max; the
-    reported Ritz levels can, by no more than their Ritz error.  A one-entry
-    grid has no drifts, and every level of it counts as converged.
+    reported Ritz levels can, by no more than their Ritz error.  The window
+    is the lowest levels whose last drift is at most tol_spacings mean
+    spacings 4 pi/area; a one-entry grid has no drift and no window.
     """
     grid = tuple(int(n) for n in n_max_grid)
     if not grid:
         raise ValueError("n_max grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_max grid must be strictly ascending")
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if not 0.0 < tol_spacings < math.inf:
+        raise ValueError(f"tol_spacings must be positive and finite, got {tol_spacings}")
     top = BasisTruncation(grid[-1])
     order = quadrature_order if quadrature_order is not None else 3 * top.n_max
     a_top, b_top = assemble(sector, top, order)
     spectra = solve_spectrum(a_top, b_top, k, [len(BasisTruncation(n)) for n in grid])
     n_common = min(len(vals) for vals in spectra)
-    deltas = np.array(
-        [np.abs(nxt[:n_common] - prv[:n_common]) for prv, nxt in zip(spectra, spectra[1:])]
-    ).reshape(len(grid) - 1, n_common)
-    # deltas[-1:] is the last row, or no row for a one-entry grid
-    above = np.flatnonzero(deltas[-1:] > tolerance)
-    converged = int(above[0]) if above.size else n_common
+    deltas = np.abs(np.diff([vals[:n_common] for vals in spectra], axis=0))
+    tolerance = tol_spacings * (4.0 * math.pi / sector.geometry.area)
+    # the first level past the window: a one-entry grid has no last row
+    converged = int(np.flatnonzero(np.append(deltas[-1:] > tolerance, True))[0])
     return ConvergenceStudy(
         n_max_grid=grid,
         spectra=tuple(spectra),
         deltas=deltas,
         converged_count=converged,
+        tol_spacings=tol_spacings,
         quadrature_order=order,
     )
 

@@ -213,22 +213,25 @@ def _cmd_exact(config: argparse.Namespace) -> tuple:
     return files, extra
 
 
-def _study(config: argparse.Namespace, sector, **tolerance) -> B.ConvergenceStudy:
+def _study(config: argparse.Namespace, sector,
+           tol_spacings: float = B._TOL_SPACINGS) -> B.ConvergenceStudy:
     """The convergence study over the command's truncations."""
     return B.convergence_study(
         sector,
         config.n_max,
         config.k_levels,
+        tol_spacings=tol_spacings,
         quadrature_order=config.quadrature_order,
-        **tolerance,
     )
 
 
 def _discretization(study: B.ConvergenceStudy) -> dict:
-    """Basis size and quadrature order of the study's top truncation."""
+    """The top truncation's basis size and quadrature order, and the window's rule and size."""
     return {
         "basis_size": len(B.BasisTruncation(study.n_max_grid[-1])),
         "quadrature_order": study.quadrature_order,
+        "tol_spacings": study.tol_spacings,
+        "converged_levels": study.converged_count,
     }
 
 
@@ -270,11 +273,8 @@ def _cmd_weyl(config: argparse.Namespace) -> tuple:
 
 
 def _stats_one_sector(seq, perm, config: argparse.Namespace):
-    inward = G.sector_geometry(G.coincidence_normals(seq), perm).bounding_normals
-    sector = B.sector_from_inward_normals(inward, label=perm)
-    geom = sector.geometry
-    spacing = 4.0 * math.pi / geom.area
-    study = _study(config, sector, tolerance=config.tol_spacings * spacing)
+    geom = G.sector_geometry(G.coincidence_normals(seq), perm)
+    study = _study(config, B.flatten_geometry(geom), config.tol_spacings)
     unfolded = ST.unfold(study.window, geom)
     hist = ST.spacing_histogram(unfolded, bins=config.bins)
     return geom, study, unfolded, hist
@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, masses=True, solver="30,40")
     p.add_argument("--bins", type=int, default=24,
                    help="spacing histogram bins (default %(default)s)")
-    p.add_argument("--tol-spacings", type=float, default=0.05,
+    p.add_argument("--tol-spacings", type=float, default=B._TOL_SPACINGS,
                    help="converged-window tolerance in mean spacings (default %(default)s)")
 
     return parser

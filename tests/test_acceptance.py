@@ -174,12 +174,13 @@ def test_criterion_6_octant_analytic_oracle():
 
 def test_criterion_7_weyl_residual(six_sector_stats):
     with verdict(7, "staircase minus two-term Weyl bounded by 0.75 sqrt(E), oscillatory"):
-        # every solved sector: the six statistics sectors plus the octant
-        solved = [(geom, study) for _, _, geom, study, _, _ in six_sector_stats]
+        # every solved sector: the windows of the six statistics sectors,
+        # plus the octant's levels at one truncation
+        solved = [(geom, study.window) for _, _, geom, study, _, _ in six_sector_stats]
         oct_study = B.solve_sector(B.octant_sector(), n_max=40, k=80)
-        solved.append((G.geometry_from_inward_normals(np.eye(3)), oct_study))
-        for geom, study in solved:
-            e, stair, weyl, after, before = ST.weyl_residuals(study.window, geom)
+        solved.append((G.geometry_from_inward_normals(np.eye(3)), oct_study.values))
+        for geom, levels in solved:
+            e, stair, weyl, after, before = ST.weyl_residuals(levels, geom)
             bound = 0.75 * np.sqrt(np.maximum(e, 1.0))
             assert np.all(np.abs(after) < bound)
             assert np.all(np.abs(before) < bound)

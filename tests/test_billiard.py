@@ -15,10 +15,10 @@ from kaleidobilliards.billiard import (
     assemble,
     basis_function,
     convergence_study,
+    flatten_geometry,
     flatten_sector,
     octant_sector,
     operator_coefficients,
-    sector_from_inward_normals,
     solve_sector,
     solve_spectrum,
     spectrum_to_csv,
@@ -31,6 +31,7 @@ from kaleidobilliards.errors import (
     QuadratureError,
 )
 from kaleidobilliards.exact import real_spherical_harmonic
+from kaleidobilliards.geometry import geometry_from_inward_normals
 from kaleidobilliards.groups import lambda_spectrum
 from kaleidobilliards.masses import (
     MassSequence,
@@ -92,14 +93,14 @@ def test_chart_frame_lifts_corners_onto_sector_vertices(member):
 def test_inward_normals_are_normalized():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     scaled = sec.geometry.bounding_normals * np.array([[1.0], [1.1], [0.9]])
-    got = sector_from_inward_normals(scaled).geometry
+    got = geometry_from_inward_normals(scaled)
     assert got.area == pytest.approx(sec.geometry.area, rel=1e-12)
     np.testing.assert_allclose(got.vertices, sec.geometry.vertices, atol=1e-12)
 
 
 def test_inward_normals_need_three_by_three():
     with pytest.raises(GeometryError):
-        sector_from_inward_normals(np.eye(3)[:2])
+        geometry_from_inward_normals(np.eye(3)[:2])
 
 
 def test_flatten_requires_four_masses_and_valid_ordering():
@@ -117,7 +118,7 @@ def test_vertex_on_chart_equator_raises_hemisphere_error():
     vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
     inward = np.array([np.cross(vertices[(k + 1) % 3], vertices[(k + 2) % 3]) for k in range(3)])
     with pytest.raises(HemisphereError):
-        sector_from_inward_normals(inward)
+        flatten_geometry(geometry_from_inward_normals(inward))
 
 
 @pytest.mark.parametrize("light", [2e-16, 1e-18, 1e-20])
@@ -421,7 +422,7 @@ def _reference_assemble(sector, trunc, order):
 def test_assemble_matches_four_gather_reference(chart, order):
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     if chart == "centroid":
-        sec = sector_from_inward_normals(sec.geometry.bounding_normals)
+        sec = flatten_geometry(sec.geometry)
     elif chart == "octant":
         sec = octant_sector()
     trunc = BasisTruncation(20 if chart == "octant" else 12)
@@ -495,7 +496,7 @@ def test_inversion_congruent_orderings_share_spectra():
 
 def test_billiard_and_stats_corner_maps_agree():
     sec_billiard = flatten_sector(H3_SEQ, (2, 1, 3, 4))
-    sec_stats = sector_from_inward_normals(sec_billiard.geometry.bounding_normals)
+    sec_stats = flatten_geometry(sec_billiard.geometry)
     s1 = solve_sector(sec_billiard, 36, 10).values
     s2 = solve_sector(sec_stats, 36, 10).values
     np.testing.assert_allclose(s1, s2, rtol=5e-4)
@@ -550,8 +551,9 @@ def test_solve_sector_is_one_entry_study():
     assert spec.n_max_grid == study.n_max_grid == (14,)
     assert np.array_equal(spec.values, study.values)
     assert np.array_equal(spec.effective_lambda, study.effective_lambda)
-    assert np.array_equal(spec.window, study.values)
-    assert spec.converged_count == study.converged_count == 12
+    # no drift, so no level is certified
+    assert len(spec.window) == len(study.window) == 0
+    assert spec.converged_count == study.converged_count == 0
     assert study.last_deltas is None
     assert study.deltas.shape == (0, 12)
     assert study.quadrature_order == 42
@@ -568,8 +570,15 @@ def test_convergence_study_rejects_empty_grid():
         convergence_study(octant_sector(), (), k=4)
 
 
+def test_one_entry_study_has_an_empty_window():
+    study = convergence_study(octant_sector(), (8,), k=4, tol_spacings=1e3)
+    assert study.converged_count == 0
+    assert len(study.values) == 4 and len(study.window) == 0
+
+
 def test_convergence_study_octant_ground_level():
-    study = convergence_study(octant_sector(), (10, 15, 20), k=5, tolerance=1e-2)
+    # 1e-2 in E on the octant, whose mean spacing 4 pi/area is 8
+    study = convergence_study(octant_sector(), (10, 15, 20), k=5, tol_spacings=1.25e-3)
     # ground level drift shrinks with refinement and is already below 1e-3
     assert study.deltas[1][0] < study.deltas[0][0]
     assert study.deltas[1][0] < 2e-3
@@ -579,18 +588,35 @@ def test_convergence_study_octant_ground_level():
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-2])
 def test_convergence_study_rejects_tolerance_not_positive_finite(tolerance):
     # deltas > nan is always False: every level would count as converged
-    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-        convergence_study(octant_sector(), (8, 10), 6, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tol_spacings must be positive and finite"):
+        convergence_study(octant_sector(), (8, 10), 6, tol_spacings=tolerance)
 
 
 def test_convergence_count_is_prefix():
     sec = flatten_sector(H3_SEQ, (2, 1, 3, 4))
-    study = convergence_study(sec, (20, 26), k=60, tolerance=0.5)
+    spacing = 4.0 * math.pi / sec.geometry.area
+    # 0.5 in E
+    study = convergence_study(sec, (20, 26), k=60, tol_spacings=0.5 / spacing)
     d = study.last_deltas
     cc = study.converged_count
-    assert np.all(d[:cc] <= 0.5)
+    tolerance = study.tol_spacings * spacing
+    assert tolerance == pytest.approx(0.5, rel=1e-14)
+    assert np.all(d[:cc] <= tolerance)
     if cc < len(d):
-        assert d[cc] > 0.5
+        assert d[cc] > tolerance
+
+
+def test_window_is_the_prefix_within_tol_spacings_mean_spacings():
+    sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    spacing = 4.0 * math.pi / sec.geometry.area
+    for t in (1e-3, 1e-2, 0.05, 0.5):
+        study = convergence_study(sec, (12, 14), k=40, tol_spacings=t)
+        drift = study.last_deltas
+        above = np.flatnonzero(drift > t * spacing)
+        count = above[0] if above.size else len(drift)
+        assert study.converged_count == count
+        assert np.array_equal(study.window, study.values[:count])
+        assert study.tol_spacings == t
 
 
 def test_solve_spectrum_rejects_indefinite_overlap():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from kaleidobilliards import cli
-from kaleidobilliards.billiard import sector_from_inward_normals
+from kaleidobilliards.billiard import convergence_study, flatten_geometry
 from kaleidobilliards.cli import distinct_sector_orderings, main
 from kaleidobilliards.errors import GeometryError
-from kaleidobilliards.geometry import coincidence_normals
+from kaleidobilliards.geometry import coincidence_normals, geometry_from_inward_normals
 from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
@@ -409,6 +410,22 @@ def test_weyl_without_converged_levels_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_weyl_window_is_cut_in_mean_spacings_and_recorded(tmp_path, capsys):
+    # the RERUNS weyl argv: 0.05 mean spacings keep 20 levels, 1e-2 in E kept 7
+    argv = [a.replace("{out}", str(tmp_path)) for a in RERUNS["weyl"]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "w.csv").read_text().strip().split("\n")[1:]
+    meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+    assert len(rows) == 20
+    assert (meta["tol_spacings"], meta["converged_levels"]) == (0.05, len(rows))
+
+
+def test_stats_tolerance_default_is_the_study_default():
+    default = inspect.signature(convergence_study).parameters["tol_spacings"].default
+    assert cli.build_parser().parse_args(["stats"]).tol_spacings == default
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"billiard": {"n_max": 16, "k_levels": 4}}))
@@ -491,7 +508,10 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     summary = json.loads((sub / "summary.json").read_text())
     assert summary["n_levels"] >= 50
     meta = json.loads((out_dir / "run_metadata.json").read_text())
-    assert meta["sectors"] == {tag: {"basis_size": 26 * 25 // 2, "quadrature_order": 78}}
+    assert meta["sectors"] == {tag: {
+        "basis_size": 26 * 25 // 2, "quadrature_order": 78, "tol_spacings": 0.5,
+        "converged_levels": sectors[tag]["converged_levels"],
+    }}
 
 
 class _Charted(Exception):
@@ -503,7 +523,7 @@ class _Charted(Exception):
 def test_stats_chart_matches_the_oriented_plane_chart(masses, monkeypatch):
     # every sector class: the inward normals of sector_geometry are the
     # oriented planes between consecutive particles, bit for bit
-    def charted(config, sector, **tolerance):
+    def charted(config, sector, tol_spacings):
         raise _Charted(sector)
 
     monkeypatch.setattr(cli, "_study", charted)
@@ -514,8 +534,8 @@ def test_stats_chart_matches_the_oriented_plane_chart(masses, monkeypatch):
         with pytest.raises(_Charted) as info:
             cli._stats_one_sector(seq, perm, config)
         got = info.value.args[0]
-        want = sector_from_inward_normals(
-            [planes.oriented(i, j) for i, j in zip(perm, perm[1:])], label=perm)
+        want = flatten_geometry(geometry_from_inward_normals(
+            [planes.oriented(i, j) for i, j in zip(perm, perm[1:])], label=perm))
         for name in ("frame", "affine", "offset"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (perm, name)
         for field in dataclasses.fields(want.geometry):

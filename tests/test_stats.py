@@ -100,8 +100,9 @@ def test_unfold_polyfit_cross_check():
 
 
 def test_unfold_respects_converged_window():
-    # the last refinement's drifts exceed 0.5 from level 75 on
-    study = convergence_study(octant_sector(), (24, 28), k=100, tolerance=0.5)
+    # the last refinement's drifts exceed 0.5 from level 75 on: 0.0625 of
+    # the octant's mean spacing 8
+    study = convergence_study(octant_sector(), (24, 28), k=100, tol_spacings=0.0625)
     assert 50 <= study.converged_count < 100
     assert np.array_equal(study.window, study.values[:study.converged_count])
     assert np.all(study.last_deltas[:study.converged_count] <= 0.5)
@@ -152,7 +153,7 @@ def test_solved_octant_split_degeneracies_prefer_poisson():
     # the numerical solver splits exact degeneracies by tiny amounts, which
     # lands the jam of near-zero spacings on the Poisson side of the CDF gap
     study = solve_sector(octant_sector(), n_max=40, k=120)
-    hist = spacing_histogram(unfold(study.window, OCTANT), bins=24)
+    hist = spacing_histogram(unfold(study.values, OCTANT), bins=24)
     assert hist.ks_poisson < hist.ks_wigner
 
 
@@ -191,7 +192,7 @@ def test_histogram_needs_enough_spacings():
 
 def test_weyl_residual_bound_and_crossings_on_solved_octant():
     study = solve_sector(octant_sector(), n_max=40, k=60)
-    e, stair, weyl, after, before = weyl_residuals(study.window, OCTANT)
+    e, stair, weyl, after, before = weyl_residuals(study.values, OCTANT)
     bound = 0.75 * np.sqrt(e)
     assert np.abs(after).max() < bound.max()
     assert np.all(np.abs(after) < np.maximum(bound, 2.0))
