@@ -2,10 +2,11 @@
 
 Every command validates its inputs and the paths it will write up front
 (exit 2), then runs the corresponding module pipeline (numerical failures
-exit 3) and returns its files as text.  ``main`` writes every file, each
-atomically, and a run-metadata JSON (inputs, package/library versions, wall
-time) last; a failed run writes none.  Data files carry no timestamps, so
-identical configs reproduce byte-identical CSV bodies.
+and running out of memory exit 3) and returns its files as text.  ``main``
+writes every file, each atomically, and a run-metadata JSON (inputs,
+package/library versions, wall time) last; a failed run writes none.  Data
+files carry no timestamps, so identical configs reproduce byte-identical CSV
+bodies.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _cmd_group(config: argparse.Namespace) -> tuple:
 
 def _cmd_exact(config: argparse.Namespace) -> tuple:
     spec = M.coxeter_spec(config.spec)
-    levels = E.energy_levels(spec, config.e_max, spec.rank + 1)
+    levels = E.energy_levels(spec, config.e_max)
     files = {config.output_path: E.levels_to_csv(levels)}
     # the multiplicity of every lambda up to the largest one in the CSV
     top = max((lv.lam for lv in levels), default=-1)
@@ -216,13 +217,7 @@ def _cmd_exact(config: argparse.Namespace) -> tuple:
 def _study(config: argparse.Namespace, sector,
            tol_spacings: float = B._TOL_SPACINGS) -> B.ConvergenceStudy:
     """The convergence study over the command's truncations."""
-    return B.convergence_study(
-        sector,
-        config.n_max,
-        config.k_levels,
-        tol_spacings=tol_spacings,
-        quadrature_order=config.quadrature_order,
-    )
+    return B.convergence_study(sector, config.n_max, config.k_levels, tol_spacings)
 
 
 def _discretization(study: B.ConvergenceStudy) -> dict:
@@ -391,10 +386,6 @@ def _validate(config: argparse.Namespace) -> tuple:
             1 <= config.k_levels <= basis,
             f"--k must lie in 1..{basis}, the basis size at n_max {grid[0]}",
         )
-        _require(
-            config.quadrature_order is None or config.quadrature_order >= 3 * grid[-1],
-            f"--quadrature-order must be at least 3 n_max = {3 * grid[-1]}",
-        )
     if "bins" in given:
         _require(config.bins >= 1, "--bins must be at least 1")
         _require(0 < config.tol_spacings < math.inf, "--tol-spacings must be positive and finite")
@@ -451,8 +442,10 @@ def main(argv=None) -> int:
     command = _IMPLEMENTATIONS[config.command]
     try:
         files, extra = command(config, sectors) if sectors is not None else command(config)
-    except KaleidoError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (KaleidoError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 3
     if set(files) != set(paths[:-1]):
         raise RuntimeError(f"{config.command} returned {sorted(files)}, not {paths[:-1]}")
@@ -526,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=solver,
                            help="ascending basis truncations; levels converge "
                                 "across them (default %(default)s)")
-            p.add_argument("--quadrature-order", type=int,
-                           help="Gauss-Legendre order per direction (default 3*n_max)")
             p.add_argument("--k", dest="k_levels", type=int, default=50,
                            help="number of levels to report (default %(default)s)")
         p.add_argument("--output", dest="output_path",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, sph_legendre_p
+from scipy.special import sph_legendre_p
 
 from .errors import RankDeficiencyError
 from .masses import CoxeterSpec
@@ -33,7 +33,6 @@ __all__ = [
     "project_anti_invariant",
     "excited_basis",
     "projection_tables",
-    "radial_wavefunction",
     "energy_levels",
     "levels_to_csv",
     "mu_sweep",
@@ -271,36 +270,12 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
-# radial factor and the energy ladder
+# the energy ladder
 
 
-def radial_wavefunction(nu: int, lam: float, rho, n_particles: int) -> float:
-    """Hyperradial oscillator factor, unit-normalized with weight rho^(N-2)."""
-    if nu < 0:
-        raise ValueError("nu must be non-negative")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    alpha = lam + (n_particles - 3) / 2.0
-    log_a = 0.5 * (
-        math.log(2.0) + math.lgamma(nu + 1) - math.lgamma(nu + lam + (n_particles - 1) / 2.0)
-    )
-    rho = np.asarray(rho, dtype=float)
-    val = (
-        math.exp(log_a)
-        * rho**lam
-        * eval_genlaguerre(nu, alpha, rho**2)
-        * np.exp(-0.5 * rho**2)
-    )
-    return float(val) if val.ndim == 0 else val
-
-
-def energy_levels(spec: CoxeterSpec, e_max: float, n_particles: int) -> list:
-    """All ladder states with energy n + 2 nu + lambda + N/2 <= e_max."""
-    if n_particles != spec.rank + 1:
-        raise ValueError(
-            f"{spec.name} describes {spec.rank + 1} particles, got N={n_particles}"
-        )
-    zero = n_particles / 2.0
+def energy_levels(spec: CoxeterSpec, e_max: float) -> list:
+    """All ladder states with energy n + 2 nu + lambda + N/2 <= e_max, N = rank + 1."""
+    zero = (spec.rank + 1) / 2.0
     top = math.floor(e_max - zero)  # largest lam + 2 nu + n
     levels = []
     for n1, n2, lam in ladder(spec, top):

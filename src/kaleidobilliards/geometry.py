@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .masses import MassSequence, _unit_scaled, sector_angle
+from .masses import MassSequence, _unit_scaled
 
 __all__ = [
     "PlaneSet",
@@ -187,18 +187,3 @@ def geometry_to_json(geom: SectorGeometry) -> str:
 def coxeter_simple_roots(planes: PlaneSet) -> np.ndarray:
     """Inward normals of the 1234 sector: the group's simple roots."""
     return np.array([planes.oriented(1, 2), planes.oriented(2, 3), planes.oriented(3, 4)])
-
-
-def angle_cross_check(planes: PlaneSet) -> float:
-    """Largest mismatch between normal-dot angles and the mass formula."""
-    m = planes.masses.masses
-    worst = 0.0
-    pairs = [((1, 2), (2, 3)), ((2, 3), (3, 4)), ((1, 3), (3, 4)), ((1, 2), (1, 3))]
-    for (i, j), (k, l) in pairs:
-        shared = set((i, j)) & set((k, l))
-        mid = shared.pop()
-        outer = sorted(set((i, j, k, l)) - {mid})
-        expected = sector_angle(m[outer[0] - 1], m[mid - 1], m[outer[1] - 1])
-        ang = _angle(planes.normal(i, j), planes.normal(k, l))
-        worst = max(worst, min(abs(ang - expected), abs(math.pi - ang - expected)))
-    return worst

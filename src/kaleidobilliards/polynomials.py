@@ -243,16 +243,6 @@ class HomogeneousPolynomial:
         ]
         return json.dumps(items)
 
-    @classmethod
-    def from_json(cls, text: str) -> "HomogeneousPolynomial":
-        items = json.loads(text)
-        if not items:
-            return cls(0)
-        degree = sum(items[0]["exponents"])
-        return cls.from_dict(
-            degree, {tuple(it["exponents"]): it["coefficient"] for it in items}
-        )
-
     def __repr__(self):
         return (
             f"HomogeneousPolynomial(degree={self.degree}, "

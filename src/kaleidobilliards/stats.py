@@ -1,8 +1,7 @@
 """Weyl counting, spectral unfolding, and nearest-neighbor spacing statistics.
 
 Unfolding uses the analytic two-term Weyl staircase built from the sector's
-area and perimeter, so no fitting degree of freedom enters; a degree-5
-polynomial fit of the staircase is available as a cross-check.  Kolmogorov-
+area and perimeter, so no fitting degree of freedom enters.  Kolmogorov-
 Smirnov distances are computed from the exact empirical CDF, never from the
 binned histogram.
 """
@@ -22,7 +21,6 @@ __all__ = [
     "SpacingHistogram",
     "weyl_count",
     "unfold",
-    "unfold_polyfit",
     "spacing_histogram",
     "weyl_residuals",
     "poisson_pdf",
@@ -44,25 +42,14 @@ def weyl_count(e_tilde, geometry: SectorGeometry):
     return float(val) if val.ndim == 0 else val
 
 
-def _require_levels(levels) -> np.ndarray:
+def unfold(levels, geometry: SectorGeometry) -> np.ndarray:
+    """Map ascending converged levels through the Weyl staircase; mean spacing -> 1."""
     levels = np.asarray(levels, dtype=float)
     if len(levels) < 50:
         raise InsufficientLevelsError(
             f"only {len(levels)} converged levels; at least 50 are required for statistics"
         )
-    return levels
-
-
-def unfold(levels, geometry: SectorGeometry) -> np.ndarray:
-    """Map ascending converged levels through the Weyl staircase; mean spacing -> 1."""
-    return np.asarray(weyl_count(_require_levels(levels), geometry))
-
-
-def unfold_polyfit(levels) -> np.ndarray:
-    """Cross-check unfolding: quintic fit of the empirical staircase."""
-    e = _require_levels(levels)
-    stair = np.arange(1, len(e) + 1) - 0.5
-    return np.polyval(np.polyfit(e, stair, 5), e)
+    return np.asarray(weyl_count(levels, geometry))
 
 
 def poisson_pdf(s):

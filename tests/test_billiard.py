@@ -13,7 +13,6 @@ from kaleidobilliards.billiard import (
     _quadrature_grid,
     _sine_factors,
     assemble,
-    basis_function,
     convergence_study,
     flatten_geometry,
     flatten_sector,
@@ -281,12 +280,21 @@ def test_operator_matches_finite_differences():
 
 # -- basis -----------------------------------------------------------------------
 
+def _basis_function(n: int, m: int, s, t):
+    """Antisymmetrized right-triangle Dirichlet mode h_{n,m}: the difference
+    sin(n pi (s+1)/2) sin(m pi (t-1)/2) - (n <-> m) of the sine factors whose
+    grid moments ``assemble`` takes."""
+    phi, _ = _sine_factors(m, np.asarray(s, dtype=float), +1.0)
+    psi, _ = _sine_factors(m, np.asarray(t, dtype=float), -1.0)
+    return phi[n - 1] * psi[m - 1] - phi[m - 1] * psi[n - 1]
+
+
 def test_basis_vanishes_on_all_boundaries():
     pts = np.linspace(-1, 1, 10)
     for n, m in [(1, 2), (2, 5), (4, 7)]:
-        assert np.abs(basis_function(n, m, -1.0, pts)).max() < 1e-12
-        assert np.abs(basis_function(n, m, pts, -1.0)).max() < 1e-12
-        assert np.abs(basis_function(n, m, pts, -pts)).max() < 1e-12
+        assert np.abs(_basis_function(n, m, -1.0, pts)).max() < 1e-12
+        assert np.abs(_basis_function(n, m, pts, -1.0)).max() < 1e-12
+        assert np.abs(_basis_function(n, m, pts, -pts)).max() < 1e-12
 
 
 def test_basis_matches_eight_term_exponential_sum():
@@ -307,7 +315,7 @@ def test_basis_matches_eight_term_exponential_sum():
         total = total / 4.0
         np.testing.assert_allclose(total.imag, 0.0, atol=1e-12)
         np.testing.assert_allclose(
-            basis_function(n, m, s, t), total.real, atol=1e-12
+            _basis_function(n, m, s, t), total.real, atol=1e-12
         )
 
 
@@ -326,15 +334,10 @@ def test_basis_orthonormal_under_flat_measure():
                 ss = -1 + (x01 * (smax + 1))
                 ws = w01 * (smax + 1)
                 total += 2 * wk * np.sum(
-                    ws * basis_function(n1, m1, ss, tk) * basis_function(n2, m2, ss, tk)
+                    ws * _basis_function(n1, m1, ss, tk) * _basis_function(n2, m2, ss, tk)
                 )
             gram[i, j] = total
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
-
-
-def test_basis_requires_n_less_than_m():
-    with pytest.raises(ValueError):
-        basis_function(3, 3, 0.0, 0.0)
 
 
 def test_truncation_enumeration():
@@ -539,9 +542,8 @@ def test_convergence_study_lower_spectra_are_submatrix_solves():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     study = convergence_study(sec, (12, 15, 18), k=30)
     for n_max, vals in zip(study.n_max_grid, study.spectra):
-        direct = solve_sector(sec, n_max, 30, quadrature_order=3 * 18)
-        assert direct.n_max_grid == (n_max,)
-        np.testing.assert_allclose(vals, direct.values, rtol=1e-10)
+        (direct,) = solve_spectrum(*assemble(sec, BasisTruncation(n_max), 54), 30)
+        np.testing.assert_allclose(vals, direct, rtol=1e-10)
 
 
 def test_solve_sector_is_one_entry_study():
@@ -561,8 +563,22 @@ def test_solve_sector_is_one_entry_study():
 
 def test_convergence_study_records_quadrature_order():
     assert convergence_study(octant_sector(), (8, 10), k=4).quadrature_order == 30
-    study = convergence_study(octant_sector(), (8, 10), k=4, quadrature_order=33)
-    assert study.quadrature_order == 33
+
+
+@pytest.mark.parametrize("masses, ordering", [
+    ((1e-6, 1, 1, 1), (2, 1, 3, 4)),  # the largest move found: 1.8e-7 spacings
+    (H3_SEQ.masses, (1, 3, 4, 2)),
+], ids=["light_mass", "H3"])
+def test_quadrature_above_the_study_order_moves_no_level(masses, ordering):
+    # every study assembles at _QUADRATURE_FACTOR n_max; 5 n_max moves none of its levels
+    sec = flatten_sector(MassSequence(masses), ordering)
+    n_max = 30
+    low, high = (
+        solve_spectrum(*assemble(sec, BasisTruncation(n_max), factor * n_max), 60)[0]
+        for factor in (billiard._QUADRATURE_FACTOR, 5)
+    )
+    spacing = 4.0 * math.pi / sec.geometry.area
+    assert np.abs(high - low).max() < 1e-5 * spacing
 
 
 def test_convergence_study_rejects_empty_grid():
@@ -691,8 +707,8 @@ def test_solve_spectrum_allocates_no_pencil_copy():
     assert peak < 4 * len(a) ** 2
 
 
-def test_indefinite_overlap_error_names_quadrature_order():
-    with pytest.raises(EigensolverError, match="quadrature_order") as info:
+def test_indefinite_overlap_error_names_float32_overlap():
+    with pytest.raises(EigensolverError, match="not positive-definite in float32") as info:
         solve_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 2)
     assert "leading minor of order 2" in str(info.value)
 
@@ -705,7 +721,7 @@ def test_unconverged_eigenvectors_error_names_the_cause(monkeypatch):
     with pytest.raises(EigensolverError, match="did not converge") as info:
         solve_spectrum(np.eye(3), np.eye(3), 2)
     assert "3 eigenvectors failed to converge" in str(info.value)
-    assert "quadrature_order" not in str(info.value)
+    assert "positive-definite" not in str(info.value)
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaleidobilliards import cli
+from kaleidobilliards import billiard, cli
 from kaleidobilliards.billiard import convergence_study, flatten_geometry
 from kaleidobilliards.cli import distinct_sector_orderings, main
 from kaleidobilliards.errors import GeometryError
@@ -111,11 +111,16 @@ BAD_INPUTS = [
                             "--output", "{out}/st"], None),
     ("infinite tolerance", ["stats", *EQUAL, "--tol-spacings", "inf",
                             "--output", "{out}/st"], None),
-    ("quadrature below 3 n_max", ["billiard", *SECTOR, "--n-max", "10",
-                                  "--quadrature-order", "29", "--output", "{out}/s.csv"], None),
-    ("quadrature below the top truncation", ["stats", *EQUAL, "--n-max", "10,12",
-                                             "--quadrature-order", "30",
-                                             "--output", "{out}/st"], None),
+    # the quadrature order is 3 n_max of the top truncation, never a setting
+    ("quadrature order flag", ["billiard", *SECTOR, "--n-max", "10",
+                               "--quadrature-order", "30", "--output", "{out}/s.csv"], None),
+    ("weyl quadrature order flag", ["weyl", *SECTOR, "--n-max", "10,12",
+                                    "--quadrature-order", "36", "--output", "{out}/w.csv"], None),
+    ("stats quadrature order flag", ["stats", *EQUAL, "--n-max", "10,12",
+                                     "--quadrature-order", "36", "--output", "{out}/st"], None),
+    ("config quadrature order key", ["billiard", *SECTOR, "--config", "{cfg}",
+                                     "--output", "{out}/s.csv"],
+     '{"billiard": {"quadrature_order": 30}}'),
     ("ordering not a permutation", ["billiard", *EQUAL, "--ordering", "1,1,3,4",
                                     "--output", "{out}/s.csv"], None),
     ("missing config", ["billiard", *SECTOR, "--config", "{out}/absent.json",
@@ -239,6 +244,21 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
         assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
         assert detail in err
         assert not out.exists(), f"{argv[0]}: wrote a file"
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    class _ArrayMemoryError(MemoryError):
+        """Stands in for numpy's private subclass, raised by a failed np.empty."""
+
+    def exhausted(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 1.13 TiB for an array")
+
+    monkeypatch.setattr(billiard, "assemble", exhausted)
+    out = tmp_path / "big.csv"
+    code = main(["billiard", *SECTOR, "--n-max", "200", "--k", "5", "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 1.13 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # masses whose sums or products leave float64 range although their ratios do not
@@ -370,14 +390,14 @@ def test_billiard_first_lambda(tmp_path, capsys):
 def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = main([
-        command, *SECTOR, "--n-max", "10,14", "--k", "8",
-        "--quadrature-order", "45", "--output", str(out),
+        command, *SECTOR, "--n-max", "10,14", "--k", "8", "--output", str(out),
     ])
     capsys.readouterr()
     assert code == 0
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 45)
+    assert (meta["basis_size"], meta["quadrature_order"]) == (14 * 13 // 2, 42)
     assert meta["inputs"]["n_max"] == [10, 14]
+    assert "quadrature_order" not in meta["inputs"]
     assert meta["peak_rss_mb"] > 0
     blas = meta["blas"]
     assert blas["name"] and blas["version"]

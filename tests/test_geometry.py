@@ -7,7 +7,7 @@ import pytest
 
 from kaleidobilliards.errors import GeometryError
 from kaleidobilliards.geometry import (
-    angle_cross_check,
+    _angle,
     coincidence_normals,
     coxeter_simple_roots,
     geometry_from_inward_normals,
@@ -58,10 +58,18 @@ def test_unit_norm_and_disjoint_orthogonality():
 
 
 def test_angles_match_mass_formula():
-    # dot products against the arctan formula for 100 random mass tuples
+    # normal angles against the arctan formula for 100 random mass tuples
     rng = np.random.default_rng(1)
+    pairs = [((1, 2), (2, 3)), ((2, 3), (3, 4)), ((1, 3), (3, 4)), ((1, 2), (1, 3))]
     for _ in range(100):
-        assert angle_cross_check(coincidence_normals(random_masses(rng))) < 1e-10
+        masses = random_masses(rng)
+        planes, m = coincidence_normals(masses), masses.masses
+        for (i, j), (k, l) in pairs:
+            mid = ({i, j} & {k, l}).pop()
+            outer = sorted({i, j, k, l} - {mid})
+            expected = sector_angle(m[outer[0] - 1], m[mid - 1], m[outer[1] - 1])
+            ang = _angle(planes.normal(i, j), planes.normal(k, l))
+            assert min(abs(ang - expected), abs(math.pi - ang - expected)) < 1e-10
 
 
 def test_adjacent_pair_angle_is_omega_or_supplement():

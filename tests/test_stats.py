@@ -11,7 +11,6 @@ from kaleidobilliards.stats import (
     poisson_pdf,
     spacing_histogram,
     unfold,
-    unfold_polyfit,
     weyl_count,
     weyl_residuals,
     wigner_cdf,
@@ -73,9 +72,8 @@ def test_weyl_tracks_exact_octant_staircase():
 # -- unfolding -----------------------------------------------------------------
 
 def test_unfold_requires_50_levels():
-    for unfolding in (lambda e: unfold(e, OCTANT), unfold_polyfit):
-        with pytest.raises(InsufficientLevelsError):
-            unfolding(octant_exact_spectrum(49))
+    with pytest.raises(InsufficientLevelsError):
+        unfold(octant_exact_spectrum(49), OCTANT)
 
 
 def test_unfold_monotone_and_unit_mean_spacing():
@@ -92,10 +90,16 @@ def test_unfold_weyl_inverse_round_trip():
     assert spacings.std() < 1e-9  # exactly unit spacings by construction
 
 
+def _unfold_polyfit(levels):
+    """Reference unfolding: quintic fit of the empirical staircase."""
+    stair = np.arange(1, len(levels) + 1) - 0.5
+    return np.polyval(np.polyfit(levels, stair, 5), levels)
+
+
 def test_unfold_polyfit_cross_check():
     levels = octant_exact_spectrum(300)
     mean_w = np.mean(np.diff(unfold(levels, OCTANT)))
-    mean_p = np.mean(np.diff(unfold_polyfit(levels)))
+    mean_p = np.mean(np.diff(_unfold_polyfit(levels)))
     assert mean_p == pytest.approx(mean_w, rel=0.05)
 
 
