@@ -310,6 +310,24 @@ def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
     return vals, ders
 
 
+def _trig_multiples(angle: np.ndarray, count: int) -> tuple:
+    """cos(a x) and sin(a x) for a = 0..count-1 (count >= 2), on a new leading axis.
+
+    One cos and one sin per point; the higher multiples follow from the
+    Chebyshev recurrence f_{a+1} = 2 cos(x) f_a - f_{a-1}, which both
+    satisfy.
+    """
+    cos_a, sin_a = np.empty((2, count) + angle.shape)
+    cos_a[0], sin_a[0] = 1.0, 0.0
+    cos_a[1], sin_a[1] = np.cos(angle), np.sin(angle)
+    twice_cos = 2.0 * cos_a[1]
+    for a in range(1, count - 1):
+        for table in (cos_a, sin_a):
+            np.multiply(twice_cos, table[a], out=table[a + 1])
+            table[a + 1] -= table[a - 1]
+    return cos_a, sin_a
+
+
 def _moment_tables(sector: FlattenedSector, n_max: int, order: int) -> dict:
     """W[a, b] = sum over the grid of w trig(a alpha) trig(b theta), a, b = 0..2 n_max.
 
@@ -321,18 +339,19 @@ def _moment_tables(sector: FlattenedSector, n_max: int, order: int) -> dict:
     """
     s, t, quad_w = _quadrature_grid(order)
     w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
-    freq = np.arange(2 * n_max + 1, dtype=float)
+    width = 2 * n_max + 1
     alpha = (0.5 * math.pi * (s + 1.0)).T  # [eta, xi]
     theta = 0.5 * math.pi * (t - 1.0)
     # [eta, xi, weight]: the three cos weights, then the sin weight
     weights = np.stack([w_b, w_ss, w_tt, w_st], axis=-1).transpose(1, 0, 2)
-    moments = np.empty((order, len(freq), 4))  # [eta, a, weight]
+    moments = np.empty((order, width, 4))  # [eta, a, weight]
     for start in range(0, order, _ETA_BLOCK):
         cols = slice(start, start + _ETA_BLOCK)
-        phase = freq[None, :, None] * alpha[cols, None, :]  # [eta, a, xi]
-        moments[cols, :, :3] = np.cos(phase) @ weights[cols, :, :3]
-        moments[cols, :, 3:] = np.sin(phase) @ weights[cols, :, 3:]
-    phase = theta[:, None] * freq[None, :]  # [eta, b]
+        cos_a, sin_a = _trig_multiples(alpha[cols], width)  # [a, eta, xi]
+        moments[cols, :, :3] = cos_a.transpose(1, 0, 2) @ weights[cols, :, :3]
+        moments[cols, :, 3:] = sin_a.transpose(1, 0, 2) @ weights[cols, :, 3:]
+    # Q (2 n_max + 1) direct calls: cheap, and closer to exact than the recurrence
+    phase = theta[:, None] * np.arange(width)[None, :]  # [eta, b]
     cos_t, sin_t = np.cos(phase), np.sin(phase)
     return {
         "b": moments[:, :, 0].T @ cos_t,
@@ -540,12 +559,16 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
             np.fill_diagonal(a_mat, b_diag)
             b_x = scipy.linalg.blas.dsymm(1.0, a_mat.T, x, lower=1)
             np.fill_diagonal(a_mat, a_diag)
-            a_proj, b_proj = x.T @ a_x, x.T @ b_x
-            # twice the symmetric parts: the same eigenvalues
+            # on scipy's BLAS, like dsymm: numpy may bundle its own OpenBLAS,
+            # whose thread pool stalls against scipy's
+            a_proj = scipy.linalg.blas.dgemm(1.0, x, a_x, trans_a=1)
+            b_proj = scipy.linalg.blas.dgemm(1.0, x, b_x, trans_a=1)
+            # twice the symmetric parts: the same eigenvalues; the whole
+            # small pencil, as sygv solves it faster than sygvx bisects a subset
             vals = scipy.linalg.eigh(
                 a_proj + a_proj.T, b_proj + b_proj.T, eigvals_only=True,
-                check_finite=False, subset_by_index=[0, count - 1],
-            )
+                check_finite=False, driver="gv",
+            )[:count]
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise _eigensolver_error(exc) from exc
         if vals[0] <= 0.0:

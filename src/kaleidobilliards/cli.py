@@ -56,11 +56,21 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _blas() -> dict:
-    """The BLAS that scipy's solves ran on, and the threads it could use."""
+    """The BLAS that scipy's solves ran on, numpy's own, and the threads they could use.
+
+    numpy's wheels may bundle a second OpenBLAS, with its own thread pool;
+    numpy below 1.25 has no ``mode="dicts"``, and its BLAS is recorded as null.
+    """
     build = __import__("scipy").show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        numpy_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        numpy_build = {}
     return {
         "name": build.get("name"),
         "version": build.get("version"),
+        "numpy_name": numpy_build.get("name"),
+        "numpy_version": numpy_build.get("version"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CharacterTableError, NonCoxeterRootsError
 from .geometry import sig12
-from .masses import CoxeterSpec, MassSequence, brackets_for_rank, coxeter_spec
+from .masses import CoxeterSpec, MassSequence, brackets_for_rank
 from .polynomials import HomogeneousPolynomial, product_of_linear_forms
 
 __all__ = [

@@ -18,7 +18,6 @@ billiard is piecewise an isometry, so its non-Coxeter sectors are intermediate.
 See the README's "Known limitations" for the measured numbers.
 """
 
-import itertools
 import math
 from contextlib import contextmanager
 

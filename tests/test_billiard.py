@@ -435,6 +435,45 @@ def test_assemble_matches_four_gather_reference(chart, order):
     assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
+def _reference_moment_tables(sector, n_max, order):
+    """Moment tables from direct cos/sin of every frequency at every grid point."""
+    s, t, quad_w = _quadrature_grid(order)
+    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    freq = np.arange(2 * n_max + 1, dtype=float)
+    alpha = (0.5 * math.pi * (s + 1.0)).T  # [eta, xi]
+    theta = 0.5 * math.pi * (t - 1.0)
+    weights = np.stack([w_b, w_ss, w_tt, w_st], axis=-1).transpose(1, 0, 2)
+    moments = np.empty((order, len(freq), 4))  # [eta, a, weight]
+    for start in range(0, order, 8):
+        cols = slice(start, start + 8)
+        phase = freq[None, :, None] * alpha[cols, None, :]  # [eta, a, xi]
+        moments[cols, :, :3] = np.cos(phase) @ weights[cols, :, :3]
+        moments[cols, :, 3:] = np.sin(phase) @ weights[cols, :, 3:]
+    phase = theta[:, None] * freq[None, :]  # [eta, b]
+    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    return {
+        "b": moments[:, :, 0].T @ cos_t,
+        "ss": moments[:, :, 1].T @ cos_t,
+        "tt": moments[:, :, 2].T @ cos_t,
+        "st": moments[:, :, 3].T @ sin_t,
+    }
+
+
+@pytest.mark.parametrize("n_max", [8, 90])
+@pytest.mark.parametrize("name", ["octant", "H3"])
+def test_moment_tables_match_direct_trig(name, n_max):
+    # the alpha multiples come from the Chebyshev recurrence, not one cos
+    # and one sin per frequency
+    sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    order = 3 * n_max
+    tables = billiard._moment_tables(sec, n_max, order)
+    reference = _reference_moment_tables(sec, n_max, order)
+    assert tables.keys() == reference.keys()
+    for key, ref in reference.items():
+        assert tables[key].shape == ref.shape == (2 * n_max + 1, 2 * n_max + 1)
+        assert np.abs(tables[key] - ref).max() <= 1e-14 * np.abs(ref).max(), key
+
+
 def test_assemble_working_set_is_a_few_matrices():
     # no n^4 four-tensor and no (n, Q, Q) sine table: the four-tensor of
     # n_max 40 alone would be 20 MB, twice the two 780 x 780 matrices

@@ -401,6 +401,11 @@ def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     assert meta["peak_rss_mb"] > 0
     blas = meta["blas"]
     assert blas["name"] and blas["version"]
+    # numpy's own BLAS, which numpy records from 1.25 on
+    if tuple(int(part) for part in np.__version__.split(".")[:2]) >= (1, 25):
+        assert blas["numpy_name"] and blas["numpy_version"]
+    else:
+        assert blas["numpy_name"] is None and blas["numpy_version"] is None
     assert blas["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert blas["cpus"] >= 1
 

@@ -18,7 +18,6 @@ from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
     generate_family,
-    feasibility_interval,
     sector_angle,
     symmetric_member,
 )

@@ -6,7 +6,6 @@ import pytest
 
 from kaleidobilliards.polynomials import (
     HomogeneousPolynomial,
-    linear_form,
     moment_gram,
     monomial_exponents,
     monomial_images,
