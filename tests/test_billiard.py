@@ -513,6 +513,38 @@ def test_octant_exact_spectrum():
     np.testing.assert_allclose(spec.values, want * (want + 1), rtol=2e-4)
 
 
+def birectangular_levels(alpha, count):
+    """Lowest levels of the spherical triangle with angles (alpha, pi/2, pi/2).
+
+    u = sin(mu phi) P_nu^(-mu)(cos theta) with mu = j pi/alpha vanishes on the
+    equator when nu - mu is odd, so the levels are nu (nu + 1) with
+    nu = j pi/alpha + 2 m + 1, j >= 1, m >= 0.
+    """
+    nu = np.add.outer(np.arange(1, count + 1) * math.pi / alpha, 2.0 * np.arange(count) + 1.0)
+    return np.sort((nu * (nu + 1.0)).ravel())[:count]
+
+
+# the first case is the octant; the others are corners of the H3 fixture's
+# non-Coxeter sectors.  Measured at 30/40, k 40: the ground level lies 7e-6,
+# 1.3e-5 and 1.4e-4 mean spacings above its closed form, and the window's
+# worst level 0.005, 0.012 and 0.030 (windows of 40, 40 and 20 levels)
+@pytest.mark.parametrize("ratio,window", [(0.5, 40), (0.4397, 40), (0.1790, 20)])
+def test_birectangular_triangle_spectrum(ratio, window):
+    alpha = ratio * math.pi
+    inward = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [math.sin(alpha), -math.cos(alpha), 0.0]])
+    sec = flatten_geometry(geometry_from_inward_normals(inward))
+    assert sec.geometry.area == pytest.approx(alpha, rel=1e-12)
+    study = convergence_study(sec, (30, 40), k=40)
+    exact = birectangular_levels(alpha, 40)
+    # Galerkin upper bounds, less the float32 Ritz error of 1.4e-8 relative
+    assert np.all(study.values >= exact * (1.0 - 1.4e-8))
+    miss = (study.values - exact) / (4.0 * math.pi / alpha)
+    assert miss[0] <= 1e-3
+    assert study.converged_count >= window
+    # within the window's own drift bound, 0.05 mean spacings
+    assert np.all(miss[:study.converged_count] <= 0.05)
+
+
 @pytest.mark.parametrize(
     "name,masses",
     [

@@ -115,8 +115,9 @@ def test_cached_legendre_tail_is_bit_identical():
 
 
 def test_cached_harmonic_matrix_is_read_only():
-    with pytest.raises(ValueError):
-        exact._harmonic_matrix(3)[0, 0] = 1.0
+    for cached in (exact._harmonic_matrix(3), exact._quarter_turn(3)):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("lam", range(13))
@@ -127,6 +128,72 @@ def test_harmonics_at_matches_polynomial_harmonics(lam):
     for j, mu in enumerate(mu_sweep(lam)):
         want = real_spherical_harmonic(lam, mu).evaluate(pts)
         np.testing.assert_allclose(values[:, j], want, rtol=0, atol=1e-12)
+
+
+# -- reflection matrices ----------------------------------------------------------
+
+def _quadrature_reflection(lam, root):
+    """D(s) = Y(sX)^T W Y(X), the reflected grid evaluated once per generator."""
+    points, weighted = exact._sphere_grid(lam)
+    return exact._harmonics_at(lam, exact._reflect(points, root)).T @ weighted
+
+
+REFLECTION_DEGREES = [0, 1, 2, 17, 30, 45, 60]
+
+
+@pytest.mark.parametrize("lam", REFLECTION_DEGREES)
+def test_reflection_matrix_matches_quadrature(lam, a3, c3, h3):
+    for group in (a3, c3, h3):
+        for root in group.simple_roots:
+            got = exact._reflection_matrix(lam, root)
+            want = _quadrature_reflection(lam, root)
+            assert np.abs(got - want).max() <= 1e-12, (group.spec.name, lam)
+
+
+@pytest.mark.parametrize("lam", REFLECTION_DEGREES)
+def test_reflection_matrix_is_a_reflection(lam, a3, c3, h3):
+    # a reflection keeps lam + 1 dimensions of the degree-lam harmonics and
+    # negates lam: orthogonal, symmetric, involutive, trace 1
+    eye = np.eye(2 * lam + 1)
+    for group in (a3, c3, h3):
+        for root in group.simple_roots:
+            d = exact._reflection_matrix(lam, root)
+            assert np.abs(d.T @ d - eye).max() <= 1e-12
+            assert np.abs(d - d.T).max() <= 1e-12
+            assert np.abs(d @ d - eye).max() <= 1e-12
+            assert np.trace(d) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reflection_matrix_at_the_poles():
+    # theta = 0 or pi and phi from atan2 at the axes; a root this short
+    # normalizes to a z-component that rounds above 1, past acos's domain
+    tiny = np.array([0.0, 0.0, 7.025106264669213e-156])
+    assert (tiny / np.linalg.norm(tiny))[2] > 1.0
+    for lam in (1, 2, 17):
+        for root in [*np.eye(3), *-np.eye(3), tiny]:
+            got = exact._reflection_matrix(lam, root)
+            want = _quadrature_reflection(lam, root / np.linalg.norm(root))
+            assert np.abs(got - want).max() <= 1e-12, (lam, root)
+
+
+def test_projection_tables_take_one_quadrature_per_degree(monkeypatch):
+    # the base grid and the quarter turn, for every group and generator
+    calls = []
+    harmonics_at = exact._harmonics_at
+
+    def counted(lam, points):
+        calls.append(lam)
+        return harmonics_at(lam, points)
+
+    monkeypatch.setattr(exact, "_harmonics_at", counted)
+    exact._quarter_turn.cache_clear()
+    for masses in (
+        MassSequence((1, 1, 1, 1)),
+        generate_family(coxeter_spec("C3"), 3, 1),
+        symmetric_member(coxeter_spec("H3")),
+    ):
+        exact.projection_tables(group_from_masses(masses), [23])  # no cached tables
+    assert calls == [23, 23]
 
 
 # -- ground states ----------------------------------------------------------------
