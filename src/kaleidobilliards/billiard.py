@@ -300,16 +300,6 @@ def _grid_weights(sector: FlattenedSector, s, t, quad_w) -> tuple:
     return sqrt_g * quad_w, g_ss * quad_w, g_st * quad_w, g_tt * quad_w
 
 
-def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
-    """phi_n(x) = sin(n pi (x + shift)/2) and derivative, for n = 1..n_max."""
-    arg = 0.5 * math.pi * (coord + shift)
-    n = np.arange(1, n_max + 1)
-    phase = n.reshape((n_max,) + (1,) * coord.ndim) * arg[None, ...]
-    vals = np.sin(phase)
-    ders = (0.5 * math.pi) * n.reshape((n_max,) + (1,) * coord.ndim) * np.cos(phase)
-    return vals, ders
-
-
 def _trig_multiples(angle: np.ndarray, count: int) -> tuple:
     """cos(a x) and sin(a x) for a = 0..count-1 (count >= 2), on a new leading axis.
 

@@ -23,7 +23,7 @@ from scipy.special import sph_legendre_p
 from .errors import RankDeficiencyError
 from .masses import CoxeterSpec
 from .groups import ReflectionGroup, degeneracy, ladder
-from .polynomials import HomogeneousPolynomial, product_of_linear_forms
+from .polynomials import HomogeneousPolynomial, _exponent_arrays, product_of_linear_forms
 
 __all__ = [
     "HyperangularState",
@@ -59,68 +59,70 @@ class EnergyLevel:
 # real solid harmonics
 
 
-@lru_cache(maxsize=4096)  # every (lam, mu) up to lam 89
-def _legendre_tail(lam: int, mu: int) -> HomogeneousPolynomial:
-    """rho^(lam-mu) * d^mu P_lam / dx^mu (x = z3/rho), homogenized.
+@lru_cache(maxsize=64)
+def _solid_harmonics(lam: int) -> np.ndarray:
+    """Racah-normalized real solid harmonics of degree lam, dense (read-only).
 
-    Upward recurrence in lam at fixed mu, one step per cached (lam, mu):
-    (lam-mu) S_lam = (2 lam - 1) z3 S_{lam-1} - (lam-1+mu) r^2 S_{lam-2}.
-    Callers must not modify the returned polynomial.
+    Rows in mu_sweep order: for the complex R(l, m) =
+    sqrt((l - m)! / (l + m)!) rho^l P_l^m(cos theta) e^(i m phi), Condon-Shortley
+    phase included, the cos row of order m is Re R and the sin row Im R.  Built
+    from the two degrees below by
+    sqrt((l+1)^2 - m^2) R(l+1, m) = (2l+1) z3 R(l, m) - sqrt(l^2 - m^2) r^2 R(l-1, m)
+    and R(l+1, l+1) = -sqrt((2l+1)/(2l+2)) (z1 + i z2) R(l, l), so no
+    factorial or double factorial is ever formed (|R| <= 1 on the sphere).
     """
-    if lam == mu:
-        df = 1.0
-        for k in range(2 * mu - 1, 0, -2):
-            df *= k
-        return HomogeneousPolynomial.constant(df)  # S_{mu,mu} = (2mu-1)!!
-    z3 = HomogeneousPolynomial.from_dict(1, {(0, 0, 1): 1.0})
-    if lam == mu + 1:
-        return (2 * mu + 1.0) * (z3 * _legendre_tail(mu, mu))
-    r2 = HomogeneousPolynomial.from_dict(
-        2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
-    )
-    return (1.0 / (lam - mu)) * (
-        (2.0 * lam - 1.0) * (z3 * _legendre_tail(lam - 1, mu))
-        - (lam - 1.0 + mu) * (r2 * _legendre_tail(lam - 2, mu))
-    )
+    out = np.zeros((2 * lam + 1, lam + 1, lam + 1))
+    if lam == 0:
+        out[0, 0, 0] = 1.0
+    else:
+        ell = lam - 1
+        prev = _solid_harmonics(ell)
+        m = np.repeat(np.arange(lam), 2)[1:]  # the order of each row of prev
+        denom = np.sqrt(lam * lam - m * m)
+        out[: 2 * ell + 1, :lam, :lam] = ((2 * ell + 1) / denom)[:, None, None] * prev
+        if ell:
+            rows = 2 * ell - 1  # the r^2 term vanishes at order m = l
+            r2 = (np.sqrt(ell * ell - m[:rows] ** 2) / denom[:rows])[:, None, None]
+            r2 = r2 * _solid_harmonics(ell - 1)
+            out[:rows, 2:, :ell] -= r2
+            out[:rows, :ell, 2:] -= r2
+            out[:rows, :ell, :ell] -= r2
+        re, im = (prev[-2], prev[-1]) if ell else (prev[0], np.zeros_like(prev[0]))
+        c = -math.sqrt((2 * ell + 1) / (2 * ell + 2.0))
+        out[-2, 1:, :lam] += c * re
+        out[-2, :lam, 1:] -= c * im
+        out[-1, 1:, :lam] += c * im
+        out[-1, :lam, 1:] += c * re
+    out.flags.writeable = False
+    return out
 
 
-@lru_cache(maxsize=512)
-def _sectoral(mu: int) -> tuple:
-    """Re and Im of (z1 + i z2)^mu as degree-mu polynomials (do not modify)."""
-    if mu == 0:
-        return HomogeneousPolynomial.constant(1.0), HomogeneousPolynomial(0)
-    re, im = _sectoral(mu - 1)
-    z1 = HomogeneousPolynomial.from_dict(1, {(1, 0, 0): 1.0})
-    z2 = HomogeneousPolynomial.from_dict(1, {(0, 1, 0): 1.0})
-    return z1 * re - z2 * im, z1 * im + z2 * re
+# The monomial form cancels by about 4^lam: composed with a generator in
+# coefficient space, an exact state changes sign to 1e-8 of its largest
+# coefficient only up to lambda 65 (A3 test member) or 69 (H3), and to
+# 4.9e-6 or 1.0e-6 at lambda 85.
+_MONOMIAL_MAX_DEGREE = 85
 
 
-@lru_cache(maxsize=512)
+def _harmonic_matrix(lam: int) -> np.ndarray:
+    """Coefficient vectors of all 2*lam+1 unit-norm harmonics, rows in mu_sweep order."""
+    if lam > _MONOMIAL_MAX_DEGREE:
+        raise ValueError(
+            f"lambda={lam}: monomial harmonics stop at degree {_MONOMIAL_MAX_DEGREE}, "
+            f"where an exact state's coefficient-space antisymmetry residual is already 1e-6"
+        )
+    norm = math.sqrt((2 * lam + 1) / (4.0 * math.pi))
+    scale = np.full(2 * lam + 1, math.sqrt(2.0) * norm)
+    scale[0] = norm
+    return scale[:, None] * _solid_harmonics(lam)[(slice(None), *_exponent_arrays(lam))]
+
+
 def real_spherical_harmonic(lam: int, mu: int) -> HomogeneousPolynomial:
     """rho^lam Y_{lam,mu} as an exact homogeneous polynomial, unit L2 norm."""
     if abs(mu) > lam:
         raise ValueError("|mu| must not exceed lam")
-    amu = abs(mu)
-    # N_{lam,mu} with exact factorial ratio
-    ratio = 1.0
-    for k in range(lam - amu + 1, lam + amu + 1):
-        ratio /= k
-    # subnormal from (86, 86) on, and 0 from (89, 89), which zeroed the harmonic
-    if ratio < np.finfo(float).tiny:
-        raise ValueError(f"Y_({lam},{mu}) normalization underflows float64")
-    norm = math.sqrt((2 * lam + 1) / (4.0 * math.pi) * ratio)
-    # fill both recurrence caches from below, so that their recursion stays shallow
-    for k in range(amu):
-        _sectoral(k)
-    for ell in range(amu, lam):
-        _legendre_tail(ell, amu)
-    tail = _legendre_tail(lam, amu)
-    sign = (-1.0) ** amu  # Condon-Shortley, as in the P^mu relation
-    if mu == 0:
-        return norm * tail
-    re, im = _sectoral(amu)
-    azim = re if mu > 0 else im
-    return (math.sqrt(2.0) * norm * sign) * (azim * tail)
+    row = _harmonic_matrix(lam)[mu_sweep(lam).index(mu)]
+    return HomogeneousPolynomial._from_coeff_vector(lam, row)
 
 
 def mu_sweep(lam: int) -> list:
@@ -133,14 +135,6 @@ def mu_sweep(lam: int) -> list:
 
 # ---------------------------------------------------------------------------
 # anti-invariant harmonics
-
-
-@lru_cache(maxsize=64)
-def _harmonic_matrix(lam: int) -> np.ndarray:
-    """Coefficient vectors of all 2*lam+1 harmonics, rows in mu_sweep order (read-only)."""
-    rows = np.array([real_spherical_harmonic(lam, mu)._coeff_vector() for mu in mu_sweep(lam)])
-    rows.flags.writeable = False
-    return rows
 
 
 def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:
@@ -276,9 +270,10 @@ def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> Homogen
     """
     if abs(mu) > lam:
         raise ValueError("|mu| must not exceed lam")
+    harmonics = _harmonic_matrix(lam)
     basis = projection_tables(group, [lam])[lam]
     row = basis @ basis[mu_sweep(lam).index(mu)]
-    return HomogeneousPolynomial._from_coeff_vector(lam, row @ _harmonic_matrix(lam))
+    return HomogeneousPolynomial._from_coeff_vector(lam, row @ harmonics)
 
 
 def ground_state(group: ReflectionGroup) -> HyperangularState:
@@ -296,8 +291,10 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
     the sphere inner product is the dot product.  Each state must change sign
     under every generator s, |p(s x) + p(x)| <= 1e-8 max |p(x)| over
     2 (2 lam + 1) Fibonacci-lattice points x, evaluated in harmonic
-    coordinates, before it becomes a monomial polynomial.
+    coordinates, before it becomes a monomial polynomial.  The monomial form
+    stops at degree 85 (ValueError), also where no state exists.
     """
+    harmonics = _harmonic_matrix(lam)
     basis = projection_tables(group, [lam])[lam]
     if not basis.shape[1]:
         return []
@@ -309,7 +306,7 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
         flipped = _harmonics_at(lam, _reflect(points, root)) @ basis
         if np.any(np.abs(flipped + values).max(axis=0) > 1e-8 * scale):
             raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
-    coeffs = basis.T @ _harmonic_matrix(lam)
+    coeffs = basis.T @ harmonics
     return [
         HyperangularState(lam=lam, polynomial=HomogeneousPolynomial._from_coeff_vector(lam, row))
         for row in coeffs

@@ -10,6 +10,7 @@ every candidate bracket.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleFamilyError, MassDomainError
@@ -180,6 +181,8 @@ def generate_family(spec: CoxeterSpec, m1: float, m2: float) -> MassSequence:
 
     The angle condition tan^2(pi/q_i) = m_{i+1}(m_i+m_{i+1}+m_{i+2})/(m_i m_{i+2})
     solves forward as m_{i+2} = m_{i+1}(m_i+m_{i+1}) / (tan^2(pi/q_i) m_i - m_{i+1}).
+    Raises MassDomainError where that numerator or the new mass falls below
+    float64's normal range, which loses digits before it reaches 0.
     """
     if m1 <= 0 or m2 <= 0:
         raise MassDomainError("seed masses must be positive")
@@ -191,7 +194,14 @@ def generate_family(spec: CoxeterSpec, m1: float, m2: float) -> MassSequence:
                 f"denominator {denom:.3e} <= 0 at step {i + 1} (bracket entry q={q}); "
                 f"the (m1, m2) ray exits the positivity domain"
             )
-        masses.append(masses[i + 1] * (masses[i] + masses[i + 1]) / denom)
+        product = masses[i + 1] * (masses[i] + masses[i + 1])
+        mass = product / denom
+        if min(product, mass) < sys.float_info.min:
+            raise MassDomainError(
+                f"mass {i + 3} underflows float64 at step {i + 1}: "
+                f"{product:.3e} / {denom:.3e} leaves the normal range"
+            )
+        masses.append(mass)
     return MassSequence(tuple(masses))
 
 
@@ -234,7 +244,7 @@ def family_curve(spec: CoxeterSpec, ratio_grid) -> FamilyCurve:
             continue
         try:
             seq = generate_family(spec, 1.0, float(r))
-        except InfeasibleFamilyError as exc:
+        except (InfeasibleFamilyError, MassDomainError) as exc:
             infeasible.append((float(r), str(exc)))
             continue
         points.append(FamilyPoint(float(r), seq.fractions))

@@ -71,8 +71,6 @@ class HomogeneousPolynomial:
 
     __slots__ = ("degree", "_dense")
 
-    num_vars = 3
-
     def __init__(self, degree: int, dense: np.ndarray | None = None):
         if degree < 0:
             raise ValueError("degree must be non-negative")

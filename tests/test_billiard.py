@@ -11,7 +11,6 @@ from kaleidobilliards.billiard import (
     BasisTruncation,
     _grid_weights,
     _quadrature_grid,
-    _sine_factors,
     assemble,
     convergence_study,
     flatten_geometry,
@@ -279,6 +278,16 @@ def test_operator_matches_finite_differences():
 
 
 # -- basis -----------------------------------------------------------------------
+
+def _sine_factors(n_max: int, coord: np.ndarray, shift: float):
+    """phi_n(x) = sin(n pi (x + shift)/2) and derivative, for n = 1..n_max."""
+    arg = 0.5 * math.pi * (coord + shift)
+    n = np.arange(1, n_max + 1)
+    phase = n.reshape((n_max,) + (1,) * coord.ndim) * arg[None, ...]
+    vals = np.sin(phase)
+    ders = (0.5 * math.pi) * n.reshape((n_max,) + (1,) * coord.ndim) * np.cos(phase)
+    return vals, ders
+
 
 def _basis_function(n: int, m: int, s, t):
     """Antisymmetrized right-triangle Dirichlet mode h_{n,m}: the difference

@@ -302,6 +302,19 @@ def test_family_csv_and_metadata(tmp_path, capsys):
     assert ((mu1 - mu4)[:-1] * (mu1 - mu4)[1:] < 0).any()
 
 
+def test_family_underflowing_ratio_is_an_infeasible_point(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    code = main(["family", "--spec", "H3", "--r-min", "1e-200", "--grid", "5",
+                 "--output", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(out.read_text().strip().split("\n")) == 5  # header and four rows
+    meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
+    assert meta["n_points"] == 4
+    [[r, reason]] = meta["infeasible_points"]
+    assert r == 1e-200 and "underflows float64" in reason
+
+
 @pytest.mark.parametrize("flags", [[], ["--r-min", "0.01", "--r-max", "0.2"]])
 def test_family_metadata_records_ratio_range(flags, tmp_path, capsys):
     out = tmp_path / "family.csv"

@@ -17,7 +17,7 @@ from kaleidobilliards.exact import (
     real_spherical_harmonic,
 )
 from kaleidobilliards.groups import degeneracy, group_from_masses, lambda_spectrum
-from kaleidobilliards.polynomials import HomogeneousPolynomial
+from kaleidobilliards.polynomials import HomogeneousPolynomial, linear_form
 from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
@@ -62,13 +62,16 @@ def test_harmonics_are_harmonic_and_normalized(lam, mu):
     assert y.sphere_norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_harmonic_normalization_underflow_raises():
-    # (lam - |mu|)! / (lam + |mu|)! is subnormal at (86, 86) and 0 at (90, -90),
-    # where it used to turn the harmonic into the zero polynomial
+def test_monomial_degree_limit_raises(h3):
+    # one rule from lambda 86 on, for every order; the factorial ratio of the
+    # old normalization was subnormal at (86, 86) and 0 at (90, -90)
     assert np.isfinite(real_spherical_harmonic(85, 85)._dense).all()
-    for lam, mu in ((86, 86), (90, -90), (100, 85)):
-        with pytest.raises(ValueError, match="underflows"):
+    for lam, mu in ((86, 86), (86, 0), (90, -90), (100, 85)):
+        with pytest.raises(ValueError, match="monomial harmonics stop at degree 85"):
             real_spherical_harmonic(lam, mu)
+    assert degeneracy(86, h3) == 0  # raises although there is no state to convert
+    with pytest.raises(ValueError, match="monomial harmonics stop at degree 85"):
+        excited_basis(86, h3)
 
 
 def test_harmonics_orthogonal_within_degree():
@@ -84,40 +87,71 @@ def test_mu_sweep_order():
     assert mu_sweep(2) == [0, 1, -1, 2, -2]
 
 
-def _uncached_legendre_tail(lam, mu):
-    """The recurrence run from scratch, as before the tails were cached."""
-    z3 = HomogeneousPolynomial.from_dict(1, {(0, 0, 1): 1.0})
+def _legendre_tails(mu, lam_max):
+    """rho^(lam-mu) d^mu P_lam / dx^mu (x = z3/rho), homogenized, lam = mu..lam_max.
+
+    (lam-mu) S_lam = (2 lam - 1) z3 S_{lam-1} - (lam-1+mu) r^2 S_{lam-2},
+    started from S_mu = (2mu-1)!!.
+    """
+    z3 = linear_form((0, 0, 1))
     r2 = HomogeneousPolynomial.from_dict(
         2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
     )
     df = 1.0
     for k in range(2 * mu - 1, 0, -2):
         df *= k
-    prev2 = HomogeneousPolynomial.constant(df)
-    if lam == mu:
-        return prev2
-    prev1 = (2 * mu + 1.0) * (z3 * prev2)
-    for ell in range(mu + 2, lam + 1):
-        cur = (1.0 / (ell - mu)) * (
-            (2.0 * ell - 1.0) * (z3 * prev1) - (ell - 1.0 + mu) * (r2 * prev2)
-        )
-        prev2, prev1 = prev1, cur
-    return prev1
+    prev2, prev1 = None, HomogeneousPolynomial.constant(df)
+    yield prev1
+    for lam in range(mu + 1, lam_max + 1):
+        cur = (2.0 * lam - 1.0) * (z3 * prev1)
+        if lam > mu + 1:
+            cur = cur - (lam - 1.0 + mu) * (r2 * prev2)
+        prev2, prev1 = prev1, (1.0 / (lam - mu)) * cur
+        yield prev1
 
 
-def test_cached_legendre_tail_is_bit_identical():
-    for lam in range(41):
-        for mu in range(lam + 1):
-            got = exact._legendre_tail(lam, mu)
-            want = _uncached_legendre_tail(lam, mu)
-            assert got.degree == want.degree == lam - mu
-            assert np.array_equal(got._dense, want._dense), (lam, mu)
+def _factorial_harmonics(lam_max):
+    """{(lam, mu): rho^lam Y_{lam,mu}} for lam <= lam_max, built with factorials:
+    (2mu-1)!!-scaled Legendre tails times the sectoral factor (z1 + i z2)^mu
+    and the normalization sqrt((2 lam + 1)/(4 pi) (lam - mu)!/(lam + mu)!),
+    Condon-Shortley phase included.
+    """
+    z1, z2 = linear_form((1, 0, 0)), linear_form((0, 1, 0))
+    re, im = HomogeneousPolynomial.constant(1.0), HomogeneousPolynomial(0)
+    out = {}
+    for mu in range(lam_max + 1):
+        for lam, tail in enumerate(_legendre_tails(mu, lam_max), start=mu):
+            ratio = 1.0
+            for k in range(lam - mu + 1, lam + mu + 1):
+                ratio /= k
+            norm = math.sqrt((2 * lam + 1) / (4.0 * math.pi) * ratio)
+            if mu == 0:
+                out[lam, 0] = norm * tail
+            else:
+                signed = math.sqrt(2.0) * norm * (-1.0) ** mu
+                out[lam, mu] = signed * (re * tail)
+                out[lam, -mu] = signed * (im * tail)
+        re, im = z1 * re - z2 * im, z1 * im + z2 * re
+    return out
+
+
+def test_harmonic_matrix_matches_factorial_construction():
+    # measured worst 1.4e-14 (lambda 60); both sit within 1e-14 of a
+    # longdouble run of the recurrence
+    want = _factorial_harmonics(60)
+    for lam in range(61):
+        for row, mu in zip(exact._harmonic_matrix(lam), mu_sweep(lam)):
+            ref = want[lam, mu]._coeff_vector()
+            assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max(), (lam, mu)
 
 
 def test_cached_harmonic_matrix_is_read_only():
-    for cached in (exact._harmonic_matrix(3), exact._quarter_turn(3)):
+    for cached in (exact._solid_harmonics(3), exact._quarter_turn(3)):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
+    # every call returns its own polynomial
+    real_spherical_harmonic(3, 1)._dense[:] = 0.0
+    assert not real_spherical_harmonic(3, 1).is_zero()
 
 
 @pytest.mark.parametrize("lam", range(13))

@@ -204,6 +204,18 @@ def test_family_curve_reports_infeasible():
     assert curve.infeasible[0][0] == 0.75
 
 
+@pytest.mark.parametrize("spec", [A3, C3, H3], ids=lambda s: s.name)
+def test_family_curve_lists_underflowing_ratio(spec):
+    # below r of about 1e-154 the numerator of the last mass is subnormal,
+    # and below about 1e-162 the mass itself is 0
+    curve = family_curve(spec, [1e-200, 1e-158, 0.1 * feasibility_interval(spec)[1]])
+    assert len(curve.points) == 1
+    assert [r for r, _ in curve.infeasible] == [1e-200, 1e-158]
+    assert all("underflows float64" in reason for _, reason in curve.infeasible)
+    with pytest.raises(MassDomainError, match="underflows float64"):
+        generate_family(spec, 1.0, 1e-158)
+
+
 def test_family_curve_empty_raises_with_interval():
     with pytest.raises(InfeasibleFamilyError) as err:
         family_curve(C3, [0.9, 0.95])
