@@ -158,20 +158,6 @@ def _reflect(points: np.ndarray, root: np.ndarray) -> np.ndarray:
     return points - 2.0 * np.outer(points @ root, root)
 
 
-def _sphere_grid(lam: int) -> tuple:
-    """Gauss-Legendre x trapezoid points and weighted harmonics W Y(X).
-
-    The quadrature is exact to degree 2*lam, so Y(X)^T W Y(X) = I.
-    """
-    z, w = np.polynomial.legendre.leggauss(lam + 1)
-    phi = 2.0 * math.pi * np.arange(2 * lam + 1) / (2 * lam + 1)
-    z, phi = (g.ravel() for g in np.meshgrid(z, phi, indexing="ij"))
-    rho = np.sqrt(1.0 - z * z)
-    points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    weights = np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
-    return points, weights[:, None] * _harmonics_at(lam, points)
-
-
 # Rotation matrices M(R) act on harmonic coordinates by Y(R x) = Y(x) M(R),
 # columns in mu_sweep order, so that M(R1 R2) = M(R2) M(R1).
 
@@ -188,18 +174,62 @@ def _z_rotation(lam: int, angle: float) -> np.ndarray:
     return out
 
 
-# K = R_x(-pi/2) takes z to y, so R_y(theta) = K R_z(theta) K^T
-_QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+@lru_cache(maxsize=64)
+def _half_pi_d(lam: int) -> np.ndarray:
+    """Wigner's d^lam(pi/2), indices i = lam - m, k = lam - m' (read-only).
+
+    Built from d^(lam-1) in two half steps of Risbo's recursion (T. Risbo,
+    J. Geodesy 70, 383, 1996): with d of spin (n-1)/2 zero-padded,
+    d_n[i, k] = sqrt(1/2)/n (sqrt((n-i)(n-k)) d[i, k] + sqrt(i(n-k)) d[i-1, k]
+    - sqrt((n-i)k) d[i, k-1] + sqrt(ik) d[i-1, k-1]).  The two factors
+    sqrt(1/2) are applied as one exact 1/2: a rounded sqrt(1/2) per step
+    drifts d from orthogonal by 3.4e-14 at lambda 121, against 1.7e-15.
+    """
+    d = np.ones((1, 1))
+    if lam:
+        d = _half_pi_d(lam - 1)
+        for n in (2 * lam - 1, 2 * lam):
+            b = np.sqrt(np.arange(1.0, n + 1))
+            a = b[::-1]
+            ad, bd = a[:, None] * d, b[:, None] * d
+            d = np.zeros((n + 1, n + 1))
+            d[:n, :n] += ad * a
+            d[:n, 1:] -= ad * b
+            d[1:, :n] += bd * a
+            d[1:, 1:] += bd * b
+            d /= n
+        d *= 0.5
+    d.flags.writeable = False
+    return d
 
 
 @lru_cache(maxsize=64)
 def _quarter_turn(lam: int) -> np.ndarray:
-    """J = M(K) = Y(X)^T W Y(K X) from the exact sphere quadrature (read-only).
+    """J = M(K) for the quarter turn K = R_x(-pi/2) from d^lam(pi/2) (read-only).
 
-    The one quadrature per degree: every group and generator shares it.
+    K takes z to y, so R_y(theta) = K R_z(theta) K^T; every group and
+    generator of the degree shares J.  K = R_z(pi/2) R_y(pi/2) R_z(-pi/2),
+    and in mu_sweep order M(R_y(pi/2)) has the cos block
+    d(m, m') + (-1)^m' d(m, -m'), divided by sqrt 2 on the mu = 0 row and
+    column, and the sin block d(m, m') - (-1)^m' d(m, -m').
     """
-    points, weighted = _sphere_grid(lam)
-    turn = weighted.T @ _harmonics_at(lam, points @ _QUARTER_TURN.T)
+    d = _half_pi_d(lam)
+    m = np.arange(lam + 1)
+    pos, neg = d[np.ix_(lam - m, lam - m)], d[np.ix_(lam - m, lam + m)] * (-1.0) ** m
+    cos_block, sin_block = pos + neg, (pos - neg)[1:, 1:]
+    cos_block[0] /= math.sqrt(2.0)
+    cos_block[:, 0] /= math.sqrt(2.0)
+    cos, sin = np.r_[0, 2 * m[1:] - 1], 2 * m[1:]
+    delta = np.zeros((2 * lam + 1, 2 * lam + 1))
+    delta[np.ix_(cos, cos)] = cos_block
+    delta[np.ix_(sin, sin)] = sin_block
+    # Z(pi/2) holds one exact +-1 per row r, in column perm[r]: the pairs of
+    # odd order swap, and cos(m pi/2) in floating point would not be 0
+    perm, sign = np.arange(2 * lam + 1), np.ones(2 * lam + 1)
+    odd = np.arange(1, 2 * lam, 4)
+    perm[odd], perm[odd + 1] = odd + 1, odd
+    sign[cos[1:]], sign[sin] = (-1.0) ** (m[1:] // 2), (-1.0) ** ((m[1:] + 1) // 2)
+    turn = np.outer(sign, sign) * delta[np.ix_(perm, perm)]
     turn.flags.writeable = False
     return turn
 
@@ -238,9 +268,9 @@ def projection_tables(group: ReflectionGroup, lambdas) -> dict:
     mu_sweep order.  The simple reflections s generate the group and have
     det -1, so the columns span the joint null space of D(s) + 1.  D(s) is
     the parity times a half turn, built by ``_reflection_matrix`` from the
-    degree's one quadrature-computed quarter-turn matrix; over lam <= 60 on
-    the A3, C3 and H3 test members the null singular values stay below
-    2.5e-13 and the next ones above 0.746.  Raises RankDeficiencyError unless
+    degree's one quarter-turn matrix; over lam <= 121 on the A3, C3 and H3
+    test members the null singular values stay below 3.3e-14 and the next
+    ones above 0.746.  Raises RankDeficiencyError unless
     the a-th smallest singular value lies below 1e-8 of the (a+1)-th (the
     float64 epsilon stands in for a = 0).
     """

@@ -250,9 +250,12 @@ def family_curve(spec: CoxeterSpec, ratio_grid) -> FamilyCurve:
         points.append(FamilyPoint(float(r), seq.fractions))
     if not points:
         lo, hi = feasibility_interval(spec)
+        reasons = "".join(f"; r={r:.12g}: {reason}" for r, reason in infeasible[:3])
+        if len(infeasible) > 3:
+            reasons += f"; and {len(infeasible) - 3} more"
         raise InfeasibleFamilyError(
             f"no feasible grid point for {spec.name}; feasible r interval is "
-            f"({lo:.12g}, {hi:.12g})"
+            f"({lo:.12g}, {hi:.12g}){reasons}"
         )
     return FamilyCurve(spec, points, infeasible)
 

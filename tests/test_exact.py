@@ -146,7 +146,7 @@ def test_harmonic_matrix_matches_factorial_construction():
 
 
 def test_cached_harmonic_matrix_is_read_only():
-    for cached in (exact._solid_harmonics(3), exact._quarter_turn(3)):
+    for cached in (exact._solid_harmonics(3), exact._half_pi_d(3), exact._quarter_turn(3)):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
     # every call returns its own polynomial
@@ -166,10 +166,53 @@ def test_harmonics_at_matches_polynomial_harmonics(lam):
 
 # -- reflection matrices ----------------------------------------------------------
 
+def _sphere_grid(lam):
+    """Gauss-Legendre x trapezoid points and weighted harmonics W Y(X).
+
+    The quadrature is exact to degree 2*lam, so Y(X)^T W Y(X) = I.
+    """
+    z, w = np.polynomial.legendre.leggauss(lam + 1)
+    phi = 2.0 * math.pi * np.arange(2 * lam + 1) / (2 * lam + 1)
+    z, phi = (g.ravel() for g in np.meshgrid(z, phi, indexing="ij"))
+    rho = np.sqrt(1.0 - z * z)
+    points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    weights = np.repeat(w, 2 * lam + 1) * (2.0 * math.pi / (2 * lam + 1))
+    return points, weights[:, None] * exact._harmonics_at(lam, points)
+
+
+# K = R_x(-pi/2) takes z to y
+_QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+
+def _quadrature_quarter_turn(lam):
+    """J = M(K) = Y(X)^T W Y(K X), the turned grid evaluated once."""
+    points, weighted = _sphere_grid(lam)
+    return weighted.T @ exact._harmonics_at(lam, points @ _QUARTER_TURN.T)
+
+
 def _quadrature_reflection(lam, root):
     """D(s) = Y(sX)^T W Y(X), the reflected grid evaluated once per generator."""
-    points, weighted = exact._sphere_grid(lam)
+    points, weighted = _sphere_grid(lam)
     return exact._harmonics_at(lam, exact._reflect(points, root)).T @ weighted
+
+
+@pytest.mark.parametrize("lam", [*range(31), 45, 60, 85])
+def test_quarter_turn_matches_quadrature(lam):
+    # Risbo's recursion against the sphere quadrature: measured worst 5.2e-14
+    got = exact._quarter_turn(lam)
+    assert np.abs(got - _quadrature_quarter_turn(lam)).max() <= 1e-13
+
+
+def test_quarter_turn_and_reflections_orthogonal_past_the_monomial_limit(a3, c3, h3):
+    # measured 1.4e-15 for J and at most 3.6e-15 for D(s) at lambda 121
+    lam = 121
+    eye = np.eye(2 * lam + 1)
+    turn = exact._quarter_turn(lam)
+    assert np.abs(turn.T @ turn - eye).max() <= 1e-13
+    for group in (a3, c3, h3):
+        for root in group.simple_roots:
+            d = exact._reflection_matrix(lam, root)
+            assert np.abs(d.T @ d - eye).max() <= 1e-13, group.spec.name
 
 
 REFLECTION_DEGREES = [0, 1, 2, 17, 30, 45, 60]
@@ -210,8 +253,8 @@ def test_reflection_matrix_at_the_poles():
             assert np.abs(got - want).max() <= 1e-12, (lam, root)
 
 
-def test_projection_tables_take_one_quadrature_per_degree(monkeypatch):
-    # the base grid and the quarter turn, for every group and generator
+def test_projection_tables_take_no_sphere_quadrature(monkeypatch):
+    # the quarter turn comes from the recursion, for every group and generator
     calls = []
     harmonics_at = exact._harmonics_at
 
@@ -220,6 +263,7 @@ def test_projection_tables_take_one_quadrature_per_degree(monkeypatch):
         return harmonics_at(lam, points)
 
     monkeypatch.setattr(exact, "_harmonics_at", counted)
+    exact._half_pi_d.cache_clear()
     exact._quarter_turn.cache_clear()
     for masses in (
         MassSequence((1, 1, 1, 1)),
@@ -227,7 +271,26 @@ def test_projection_tables_take_one_quadrature_per_degree(monkeypatch):
         symmetric_member(coxeter_spec("H3")),
     ):
         exact.projection_tables(group_from_masses(masses), [23])  # no cached tables
-    assert calls == [23, 23]
+    assert calls == []
+
+
+def test_projection_tables_past_the_monomial_limit(h3):
+    # lambda 121 (a = 4): measured null singular values up to 2.4e-14 and the
+    # next one 0.746; the states change sign at points off any grid
+    lam = 121
+    basis = exact.projection_tables(h3, [lam])[lam]
+    assert basis.shape == (2 * lam + 1, degeneracy(lam, h3)) == (243, 4)
+    eye = np.eye(2 * lam + 1)
+    stacked = np.vstack([exact._reflection_matrix(lam, r) + eye for r in h3.simple_roots])
+    ascending = np.linalg.svd(stacked, compute_uv=False)[::-1]
+    assert ascending[3] <= 1e-12
+    assert ascending[4] >= 0.4
+    assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-12
+    points = exact._fibonacci_points(2 * (2 * lam + 1))
+    values = exact._harmonics_at(lam, points) @ basis
+    for root in h3.simple_roots:
+        flipped = exact._harmonics_at(lam, exact._reflect(points, root)) @ basis
+        assert np.abs(flipped + values).max() <= 1e-12 * np.abs(values).max()
 
 
 # -- ground states ----------------------------------------------------------------

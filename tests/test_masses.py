@@ -222,6 +222,20 @@ def test_family_curve_empty_raises_with_interval():
     assert "0.5" in str(err.value)
 
 
+def test_family_curve_empty_raises_with_reasons():
+    # both ratios lie inside the feasible interval, so only the reasons tell
+    # why they were refused
+    with pytest.raises(InfeasibleFamilyError) as err:
+        family_curve(H3, [1e-200, 1e-199])
+    message = str(err.value)
+    assert "feasible r interval is (0, 0.14589803375)" in message
+    assert "r=1e-200: mass 4 underflows float64 at step 2" in message
+    assert "r=1e-199: mass 4 underflows float64 at step 2" in message
+    # a long grid lists its first three reasons
+    with pytest.raises(InfeasibleFamilyError, match=r"r=0.93: .*; and 2 more$"):
+        family_curve(C3, [0.9, 0.91, 0.93, 0.95, 0.97])
+
+
 def test_h3_symmetric_member_matches_reported_fractions():
     seq = symmetric_member(H3)
     fr = seq.fractions
