@@ -500,7 +500,7 @@ def test_assemble_working_set_is_a_few_matrices():
 def test_assemble_at_quadrature_floor_gives_definite_overlap():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     a, b = assemble(sec, BasisTruncation(12), quadrature_order=36)
-    (vals,) = solve_spectrum(a, b, 10)
+    vals = solve_spectrum(a, b, 10)[0].levels
     assert len(vals) == 10 and vals[0] > 0
 
 
@@ -622,7 +622,7 @@ def test_convergence_study_lower_spectra_are_submatrix_solves():
     sec = flatten_sector(H3_SEQ, (1, 3, 4, 2))
     study = convergence_study(sec, (12, 15, 18), k=30)
     for n_max, vals in zip(study.n_max_grid, study.spectra):
-        (direct,) = solve_spectrum(*assemble(sec, BasisTruncation(n_max), 54), 30)
+        direct = solve_spectrum(*assemble(sec, BasisTruncation(n_max), 54), 30)[0].levels
         np.testing.assert_allclose(vals, direct, rtol=1e-10)
 
 
@@ -654,7 +654,7 @@ def test_quadrature_above_the_study_order_moves_no_level(masses, ordering):
     sec = flatten_sector(MassSequence(masses), ordering)
     n_max = 30
     low, high = (
-        solve_spectrum(*assemble(sec, BasisTruncation(n_max), factor * n_max), 60)[0]
+        solve_spectrum(*assemble(sec, BasisTruncation(n_max), factor * n_max), 60)[0].levels
         for factor in (billiard._QUADRATURE_FACTOR, 5)
     )
     spacing = 4.0 * math.pi / sec.geometry.area
@@ -729,7 +729,7 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
     a, b = assemble(sec, BasisTruncation(6), quadrature_order=18)
     # the reference first: solve_spectrum consumes its matrices
     full = scipy.linalg.eigh(a, b, eigvals_only=True)
-    (vals,) = solve_spectrum(a, b, 100)
+    vals = solve_spectrum(a, b, 100)[0].levels
     assert len(vals) == len(full) == 15
     np.testing.assert_allclose(vals, full, rtol=1e-10)
 
@@ -737,29 +737,42 @@ def test_solve_spectrum_k_above_basis_returns_all_levels():
 @pytest.mark.parametrize(
     "name,n_max,k",
     # k 5, 7 and 8 split the octant's degenerate clusters lambda 7 and 9
-    [("H3", 14, 12), ("octant", 40, 5), ("octant", 40, 7), ("octant", 40, 8)],
+    [("H3", 14, 12), ("octant", 40, 5), ("octant", 40, 7), ("octant", 40, 8),
+     ("octant", 60, 10)],
 )
 def test_solve_spectrum_levels_bound_float64_levels(name, n_max, k):
     sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
     a, b = assemble(sec, BasisTruncation(n_max), 3 * n_max)
     want = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, k - 1])
     (got,) = solve_spectrum(a, b, k)
+    # 91 basis functions for 22 vectors take sygvx; the octant's 780 for up
+    # to 18 vectors and 1770 for 20 take block Krylov
+    assert got.path == ("dense" if name == "H3" else "krylov")
     # Ritz values of a subspace of the Galerkin space: upper bounds
-    assert np.all(got >= want * (1.0 - 1e-12))
-    np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
+    assert np.all(got.levels >= want * (1.0 - 1e-12))
+    np.testing.assert_allclose(got.levels, want, rtol=1e-7, atol=0.0)
 
 
 @pytest.mark.parametrize("top_first", [False, True], ids=["lower_first", "top_first"])
 def test_solve_spectrum_sizes_match_leading_block_solves(top_first):
-    # the blocks share the packed pencil: each later solve needs A's diagonal back
-    trunc = BasisTruncation(20)
-    a, b = assemble(flatten_sector(H3_SEQ, (1, 3, 4, 2)), trunc, 60)
-    sizes = [len(BasisTruncation(n_max)) for n_max in (14, 17, 20)][::-1 if top_first else 1]
-    want = [solve_spectrum(a[:n, :n].copy(), b[:n, :n].copy(), 15)[0] for n in sizes]
-    got = solve_spectrum(a, b, 15, sizes)
-    assert len(got) == len(want)
-    for got_vals, want_vals in zip(got, want):
-        np.testing.assert_allclose(got_vals, want_vals, rtol=1e-9, atol=0.0)
+    # the blocks share the packed pencil: each later solve needs A's diagonal
+    # back, and a Krylov block leaves factors in b's buffer
+    cases = [
+        # (sector, truncations, k, paths): every block dense, then with 20
+        # vectors truncation 40 (780 functions) Krylov and 30 (435) dense
+        (flatten_sector(H3_SEQ, (1, 3, 4, 2)), (14, 17, 20), 15, ["dense"] * 3),
+        (octant_sector(), (30, 40), 10, ["dense", "krylov"]),
+    ]
+    for sec, n_maxes, k, paths in cases:
+        trunc = BasisTruncation(n_maxes[-1])
+        a, b = assemble(sec, trunc, 3 * trunc.n_max)
+        order = slice(None, None, -1 if top_first else 1)
+        sizes = [len(BasisTruncation(n_max)) for n_max in n_maxes][order]
+        want = [solve_spectrum(a[:n, :n].copy(), b[:n, :n].copy(), k)[0] for n in sizes]
+        got = solve_spectrum(a, b, k, sizes)
+        assert [solve.path for solve in got] == [solve.path for solve in want] == paths[order]
+        for got_solve, want_solve in zip(got, want, strict=True):
+            np.testing.assert_allclose(got_solve.levels, want_solve.levels, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("size", [0, -1, 4, 2.0])
@@ -791,6 +804,76 @@ def test_indefinite_overlap_error_names_float32_overlap():
     with pytest.raises(EigensolverError, match="not positive-definite in float32") as info:
         solve_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 2)
     assert "leading minor of order 2" in str(info.value)
+
+
+def test_krylov_working_set_is_its_basis():
+    # 780 functions for 15 vectors: the Krylov path, whose largest arrays
+    # are its float32 basis of at most _KRYLOV_STEPS blocks and the float64
+    # Rayleigh-Ritz vectors; no N x N array and no copy of the pencil
+    a, b = assemble(octant_sector(), BasisTruncation(40), 120)
+    n, width = len(a), 5 + billiard._OVERSAMPLE
+    assert billiard._krylov_side(width, n)
+    solve_spectrum(a.copy(), b.copy(), 5)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        (solve,) = solve_spectrum(a, b, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve.path == "krylov"
+    basis = 4 * n * width * billiard._KRYLOV_STEPS
+    assert peak < 2 * basis < 4 * n * n
+
+
+def test_indefinite_overlap_on_the_krylov_side_names_float32_overlap(monkeypatch):
+    # B's Cholesky factor is the Krylov path's positive-definiteness check,
+    # worded as sygvx words it
+    n = 700
+    assert billiard._krylov_side(1 + billiard._OVERSAMPLE, n)
+    b = np.ones(n)
+    b[299] = -1.0
+    with pytest.raises(EigensolverError, match="not positive-definite in float32") as info:
+        solve_spectrum(np.eye(n), np.diag(b), 1)
+    assert "leading minor of order 300" in str(info.value)
+    monkeypatch.setattr(billiard, "_krylov_side", lambda width, n: False)
+    with pytest.raises(EigensolverError) as dense:
+        solve_spectrum(np.eye(n), np.diag(b), 1)
+    assert str(dense.value) == str(info.value)
+
+
+def _dense_levels(monkeypatch, a, b, k):
+    with monkeypatch.context() as patch:
+        patch.setattr(billiard, "_krylov_side", lambda width, n: False)
+        (solve,) = solve_spectrum(a.copy(), b.copy(), k)
+    assert solve.path == "dense"
+    return solve.levels
+
+
+def test_krylov_falls_back_to_sygvx_when_a_is_not_definite(monkeypatch):
+    a, b = assemble(octant_sector(), BasisTruncation(40), 120)
+    want = _dense_levels(monkeypatch, a, b, 5)
+    factored = []
+    real = billiard._cholesky32
+
+    def failing_on_a(mat):
+        factored.append(len(mat))
+        # B is factored first, then A, which fails at its first pivot
+        return real(mat) if len(factored) == 1 else 1
+
+    monkeypatch.setattr(billiard, "_cholesky32", failing_on_a)
+    (solve,) = solve_spectrum(a, b, 5)
+    assert factored == [len(a), len(a)]
+    assert (solve.path, solve.krylov_steps) == ("dense", 0)
+    assert np.array_equal(solve.levels, want)
+
+
+def test_krylov_falls_back_to_sygvx_at_the_step_cap(monkeypatch):
+    a, b = assemble(octant_sector(), BasisTruncation(40), 120)
+    want = _dense_levels(monkeypatch, a, b, 5)
+    monkeypatch.setattr(billiard, "_KRYLOV_STEPS", 2)
+    (solve,) = solve_spectrum(a, b, 5)
+    assert (solve.path, solve.krylov_steps) == ("dense", 2)
+    assert np.array_equal(solve.levels, want)
 
 
 def test_unconverged_eigenvectors_error_names_the_cause(monkeypatch):

@@ -423,6 +423,19 @@ def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
     assert blas["cpus"] >= 1
 
 
+def test_metadata_records_each_truncation_eigensolver(tmp_path, capsys):
+    # one level: 11 eigenvectors, so truncation 28 (378 functions) is on the
+    # Krylov side and truncation 12 (66) on the dense side
+    out = tmp_path / "s.csv"
+    code = main(["billiard", *SECTOR, "--n-max", "12,28", "--k", "1", "--output", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    dense, krylov = json.loads((tmp_path / "s.csv.meta.json").read_text())["eigensolver"]
+    assert dense == {"n_max": 12, "path": "dense", "krylov_steps": 0}
+    assert krylov["n_max"] == 28 and krylov["path"] == "krylov"
+    assert 1 <= krylov["krylov_steps"] <= billiard._KRYLOV_STEPS
+
+
 def test_weyl_residual_csv(tmp_path, capsys):
     out = tmp_path / "weyl.csv"
     code = main([
@@ -549,6 +562,8 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     assert meta["sectors"] == {tag: {
         "basis_size": 26 * 25 // 2, "quadrature_order": 78, "tol_spacings": 0.5,
         "converged_levels": sectors[tag]["converged_levels"],
+        "eigensolver": [{"n_max": n_max, "path": "dense", "krylov_steps": 0}
+                        for n_max in (22, 26)],
     }}
 
 
