@@ -118,7 +118,7 @@ class BasisTruncation:
 
     def __post_init__(self):
         if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
+            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
         pairs = tuple((n, m) for m in range(2, self.n_max + 1) for n in range(1, m))
         object.__setattr__(self, "index_pairs", pairs)
 
@@ -726,6 +726,9 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
         raise ValueError("n_max grid must be strictly ascending")
     if not 0.0 < tol_spacings < math.inf:
         raise ValueError(f"tol_spacings must be positive and finite, got {tol_spacings}")
+    # solve_spectrum checks k too, but only after the assembly
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     top = BasisTruncation(grid[-1])
     order = _QUADRATURE_FACTOR * top.n_max
     a_top, b_top = assemble(sector, top, order)

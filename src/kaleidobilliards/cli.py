@@ -395,8 +395,10 @@ def _validate(config: argparse.Namespace) -> tuple:
             all(b > a for a, b in zip(grid, grid[1:])),
             "--n-max must be strictly ascending",
         )
-        _require(grid[0] >= 2, f"every truncation must be at least 2, got {list(grid)}")
-        basis = grid[0] * (grid[0] - 1) // 2
+        try:
+            basis = len(B.BasisTruncation(grid[0]))
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from exc
         _require(
             1 <= config.k_levels <= basis,
             f"--k must lie in 1..{basis}, the basis size at n_max {grid[0]}",

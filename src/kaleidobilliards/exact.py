@@ -143,7 +143,8 @@ def _harmonics_at(lam: int, points: np.ndarray) -> np.ndarray:
     phi = np.arctan2(points[:, 1], points[:, 0])
     m = np.arange(1, lam + 1)
     # normalized associated Legendre functions, Condon-Shortley phase included,
-    # evaluated once per distinct polar angle (a grid ring repeats it)
+    # evaluated once per distinct polar angle: only a quadrature grid's rings
+    # repeat one, not excited_basis's Fibonacci points or their mirror images
     nodes, ring = np.unique(theta, return_inverse=True)
     legendre = sph_legendre_p(lam, np.arange(lam + 1)[:, None], nodes)[0].T[ring]
     out = np.empty((points.shape[0], 2 * lam + 1))

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CharacterTableError, NonCoxeterRootsError
 from .geometry import sig12
 from .masses import CoxeterSpec, MassSequence, brackets_for_rank
-from .polynomials import HomogeneousPolynomial, product_of_linear_forms
 
 __all__ = [
     "OrthogonalElement",
@@ -33,7 +32,6 @@ __all__ = [
     "lambda_spectrum",
     "ladder",
     "spectrum_generators",
-    "invariant_polynomials",
     "group_to_json",
 ]
 
@@ -276,39 +274,6 @@ def ladder(spec: CoxeterSpec, lambda_max: int):
 def lambda_spectrum(spec: CoxeterSpec, lambda_max: int) -> dict:
     """Multiplicity of every allowed lambda <= lambda_max on the ladder."""
     return dict(sorted(Counter(lam for _, _, lam in ladder(spec, lambda_max)).items()))
-
-
-def invariant_polynomials(group: ReflectionGroup) -> list:
-    """Power sums over the characteristic axis set, one per invariant degree.
-
-    The axis set is the orbit of the line where the two simple mirrors with
-    the larger bracket entry meet, one vector per +/- pair: six 5-fold axes
-    for H3, three 4-fold axes for C3, and for A3 the four 3-fold axes, which
-    the orbit already orients as a tetrahedron.  The degrees are
-    ``group.spec.degrees``.  Unnormalized; invariance is verified
-    coefficient-wise.
-    """
-    r = group.simple_roots
-    # |r_a . r_b| = cos(pi/q) grows with the bracket entry q
-    i = 0 if abs(r[0] @ r[1]) >= abs(r[1] @ r[2]) else 1
-    axis = np.cross(r[i], r[i + 1])
-    axes = []
-    for v in group.matrices @ (axis / np.linalg.norm(axis)):
-        if all(min(np.abs(a - v).max(), np.abs(a + v).max()) > 1e-6 for a in axes):
-            axes.append(v)
-    polys = [
-        sum((product_of_linear_forms([ax] * m) for ax in axes), HomogeneousPolynomial(m))
-        for m in group.spec.degrees
-    ]
-    # invariance must hold exactly (up to float round-off) for every element
-    for q in polys:
-        scale = q.max_abs_coeff()
-        for el in group.elements:
-            if not (q.compose(el.matrix) - q).is_zero(1e-10 * scale):
-                raise CharacterTableError(
-                    f"axis power sum of degree {q.degree} is not invariant"
-                )
-    return polys
 
 
 def group_to_json(group: ReflectionGroup) -> str:

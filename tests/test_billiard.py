@@ -688,6 +688,16 @@ def test_convergence_study_rejects_tolerance_not_positive_finite(tolerance):
         convergence_study(octant_sector(), (8, 10), 6, tol_spacings=tolerance)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_convergence_study_rejects_k_below_one_before_assembly(k, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("assembled before checking k")
+
+    monkeypatch.setattr(billiard, "assemble", unreachable)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        solve_sector(octant_sector(), 90, k)
+
+
 def test_convergence_count_is_prefix():
     sec = flatten_sector(H3_SEQ, (2, 1, 3, 4))
     spacing = 4.0 * math.pi / sec.geometry.area

@@ -9,7 +9,6 @@ from kaleidobilliards.groups import (
     generate_group,
     group_from_masses,
     group_to_json,
-    invariant_polynomials,
     lambda_spectrum,
     o3_character,
     spectrum_generators,
@@ -20,7 +19,6 @@ from kaleidobilliards.masses import (
     generate_family,
     symmetric_member,
 )
-from kaleidobilliards.polynomials import HomogeneousPolynomial
 
 
 @pytest.fixture(scope="module")
@@ -189,36 +187,7 @@ def test_spectrum_generators_above_rank_3_raise(name):
         spectrum_generators(coxeter_spec(name))
 
 
-# -- invariant polynomials --------------------------------------------------------
-
-def test_invariant_degrees(a3, c3, h3):
-    assert [q.degree for q in invariant_polynomials(h3)] == [2, 6, 10]
-    assert [q.degree for q in invariant_polynomials(c3)] == [2, 4, 6]
-    assert [q.degree for q in invariant_polynomials(a3)] == [2, 3, 4]
-
-
-def test_h3_quadratic_invariant_is_r2(h3):
-    q2 = invariant_polynomials(h3)[0]
-    r2 = HomogeneousPolynomial.from_dict(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    scale = q2.coefficients[(2, 0, 0)]
-    assert (q2 - scale * r2).is_zero(1e-12 * abs(scale))
-
-
-def test_h3_sextic_invariance_under_all_elements(h3):
-    q6 = invariant_polynomials(h3)[1]
-    scale = q6.max_abs_coeff()
-    for el in h3.elements:
-        assert (q6.compose(el.matrix) - q6).is_zero(1e-10 * scale)
-
-
-def test_h3_sextic_not_power_of_quadratic(h3):
-    q2, q6, _ = invariant_polynomials(h3)
-    scale = q2.coefficients[(2, 0, 0)]
-    q2n = (1.0 / scale) * q2
-    cube = q2n * q2n * q2n
-    lead = q6.coefficients[(6, 0, 0)] / cube.coefficients[(6, 0, 0)]
-    assert not (q6 - lead * cube).is_zero(1e-6 * q6.max_abs_coeff())
-
+# -- bracket identification -------------------------------------------------------
 
 # members whose simple roots carry the bracket reversed: the larger entry sits
 # on the second pair of mirrors
@@ -229,24 +198,14 @@ REVERSED = {
 
 
 @pytest.mark.parametrize("name", sorted(REVERSED))
-def test_invariants_of_reversed_bracket_members(name):
+def test_reversed_bracket_members_are_identified(name):
     group = group_from_masses(REVERSED[name])
     roots = group.simple_roots
-    assert abs(roots[0] @ roots[1]) < abs(roots[1] @ roots[2])
-    polys = invariant_polynomials(group)
     assert group.spec.name == name
-    assert tuple(q.degree for q in polys) == coxeter_spec(name).degrees
-    for q in polys:
-        scale = q.max_abs_coeff()
-        for el in group.elements:
-            assert (q.compose(el.matrix) - q).is_zero(1e-10 * scale)
-
-
-def test_a3_cubic_invariance(a3):
-    q3 = invariant_polynomials(a3)[1]
-    scale = q3.max_abs_coeff()
-    for el in a3.elements:
-        assert (q3.compose(el.matrix) - q3).is_zero(1e-10 * scale)
+    # |r_a . r_b| = cos(pi/q) grows with the bracket entry q
+    small, large = sorted(group.spec.bracket)
+    assert abs(roots[0] @ roots[1]) == pytest.approx(math.cos(math.pi / small), abs=1e-12)
+    assert abs(roots[1] @ roots[2]) == pytest.approx(math.cos(math.pi / large), abs=1e-12)
 
 
 # -- serialization ----------------------------------------------------------------
