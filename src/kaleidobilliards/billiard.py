@@ -21,6 +21,8 @@ by one (2n+1) x (2n+1) table of grid moments of trig(a alpha) trig(b theta).
 The tables are summed over xi in blocks of eta columns; then each slab
 T[p, :, :, :] is one sparse t-side map times the s-side rows of the
 tables, and is gathered onto the basis pairs before the next is built.
+A and B are built at once, B on a helper thread, since their heavy calls
+(the sparse products, the gathers and the ufuncs) release the GIL.
 
 The generalized eigensolver is mixed-precision: a float32 solve gives the
 eigenvectors of the k + 10 lowest levels, and the levels are the k lowest
@@ -41,6 +43,7 @@ copy of the matrices is made.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -432,6 +435,9 @@ def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
         # slab p is the first to reach the rows with n_i = p
         out[first[p + 1:] + p] = z[p + 1:]
         out[first[p]:first[p] + p] -= z[:p]
+        # freed before the next slab is built: A's and B's builds run at
+        # once, and each then holds one slab and its gather, not two
+        del slab, z
     return out
 
 
@@ -460,7 +466,10 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
 
     B is one term, (sin, sin | sin, sin) under sqrt(g).  A sums the g_ss
     term, the g_st cross term, that term's (1,0,3,2) transpose (what
-    cross + cross.T is after the gather) and the g_tt term.
+    cross + cross.T is after the gather) and the g_tt term.  B is built
+    and symmetrized on one helper thread while this thread builds A, each
+    with the arithmetic of a serial build, and the helper is joined before
+    this returns or raises.
     """
     floor = _QUADRATURE_FACTOR * trunc.n_max
     if quadrature_order < floor:
@@ -468,16 +477,22 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
             f"quadrature_order {quadrature_order} < {_QUADRATURE_FACTOR} n_max = {floor}"
         )
     w = _moment_tables(sector, trunc.n_max, quadrature_order)
-    a_mat = _pair_matrix([
-        (1, 1, 0, 0, w["ss"]),
-        (1, 0, 0, 1, w["st"]),
-        (0, 1, 1, 0, w["st"]),
-        (0, 0, 1, 1, w["tt"]),
-    ], trunc)
-    b_mat = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
-    _symmetrize(a_mat, "A")
-    _symmetrize(b_mat, "B")
-    return a_mat, b_mat
+
+    def overlap():
+        b_mat = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
+        _symmetrize(b_mat, "B")
+        return b_mat
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        b_job = helper.submit(overlap)
+        a_mat = _pair_matrix([
+            (1, 1, 0, 0, w["ss"]),
+            (1, 0, 0, 1, w["st"]),
+            (0, 1, 1, 0, w["st"]),
+            (0, 0, 1, 1, w["tt"]),
+        ], trunc)
+        _symmetrize(a_mat, "A")
+        return a_mat, b_job.result()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -495,6 +496,56 @@ def test_assemble_working_set_is_a_few_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (a.nbytes + b.nbytes)
+
+
+def _serial_assemble(sector, trunc, order):
+    """A then B, each built and symmetrized in the caller's thread."""
+    w = billiard._moment_tables(sector, trunc.n_max, order)
+    a = billiard._pair_matrix([
+        (1, 1, 0, 0, w["ss"]),
+        (1, 0, 0, 1, w["st"]),
+        (0, 1, 1, 0, w["st"]),
+        (0, 0, 1, 1, w["tt"]),
+    ], trunc)
+    b = billiard._pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
+    billiard._symmetrize(a, "A")
+    billiard._symmetrize(b, "B")
+    return a, b
+
+
+@pytest.mark.parametrize("name,n_max", [("octant", 40), ("H3", 30)])
+def test_assemble_equals_serial_build(name, n_max):
+    # B is built on a helper thread, with the arithmetic of a serial build
+    sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
+    trunc = BasisTruncation(n_max)
+    threads = threading.active_count()
+    a, b = assemble(sec, trunc, 3 * n_max)
+    assert threading.active_count() == threads
+    a_ref, b_ref = _serial_assemble(sec, trunc, 3 * n_max)
+    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("failing", ["B", "A", "AB"])
+def test_assemble_raises_the_serial_build_error(monkeypatch, failing):
+    # an asymmetric matrix fails the real check, on either thread; when both
+    # fail, A's error is raised, as in a serial build that checks A first
+    real = billiard._symmetrize
+
+    def skewed(mat, name):
+        if name in failing:
+            mat[0, -1] += np.abs(mat).max()
+        real(mat, name)
+
+    monkeypatch.setattr(billiard, "_symmetrize", skewed)
+    sec, trunc = octant_sector(), BasisTruncation(10)
+    with pytest.raises(QuadratureError) as serial:
+        _serial_assemble(sec, trunc, 30)
+    threads = threading.active_count()
+    with pytest.raises(QuadratureError) as threaded:
+        assemble(sec, trunc, 30)
+    assert threading.active_count() == threads
+    assert str(threaded.value) == str(serial.value)
+    assert str(threaded.value).startswith(f"{failing[0]} asymmetry")
 
 
 def test_assemble_at_quadrature_floor_gives_definite_overlap():
