@@ -24,6 +24,14 @@ tables, and is gathered onto the basis pairs before the next is built.
 A and B are built at once, B on a helper thread, since their heavy calls
 (the sparse products, the gathers and the ufuncs) release the GIL.
 
+When the chart is mirror-symmetric under (s, t) -> (t, s), as the octant,
+the A3 Coxeter sector and every palindromic mass sequence through
+``flatten_sector`` are, h_(n,m)(t, s) = (-1)^(n+m+1) h_(n,m)(s, t), so the
+forms vanish between pairs whose n + m differ in parity.  Such a chart is
+assembled and solved as its two parity blocks of about N/2 functions, each
+bit for bit its sub-block of the whole pencil; a slab of a parity block is
+built only where that block reads it.  The chart alone decides.
+
 The generalized eigensolver is mixed-precision: a float32 solve gives the
 eigenvectors of the k + 10 lowest levels, and the levels are the k lowest
 eigenvalues of the float64 pencil projected onto them (Rayleigh-Ritz), so
@@ -31,13 +39,14 @@ each stays a min-max upper bound on its float64 Galerkin level.  The
 float32 solve is sygvx on the whole pencil, or, when the block holds many
 more basis functions than the vectors it needs, block Krylov on the
 Cholesky factors, whose cost follows k instead of the whole pencil's.
-The basis pairs are ordered by m, so a lower truncation n' is the leading
-block of any larger one.  A convergence study assembles once, at its top
-truncation, and solves each n' on the leading block of that assembly, so
-the Galerkin spaces of the study are exactly nested.  One call solves every
-truncation the same way: the float64 pencil is packed into A's storage,
-and each float32 pencil is copied from its leading block into B's, so no
-copy of the matrices is made.
+The basis pairs are ordered by m, in each parity block too, so a lower
+truncation n' is the leading block of any larger one.  A convergence study
+assembles once, at its top truncation, and solves each n' on the leading
+block of that assembly, so the Galerkin spaces of the study are exactly
+nested.  One call per block solves every truncation the same way: the
+float64 pencil is packed into A's storage, and each float32 pencil is
+copied from its leading block into B's, so no copy of the matrices is
+made.
 """
 
 from __future__ import annotations
@@ -134,21 +143,19 @@ class ConvergenceStudy:
     """The record of a sector solve: levels at every truncation of a grid."""
 
     n_max_grid: tuple
-    solves: tuple  # one BlockSolve per grid entry
+    # per grid entry: the ascending eigenvalues of -Laplacian, the min(k, N')
+    # lowest of the union of the parity blocks
+    spectra: tuple
+    solves: tuple  # per grid entry: one BlockSolve per parity block
     deltas: np.ndarray  # (len(grid)-1, k) per-level |E_k(n_{j+1}) - E_k(n_j)|
     converged_count: int
     tol_spacings: float  # the window's drift bound, in mean spacings
     quadrature_order: int  # of the one assembly at the top truncation
 
     @property
-    def spectra(self) -> tuple:
-        """Ascending eigenvalues of -Laplacian per grid entry."""
-        return tuple(solve.levels for solve in self.solves)
-
-    @property
     def values(self) -> np.ndarray:
         """Levels at the top truncation."""
-        return self.solves[-1].levels
+        return self.spectra[-1]
 
     @property
     def effective_lambda(self) -> np.ndarray:
@@ -259,9 +266,16 @@ def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
 # ---------------------------------------------------------------------------
 # assembly
 
-# rows of the pair matrix symmetrized per block: bounds the symmetrization
-# temporaries at a few MB whatever the basis size
+# rows of a float32 pencil copied per block: bounds the copy's temporaries
+# at a few MB whatever the basis size
 _ROW_BLOCK = 16
+# side of the square tiles ``_symmetrize`` walks, each with its mirror: at
+# N 4005 on two cores one call took 0.08-0.10 s, against 0.12-0.13 s with
+# tiles of 64 or 256 and 0.15-0.18 s for strips of 16 rows that read their
+# mirror column by column
+_TILE = 128
+# Gauss-Legendre points a side of the grid that ``_mirror_symmetric`` checks
+_MIRROR_ORDER = 24
 # eta columns of the quadrature grid per block of alpha moments: bounds the
 # trig temporaries at a few MB at n_max 90
 _ETA_BLOCK = 8
@@ -387,8 +401,82 @@ def _product_to_sum(d1: int, d2: int, p, q) -> tuple:
     return u, v
 
 
-def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
-    """Matrix of the antisymmetrized basis h_(n,m) from moment tables.
+def _mirror_symmetric(sector: FlattenedSector) -> bool:
+    """Whether the chart's operator commutes with the swap (s, t) -> (t, s).
+
+    The swap maps the triangle onto itself.  It is a symmetry of the forms
+    when it maps sqrt(g) to itself, g_ss to g_tt and g_st to itself.  The
+    largest miss over a collapsed Gauss grid, relative to the largest
+    weight, is below 2e-15 on the mirror-symmetric charts measured and at
+    least 0.05 on the asymmetric ones, so 1e-12 sits in a gap of ten
+    decades.  The weights are algebraic functions of (s, t) of low degree,
+    so an asymmetry shows on a small grid, which costs about a millisecond.
+    """
+    s, t, _ = _quadrature_grid(_MIRROR_ORDER)
+    t = np.broadcast_to(t, s.shape)
+    sqrt_g, g_ss, g_st, g_tt = _grid_weights(sector, s, t, 1.0)
+    m_sqrt_g, m_ss, m_st, m_tt = _grid_weights(sector, t, s, 1.0)
+    pairs = ((sqrt_g, m_sqrt_g), (g_ss, m_tt), (g_st, m_st), (g_tt, m_ss))
+    miss = max(float(np.abs(here - there).max()) for here, there in pairs)
+    scale = max(float(np.abs(here).max()) for here, _ in pairs)
+    return miss <= 1e-12 * scale
+
+
+def _parity_blocks(sector: FlattenedSector, trunc: BasisTruncation) -> tuple:
+    """The pairs of ``trunc`` the forms couple, as index arrays in m-major order.
+
+    Under the swap (s, t) -> (t, s), alpha goes to theta + pi and theta to
+    alpha - pi, so h_(n,m)(t, s) = (-1)^(n+m+1) h_(n,m)(s, t).  On a
+    mirror-symmetric chart the forms vanish between pairs whose n + m differ
+    in parity, and the pairs fall into two blocks, n + m even and then odd
+    (one block when the other is empty, at n_max 2); any other chart has the
+    one block of the whole basis.
+    """
+    if not _mirror_symmetric(sector):
+        return (np.arange(len(trunc)),)
+    parity = np.array(trunc.index_pairs).sum(axis=1) % 2
+    return tuple(block for block in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+                 if len(block))
+
+
+def _slab_plan(c_map, n: int, n_i: np.ndarray, m_i: np.ndarray) -> tuple:
+    """How ``_pair_matrix`` builds and gathers the slabs of one block of pairs.
+
+    Returns (parity, step, maps, lower, upper, by_n, first).  A block of
+    mixed n + m reads every slab row r and column (s, q), the whole product
+    of ``c_map``.  A parity block (n + m = parity mod 2) reads the rows
+    r = start + 2 j, start = parity + p (mod 2), and in them the columns
+    with s + q = parity (mod 2), so its slab is two products, s even and s
+    odd, each of a quarter of ``c_map``'s rows with every second q; the
+    entries it reads have the same arithmetic either way.  ``maps[start]``
+    lists the products as (rows of ``c_map``, columns q); ``lower`` and
+    ``upper`` are the slab columns of (s, q) = (m_i, n_i) and (n_i, m_i);
+    ``by_n[p]`` are the block rows with n_i = p, and ``first[p]`` where the
+    rows with m_i = p start (m_i ascends).
+    """
+    first = np.searchsorted(m_i, np.arange(n + 1))
+    by_n = [np.flatnonzero(n_i == p) for p in range(n)]
+    mixed = np.unique((n_i + m_i) % 2)
+    if len(mixed) == 2:
+        return 0, 1, {0: [(c_map, slice(None))]}, m_i * n + n_i, n_i * n + m_i, by_n, first
+    parity = int(mixed[0])
+    rows = np.arange(n * n).reshape(n, n)  # the c_map row of (r, s)
+    maps = {start: [(c_map[rows[start::2, s_par::2].ravel()], slice((parity + s_par) % 2, None, 2))
+                    for s_par in (0, 1)]
+            for start in (0, 1)}
+    # (s, q) with s + q = parity sits in the s-parity product, at
+    # [s // 2, q // 2] of its (s, q) layout
+    halves = np.array([len(range(0, n, 2)), len(range(1, n, 2))])
+
+    def column(s, q):
+        offset = np.where(s % 2, halves[0] * halves[parity], 0)
+        return offset + (s // 2) * halves[q % 2] + q // 2
+
+    return parity, 2, maps, column(m_i, n_i), column(n_i, m_i), by_n, first
+
+
+def _pair_matrix(terms, trunc: BasisTruncation, blocks) -> list:
+    """Matrices of the antisymmetrized basis h_(n,m) from moment tables, one per block.
 
     Each term is (d1, d2, d3, d4, W): the four-tensor
     T[p,q,r,s] = sum W-weighted f1_p f2_q g1_r g2_s, whose s-factors f and
@@ -398,7 +486,10 @@ def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
     T is built one slab T[p,:,:,:] at a time, laid out [r, s, q].  Entry
     (i, j) is D_i[n_j,m_j] - D_i[m_j,n_j] with
     D_i = T[n_i,:,m_i,:] - T[m_i,:,n_i,:], so slab p adds to the rows with
-    n_i = p and subtracts from those with m_i = p.
+    n_i = p and subtracts from those with m_i = p.  Each block is an
+    ascending index array of pairs, the whole basis or one parity class of
+    ``_parity_blocks``, and builds only the slab entries it reads
+    (``_slab_plan``), so an entry has the same arithmetic in any block.
     """
     # imported here, so that the commands that never assemble do not load it
     from scipy.sparse import csr_array
@@ -419,49 +510,55 @@ def _pair_matrix(terms, trunc: BasisTruncation) -> np.ndarray:
         (np.concatenate(c_vals), (c_rows, np.concatenate(c_cols))),
         shape=(n * n, len(terms) * width),
     )
-    n_i, m_i = np.array(trunc.index_pairs).T - 1
-    lower, upper = m_i * n + n_i, n_i * n + m_i
-    # the pairs are m-major: 0-based (n, m) is row first[m] + n
-    first = np.arange(n) * np.arange(-1, n - 1) // 2
-    out = np.empty((len(n_i), len(n_i)))
+    n_all, m_all = np.array(trunc.index_pairs).T - 1
+    plans = [_slab_plan(c_map, n, n_all[block], m_all[block]) for block in blocks]
+    outs = [np.empty((len(block), len(block))) for block in blocks]
     for p in range(n):
         g = np.concatenate([
             table_t[:, dist[p]] * u[p] + table_t[:, total[p]] * v[p]
             for table_t, u, v in g_side
         ])  # [(term, b), q]
-        slab = (c_map @ g).reshape(n, n * n)  # T[p, q, r, s] at [r, (s, q)]
-        z = np.take(slab, lower, axis=1)
-        z -= np.take(slab, upper, axis=1)
-        # slab p is the first to reach the rows with n_i = p
-        out[first[p + 1:] + p] = z[p + 1:]
-        out[first[p]:first[p] + p] -= z[:p]
-        # freed before the next slab is built: A's and B's builds run at
-        # once, and each then holds one slab and its gather, not two
-        del slab, z
-    return out
+        for (parity, step, maps, lower, upper, by_n, first), out in zip(plans, outs):
+            start = (parity + p) % 2 if step == 2 else 0
+            # T[p, q, r, s] at [j, the plan's column of (s, q)], r = start + step j
+            parts = [(c_part @ g[:, q_cols]).reshape(len(range(start, n, step)), -1)
+                     for c_part, q_cols in maps[start]]
+            slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            z = np.take(slab, lower, axis=1)
+            z -= np.take(slab, upper, axis=1)
+            # slab p is the first to reach the rows with n_i = p, which read
+            # r = m_i > p; the rows with m_i = p read r = n_i < p
+            out[by_n[p]] = z[(p - start) // step + 1:]
+            out[first[p]:first[p + 1]] -= z[:(p - start + step - 1) // step]
+            # freed before the next slab is built: A's and B's builds run at
+            # once, and each then holds one slab and its gather, not two
+            del parts, slab, z
+    return outs
 
 
 def _symmetrize(mat: np.ndarray, name: str) -> None:
-    """Replace mat by (mat + mat.T) / 2 in place, block by block of rows.
+    """Replace mat by (mat + mat.T) / 2 in place, tile by tile.
 
     Raises QuadratureError if mat and mat.T differ by more than 1e-10 of
     the largest entry.
     """
     asym = scale = 0.0
-    for start in range(0, len(mat), _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        # rows start:stop left of the diagonal block's end, and their mirror;
-        # no earlier block wrote into either
-        lower, upper = mat[start:stop, :stop], mat[:stop, start:stop].T
-        asym = max(asym, float(np.abs(lower - upper).max()))
-        scale = max(scale, float(np.abs(lower).max()), float(np.abs(upper).max()))
-        lower[...] = upper[...] = 0.5 * (lower + upper)
+    for start in range(0, len(mat), _TILE):
+        stop = start + _TILE
+        for col in range(0, stop, _TILE):
+            # a tile of the lower triangle and its mirror, which are one
+            # tile on the diagonal; no earlier tile wrote into either
+            lower, upper = mat[start:stop, col:col + _TILE], mat[col:col + _TILE, start:stop].T
+            asym = max(asym, float(np.abs(lower - upper).max()))
+            scale = max(scale, float(np.abs(lower).max()), float(np.abs(upper).max()))
+            lower[...] = upper[...] = 0.5 * (lower + upper)
     asym /= max(scale, 1e-300)
     if asym > 1e-10:
         raise QuadratureError(f"{name} asymmetry {asym:.2e} exceeds 1e-10")
 
 
-def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: int):
+def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: int,
+             blocks=None):
     """Stiffness and overlap matrices of the weighted Galerkin problem.
 
     B is one term, (sin, sin | sin, sin) under sqrt(g).  A sums the g_ss
@@ -470,29 +567,41 @@ def assemble(sector: FlattenedSector, trunc: BasisTruncation, quadrature_order: 
     and symmetrized on one helper thread while this thread builds A, each
     with the arithmetic of a serial build, and the helper is joined before
     this returns or raises.
+
+    ``blocks`` None builds the whole basis and returns (A, B).  Otherwise
+    it is a sequence of ascending index arrays into ``trunc.index_pairs``,
+    each the whole basis or one parity class (``_parity_blocks``), and one
+    (A, B) is returned per block, each bit for bit the rows and columns of
+    its pairs in the whole-basis (A, B), from one set of moment tables.
     """
     floor = _QUADRATURE_FACTOR * trunc.n_max
     if quadrature_order < floor:
         raise QuadratureError(
             f"quadrature_order {quadrature_order} < {_QUADRATURE_FACTOR} n_max = {floor}"
         )
+    whole = blocks is None
+    if whole:
+        blocks = (np.arange(len(trunc)),)
     w = _moment_tables(sector, trunc.n_max, quadrature_order)
 
     def overlap():
-        b_mat = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
-        _symmetrize(b_mat, "B")
-        return b_mat
+        b_mats = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc, blocks)
+        for b_mat in b_mats:
+            _symmetrize(b_mat, "B")
+        return b_mats
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         b_job = helper.submit(overlap)
-        a_mat = _pair_matrix([
+        a_mats = _pair_matrix([
             (1, 1, 0, 0, w["ss"]),
             (1, 0, 0, 1, w["st"]),
             (0, 1, 1, 0, w["st"]),
             (0, 0, 1, 1, w["tt"]),
-        ], trunc)
-        _symmetrize(a_mat, "A")
-        return a_mat, b_job.result()
+        ], trunc, blocks)
+        for a_mat in a_mats:
+            _symmetrize(a_mat, "A")
+        pencils = list(zip(a_mats, b_job.result()))
+    return pencils[0] if whole else pencils
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +761,7 @@ class BlockSolve(NamedTuple):
     levels: np.ndarray  # ascending
     path: str  # "krylov" or "dense"
     krylov_steps: int  # Krylov blocks built; 0 when none was
+    size: int  # basis functions of the block
 
 
 def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> list:
@@ -712,7 +822,7 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
                 f"non-positive leading eigenvalue {vals[0]:.3e}; basis too coarse "
                 "or overlap ill-conditioned"
             )
-        solves.append(BlockSolve(vals, path, steps))
+        solves.append(BlockSolve(vals, path, steps, int(n)))
     return solves
 
 
@@ -733,6 +843,13 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     n_max; the reported Ritz levels can, by no more than their Ritz error.  The window
     is the lowest levels whose last drift is at most tol_spacings mean
     spacings 4 pi/area; a one-entry grid has no drift and no window.
+
+    A mirror-symmetric chart (``_parity_blocks``) is assembled and solved as
+    its two parity blocks, each in m-major order, so a lower truncation is
+    a leading block of each.  Each block is solved for min(k, its size)
+    levels at every truncation where it has a function, and a truncation of
+    N' functions keeps the min(k, N') lowest levels of the union.  Any
+    other chart is one block, the whole basis.
     """
     grid = tuple(int(n) for n in n_max_grid)
     if not grid:
@@ -746,16 +863,26 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
         raise ValueError(f"k must be at least 1, got {k}")
     top = BasisTruncation(grid[-1])
     order = _QUADRATURE_FACTOR * top.n_max
-    a_top, b_top = assemble(sector, top, order)
-    solves = solve_spectrum(a_top, b_top, k, [len(BasisTruncation(n)) for n in grid])
-    n_common = min(len(solve.levels) for solve in solves)
-    deltas = np.abs(np.diff([solve.levels[:n_common] for solve in solves], axis=0))
+    blocks = _parity_blocks(sector, top)
+    sizes = [len(BasisTruncation(n)) for n in grid]
+    solves = [[] for _ in grid]  # per truncation, its blocks that have functions
+    for block, (a_mat, b_mat) in zip(blocks, assemble(sector, top, order, blocks)):
+        # a block's functions among a truncation's pairs lead the block
+        counts = [int(np.count_nonzero(block < size)) for size in sizes]
+        held = [j for j, count in enumerate(counts) if count]
+        for j, solve in zip(held, solve_spectrum(a_mat, b_mat, k, [counts[j] for j in held])):
+            solves[j].append(solve)
+    spectra = [np.sort(np.concatenate([solve.levels for solve in held]))[:min(k, size)]
+               for held, size in zip(solves, sizes)]
+    n_common = min(len(levels) for levels in spectra)
+    deltas = np.abs(np.diff([levels[:n_common] for levels in spectra], axis=0))
     tolerance = tol_spacings * (4.0 * math.pi / sector.geometry.area)
     # the first level past the window: a one-entry grid has no last row
     converged = int(np.flatnonzero(np.append(deltas[-1:] > tolerance, True))[0])
     return ConvergenceStudy(
         n_max_grid=grid,
-        solves=tuple(solves),
+        spectra=tuple(spectra),
+        solves=tuple(tuple(held) for held in solves),
         deltas=deltas,
         converged_count=converged,
         tol_spacings=tol_spacings,

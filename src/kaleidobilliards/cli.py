@@ -232,15 +232,19 @@ def _study(config: argparse.Namespace, sector,
 
 def _discretization(study: B.ConvergenceStudy) -> dict:
     """The top truncation's basis size and quadrature order, the window's rule
-    and size, and the eigensolver path of every truncation."""
+    and size, and per truncation the size and eigensolver path of every
+    parity block."""
     return {
         "basis_size": len(B.BasisTruncation(study.n_max_grid[-1])),
         "quadrature_order": study.quadrature_order,
         "tol_spacings": study.tol_spacings,
         "converged_levels": study.converged_count,
-        "eigensolver": [
-            {"n_max": n_max, "path": solve.path, "krylov_steps": solve.krylov_steps}
-            for n_max, solve in zip(study.n_max_grid, study.solves)
+        "parity_blocks": [
+            {"n_max": n_max, "blocks": [
+                {"size": solve.size, "path": solve.path, "krylov_steps": solve.krylov_steps}
+                for solve in solves
+            ]}
+            for n_max, solves in zip(study.n_max_grid, study.solves)
         ],
     }
 

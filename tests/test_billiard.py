@@ -30,7 +30,12 @@ from kaleidobilliards.errors import (
     QuadratureError,
 )
 from kaleidobilliards.exact import real_spherical_harmonic
-from kaleidobilliards.geometry import geometry_from_inward_normals
+from kaleidobilliards.cli import distinct_sector_orderings
+from kaleidobilliards.geometry import (
+    coincidence_normals,
+    geometry_from_inward_normals,
+    sector_geometry,
+)
 from kaleidobilliards.groups import lambda_spectrum
 from kaleidobilliards.masses import (
     MassSequence,
@@ -499,15 +504,16 @@ def test_assemble_working_set_is_a_few_matrices():
 
 
 def _serial_assemble(sector, trunc, order):
-    """A then B, each built and symmetrized in the caller's thread."""
+    """A then B on the whole basis, each built and symmetrized in the caller's thread."""
     w = billiard._moment_tables(sector, trunc.n_max, order)
-    a = billiard._pair_matrix([
+    whole = (np.arange(len(trunc)),)
+    (a,) = billiard._pair_matrix([
         (1, 1, 0, 0, w["ss"]),
         (1, 0, 0, 1, w["st"]),
         (0, 1, 1, 0, w["st"]),
         (0, 0, 1, 1, w["tt"]),
-    ], trunc)
-    b = billiard._pair_matrix([(0, 0, 0, 0, w["b"])], trunc)
+    ], trunc, whole)
+    (b,) = billiard._pair_matrix([(0, 0, 0, 0, w["b"])], trunc, whole)
     billiard._symmetrize(a, "A")
     billiard._symmetrize(b, "B")
     return a, b
@@ -562,6 +568,116 @@ def test_trace_stable_under_quadrature_doubling():
         _, b = assemble(sec, BasisTruncation(10), order)
         tr.append(np.trace(b))
     assert abs(tr[1] - tr[0]) / abs(tr[1]) < 1e-6
+
+
+# -- parity blocks ----------------------------------------------------------------
+
+def test_sine_pairs_have_the_parity_of_n_plus_m():
+    # the swap (s, t) -> (t, s) sends alpha to theta + pi and theta to alpha - pi
+    rng = np.random.default_rng(12)
+    s, t = rng.uniform(-1.0, 1.0, (2, 400))
+    s, t = s[s + t < 0.0], t[s + t < 0.0]
+    for n_max in range(2, 13):
+        for n, m in BasisTruncation(n_max).index_pairs:
+            np.testing.assert_allclose(_basis_function(n, m, t, s),
+                                       (-1) ** (n + m + 1) * _basis_function(n, m, s, t),
+                                       rtol=0.0, atol=1e-12)
+
+
+def _coxeter_sector(name, fraction):
+    spec = coxeter_spec(name)
+    masses = generate_family(spec, 1.0, fraction * feasibility_interval(spec)[1])
+    return flatten_sector(masses, (1, 2, 3, 4))
+
+
+def _stats_charts(masses):
+    """The charts ``stats`` solves: one per sector class, by ``flatten_geometry``."""
+    normals = coincidence_normals(masses)
+    return [flatten_geometry(sector_geometry(normals, perm))
+            for perm, _ in distinct_sector_orderings(masses)]
+
+
+RISING = MassSequence((1, 2, 3, 4))
+MIRROR_CHARTS = {
+    "octant": lambda: [octant_sector()],
+    "equal_masses": lambda: [flatten_sector(EQUAL, (1, 2, 3, 4))],
+    # the one ordering class of distinct masses whose sector has a mirror
+    "rising_1342": lambda: [flatten_sector(RISING, (1, 3, 4, 2))],
+    "A3_coxeter": lambda: [_coxeter_sector("A3", f) for f in (0.2, 0.5, 0.8)],
+}
+ASYMMETRIC_CHARTS = {
+    "C3_coxeter": lambda: [_coxeter_sector("C3", f) for f in (0.2, 0.5, 0.8)],
+    "H3_coxeter": lambda: [_coxeter_sector("H3", f) for f in (0.2, 0.5, 0.8)],
+    "H3_stats": lambda: _stats_charts(H3_SEQ),
+    # flatten_geometry puts a vertex other than the right angle at (-1, -1)
+    "equal_masses_stats": lambda: _stats_charts(EQUAL),
+    "rising_orderings": lambda: [
+        flatten_sector(RISING, perm) for perm in itertools.permutations((1, 2, 3, 4))
+        if perm < perm[::-1] and perm != (1, 3, 4, 2)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_CHARTS))
+def test_mirror_symmetric_charts_split_into_parity_blocks(name):
+    trunc = BasisTruncation(9)
+    parity = np.array(trunc.index_pairs).sum(axis=1) % 2
+    for sec in MIRROR_CHARTS[name]():
+        assert billiard._mirror_symmetric(sec)
+        even, odd = billiard._parity_blocks(sec, trunc)
+        assert np.array_equal(even, np.flatnonzero(parity == 0))
+        assert np.array_equal(odd, np.flatnonzero(parity == 1))
+
+
+@pytest.mark.parametrize("name", sorted(ASYMMETRIC_CHARTS))
+def test_asymmetric_charts_keep_one_block(name):
+    trunc = BasisTruncation(9)
+    charts = ASYMMETRIC_CHARTS[name]()
+    for sec in charts:
+        assert not billiard._mirror_symmetric(sec)
+        (whole,) = billiard._parity_blocks(sec, trunc)
+        assert np.array_equal(whole, np.arange(len(trunc)))
+    (top,) = convergence_study(charts[0], (8, 9), 4).solves[-1]
+    assert top.size == len(trunc)
+
+
+def test_truncation_2_has_one_parity_block():
+    # (1, 2) is the only pair: its n + m is odd
+    (block,) = billiard._parity_blocks(octant_sector(), BasisTruncation(2))
+    assert np.array_equal(block, [0])
+    study = convergence_study(octant_sector(), (2, 3, 6), 1)
+    assert [[solve.size for solve in solves] for solves in study.solves] == [[1], [1, 2], [6, 9]]
+
+
+@pytest.mark.parametrize("name,n_max", [("octant", 30), ("equal_masses", 24)])
+def test_parity_blocks_are_sub_blocks_of_the_whole_pencil(name, n_max):
+    (sec,) = MIRROR_CHARTS[name]()
+    trunc = BasisTruncation(n_max)
+    blocks = billiard._parity_blocks(sec, trunc)
+    a, b = assemble(sec, trunc, 3 * n_max)
+    pencils = assemble(sec, trunc, 3 * n_max, blocks)
+    for (a_block, b_block), block in zip(pencils, blocks, strict=True):
+        cut = np.ix_(block, block)
+        assert np.array_equal(a_block, a[cut]) and np.array_equal(b_block, b[cut])
+    # the couplings dropped between the blocks are the quadrature error of
+    # odd integrands: they move no low float64 level by more than 1e-11
+    k = 60
+    want = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, k - 1])
+    got = np.sort(np.concatenate([
+        scipy.linalg.eigh(a_block, b_block, eigvals_only=True) for a_block, b_block in pencils
+    ]))[:k]
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+    # a split study's Ritz levels keep the Ritz slack of the whole pencil's
+    study = convergence_study(sec, (n_max - 6, n_max), 20)
+    assert [solve.size for solve in study.solves[-1]] == [len(block) for block in blocks]
+    assert np.all(study.values >= want[:20] * (1.0 - 1.4e-8))
+    np.testing.assert_allclose(study.values, want[:20], rtol=1.4e-8, atol=0.0)
+
+
+def test_split_study_top_levels_equal_a_one_truncation_solve():
+    # the lower truncation shares each block's storage but not the top bits
+    study = convergence_study(octant_sector(), (30, 40), 10)
+    assert np.array_equal(study.values, solve_sector(octant_sector(), 40, 10).values)
 
 
 # -- spectra ----------------------------------------------------------------------

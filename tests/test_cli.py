@@ -424,16 +424,22 @@ def test_solver_metadata_records_top_truncation(command, tmp_path, capsys):
 
 
 def test_metadata_records_each_truncation_eigensolver(tmp_path, capsys):
-    # one level: 11 eigenvectors, so truncation 28 (378 functions) is on the
-    # Krylov side and truncation 12 (66) on the dense side
+    # the (1,1,1,1) chart is mirror-symmetric, so every truncation is two
+    # parity blocks.  One level: 11 eigenvectors, so both blocks of
+    # truncation 40 (380 and 400 functions) are on the Krylov side and both
+    # of truncation 12 (30 and 36) on the dense side
     out = tmp_path / "s.csv"
-    code = main(["billiard", *SECTOR, "--n-max", "12,28", "--k", "1", "--output", str(out)])
+    code = main(["billiard", *SECTOR, "--n-max", "12,40", "--k", "1", "--output", str(out)])
     capsys.readouterr()
     assert code == 0
-    dense, krylov = json.loads((tmp_path / "s.csv.meta.json").read_text())["eigensolver"]
-    assert dense == {"n_max": 12, "path": "dense", "krylov_steps": 0}
-    assert krylov["n_max"] == 28 and krylov["path"] == "krylov"
-    assert 1 <= krylov["krylov_steps"] <= billiard._KRYLOV_STEPS
+    dense, krylov = json.loads((tmp_path / "s.csv.meta.json").read_text())["parity_blocks"]
+    assert dense == {"n_max": 12, "blocks": [{"size": size, "path": "dense", "krylov_steps": 0}
+                                             for size in (30, 36)]}
+    assert krylov["n_max"] == 40
+    assert [block["size"] for block in krylov["blocks"]] == [380, 400]
+    for block in krylov["blocks"]:
+        assert block["path"] == "krylov"
+        assert 1 <= block["krylov_steps"] <= billiard._KRYLOV_STEPS
 
 
 def test_weyl_residual_csv(tmp_path, capsys):
@@ -562,8 +568,11 @@ def test_stats_pipeline_artifacts(tmp_path, capsys):
     assert meta["sectors"] == {tag: {
         "basis_size": 26 * 25 // 2, "quadrature_order": 78, "tol_spacings": 0.5,
         "converged_levels": sectors[tag]["converged_levels"],
-        "eigensolver": [{"n_max": n_max, "path": "dense", "krylov_steps": 0}
-                        for n_max in (22, 26)],
+        # flatten_geometry's chart of equal masses is not mirror-symmetric:
+        # one block, the whole basis
+        "parity_blocks": [{"n_max": n_max, "blocks": [
+            {"size": n_max * (n_max - 1) // 2, "path": "dense", "krylov_steps": 0}]}
+                          for n_max in (22, 26)],
     }}
 
 
