@@ -224,18 +224,12 @@ def _cmd_exact(config: argparse.Namespace) -> tuple:
     return files, extra
 
 
-def _study(config: argparse.Namespace, sector,
-           tol_spacings: float = B._TOL_SPACINGS) -> B.ConvergenceStudy:
-    """The convergence study over the command's truncations."""
-    return B.convergence_study(sector, config.n_max, config.k_levels, tol_spacings)
-
-
 def _discretization(study: B.ConvergenceStudy) -> dict:
     """The top truncation's basis size and quadrature order, the window's rule
     and size, and per truncation the size and eigensolver path of every
     parity block."""
     return {
-        "basis_size": len(B.BasisTruncation(study.n_max_grid[-1])),
+        "basis_size": B.basis_size(study.n_max_grid[-1]),
         "quadrature_order": study.quadrature_order,
         "tol_spacings": study.tol_spacings,
         "converged_levels": study.converged_count,
@@ -252,7 +246,7 @@ def _discretization(study: B.ConvergenceStudy) -> dict:
 def _cmd_billiard(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    study = _study(config, sector)
+    study = B.convergence_study(sector, config.n_max, config.k_levels)
     return {config.output_path: B.spectrum_to_csv(study)}, {
         "area": sig12(sector.geometry.area),
         "perimeter": sig12(sector.geometry.perimeter),
@@ -276,7 +270,7 @@ def _weyl_csv(study: B.ConvergenceStudy, geometry) -> tuple:
 def _cmd_weyl(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     sector = B.flatten_sector(seq, config.ordering)
-    study = _study(config, sector)
+    study = B.convergence_study(sector, config.n_max, config.k_levels)
     if study.converged_count == 0:
         raise InsufficientLevelsError("no level converged across --n-max")
     text, after = _weyl_csv(study, sector.geometry)
@@ -288,7 +282,8 @@ def _cmd_weyl(config: argparse.Namespace) -> tuple:
 
 def _stats_one_sector(seq, perm, config: argparse.Namespace):
     geom = G.sector_geometry(G.coincidence_normals(seq), perm)
-    study = _study(config, B.flatten_geometry(geom), config.tol_spacings)
+    study = B.convergence_study(B.flatten_geometry(geom), config.n_max, config.k_levels,
+                                config.tol_spacings)
     unfolded = ST.unfold(study.window, geom)
     hist = ST.spacing_histogram(unfolded, bins=config.bins)
     return geom, study, unfolded, hist
@@ -400,7 +395,7 @@ def _validate(config: argparse.Namespace) -> tuple:
             "--n-max must be strictly ascending",
         )
         try:
-            basis = len(B.BasisTruncation(grid[0]))
+            basis = B.basis_size(grid[0])
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
         _require(

@@ -66,6 +66,9 @@ def coincidence_normals(masses: MassSequence) -> PlaneSet:
         raise GeometryError("coincidence normals are implemented for four particles")
     # the normals depend on mass ratios only
     m = dict(zip((1, 2, 3, 4), _unit_scaled(masses.masses)))
+    if min(m.values()) < np.finfo(float).tiny:  # scaled to a subnormal or to 0
+        raise GeometryError(f"mass ratio {min(masses.masses)!r}/{max(masses.masses)!r} "
+                            f"is below float64's normal range ({np.finfo(float).tiny:.3e})")
     big_m = m[1] + m[2] + m[3] + m[4]
     normals = {(1, 2): np.array([1.0, 0.0, 0.0]), (3, 4): np.array([0.0, 1.0, 0.0])}
     # plane (i, k) joins one particle of each pair; z1 and z2 carry the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CharacterTableError, NonCoxeterRootsError
-from .geometry import sig12
+from .geometry import coincidence_normals, coxeter_simple_roots, sig12
 from .masses import CoxeterSpec, MassSequence, brackets_for_rank
 
 __all__ = [
@@ -173,8 +173,6 @@ def generate_group(simple_root_normals) -> ReflectionGroup:
 
 def group_from_masses(masses: MassSequence) -> ReflectionGroup:
     """Group generated by the bounding planes of the 1..N ordering sector."""
-    from .geometry import coincidence_normals, coxeter_simple_roots
-
     return generate_group(coxeter_simple_roots(coincidence_normals(masses)))
 
 

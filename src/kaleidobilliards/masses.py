@@ -123,7 +123,7 @@ def coxeter_spec(name: str) -> CoxeterSpec:
         if q < 3:
             raise ValueError("I2(q) needs q >= 3")
         return _i2_spec(q)
-    series, rank = key[0], key[1:]
+    series, rank = key[:1], key[1:]
     if series in ("A", "C") and rank.isdigit() and int(rank) >= 2:
         return _a_spec(int(rank)) if series == "A" else _c_spec(int(rank))
     raise ValueError(f"unknown group name {name!r}")

@@ -8,20 +8,19 @@ import pytest
 import scipy.linalg
 
 import kaleidobilliards.billiard as billiard
+import kaleidobilliards.pencil as pencil
+import kaleidobilliards.sine_basis as sine_basis
 from kaleidobilliards.billiard import (
-    BasisTruncation,
-    _grid_weights,
-    _quadrature_grid,
-    assemble,
     convergence_study,
     flatten_geometry,
     flatten_sector,
     octant_sector,
     operator_coefficients,
     solve_sector,
-    solve_spectrum,
     spectrum_to_csv,
 )
+from kaleidobilliards.pencil import solve_spectrum
+from kaleidobilliards.sine_basis import BasisTruncation, _quadrature_grid, assemble
 from kaleidobilliards.errors import (
     ChartDomainError,
     EigensolverError,
@@ -142,7 +141,7 @@ def test_measure_pullback_reproduces_girard_area():
         octant_sector(),
     ):
         s, t, w = _quadrature_grid(80)
-        val = float(_grid_weights(sec, s, t, w)[0].sum())
+        val = float(sec.grid_weights(s, t, w)[0].sum())
         assert val == pytest.approx(sec.geometry.area, abs=1e-8)
 
 
@@ -421,7 +420,7 @@ def _reference_gather_pairs(t4, pairs):
 def _reference_assemble(sector, trunc, order):
     """Four contractions and four gathers, with the cross term added to its transpose."""
     s, t, quad_w = _quadrature_grid(order)
-    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    w_b, w_ss, w_st, w_tt = sector.grid_weights(s, t, quad_w)
     phi, dphi = _sine_factors(trunc.n_max, s, +1.0)
     psi, dpsi = _sine_factors(trunc.n_max, t, -1.0)
     pairs = trunc.index_pairs
@@ -453,7 +452,7 @@ def test_assemble_matches_four_gather_reference(chart, order):
 def _reference_moment_tables(sector, n_max, order):
     """Moment tables from direct cos/sin of every frequency at every grid point."""
     s, t, quad_w = _quadrature_grid(order)
-    w_b, w_ss, w_st, w_tt = _grid_weights(sector, s, t, quad_w)
+    w_b, w_ss, w_st, w_tt = sector.grid_weights(s, t, quad_w)
     freq = np.arange(2 * n_max + 1, dtype=float)
     alpha = (0.5 * math.pi * (s + 1.0)).T  # [eta, xi]
     theta = 0.5 * math.pi * (t - 1.0)
@@ -481,7 +480,7 @@ def test_moment_tables_match_direct_trig(name, n_max):
     # and one sin per frequency
     sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
     order = 3 * n_max
-    tables = billiard._moment_tables(sec, n_max, order)
+    tables = sine_basis._moment_tables(sec, n_max, order)
     reference = _reference_moment_tables(sec, n_max, order)
     assert tables.keys() == reference.keys()
     for key, ref in reference.items():
@@ -505,17 +504,17 @@ def test_assemble_working_set_is_a_few_matrices():
 
 def _serial_assemble(sector, trunc, order):
     """A then B on the whole basis, each built and symmetrized in the caller's thread."""
-    w = billiard._moment_tables(sector, trunc.n_max, order)
+    w = sine_basis._moment_tables(sector, trunc.n_max, order)
     whole = (np.arange(len(trunc)),)
-    (a,) = billiard._pair_matrix([
+    (a,) = sine_basis._pair_matrix([
         (1, 1, 0, 0, w["ss"]),
         (1, 0, 0, 1, w["st"]),
         (0, 1, 1, 0, w["st"]),
         (0, 0, 1, 1, w["tt"]),
     ], trunc, whole)
-    (b,) = billiard._pair_matrix([(0, 0, 0, 0, w["b"])], trunc, whole)
-    billiard._symmetrize(a, "A")
-    billiard._symmetrize(b, "B")
+    (b,) = sine_basis._pair_matrix([(0, 0, 0, 0, w["b"])], trunc, whole)
+    sine_basis._symmetrize(a, "A")
+    sine_basis._symmetrize(b, "B")
     return a, b
 
 
@@ -535,14 +534,14 @@ def test_assemble_equals_serial_build(name, n_max):
 def test_assemble_raises_the_serial_build_error(monkeypatch, failing):
     # an asymmetric matrix fails the real check, on either thread; when both
     # fail, A's error is raised, as in a serial build that checks A first
-    real = billiard._symmetrize
+    real = sine_basis._symmetrize
 
     def skewed(mat, name):
         if name in failing:
             mat[0, -1] += np.abs(mat).max()
         real(mat, name)
 
-    monkeypatch.setattr(billiard, "_symmetrize", skewed)
+    monkeypatch.setattr(sine_basis, "_symmetrize", skewed)
     sec, trunc = octant_sector(), BasisTruncation(10)
     with pytest.raises(QuadratureError) as serial:
         _serial_assemble(sec, trunc, 30)
@@ -623,8 +622,8 @@ def test_mirror_symmetric_charts_split_into_parity_blocks(name):
     trunc = BasisTruncation(9)
     parity = np.array(trunc.index_pairs).sum(axis=1) % 2
     for sec in MIRROR_CHARTS[name]():
-        assert billiard._mirror_symmetric(sec)
-        even, odd = billiard._parity_blocks(sec, trunc)
+        assert sine_basis._mirror_symmetric(sec)
+        even, odd = sine_basis.chart_blocks(sec, trunc)
         assert np.array_equal(even, np.flatnonzero(parity == 0))
         assert np.array_equal(odd, np.flatnonzero(parity == 1))
 
@@ -634,8 +633,8 @@ def test_asymmetric_charts_keep_one_block(name):
     trunc = BasisTruncation(9)
     charts = ASYMMETRIC_CHARTS[name]()
     for sec in charts:
-        assert not billiard._mirror_symmetric(sec)
-        (whole,) = billiard._parity_blocks(sec, trunc)
+        assert not sine_basis._mirror_symmetric(sec)
+        (whole,) = sine_basis.chart_blocks(sec, trunc)
         assert np.array_equal(whole, np.arange(len(trunc)))
     (top,) = convergence_study(charts[0], (8, 9), 4).solves[-1]
     assert top.size == len(trunc)
@@ -643,7 +642,7 @@ def test_asymmetric_charts_keep_one_block(name):
 
 def test_truncation_2_has_one_parity_block():
     # (1, 2) is the only pair: its n + m is odd
-    (block,) = billiard._parity_blocks(octant_sector(), BasisTruncation(2))
+    (block,) = sine_basis.chart_blocks(octant_sector(), BasisTruncation(2))
     assert np.array_equal(block, [0])
     study = convergence_study(octant_sector(), (2, 3, 6), 1)
     assert [[solve.size for solve in solves] for solves in study.solves] == [[1], [1, 2], [6, 9]]
@@ -653,7 +652,7 @@ def test_truncation_2_has_one_parity_block():
 def test_parity_blocks_are_sub_blocks_of_the_whole_pencil(name, n_max):
     (sec,) = MIRROR_CHARTS[name]()
     trunc = BasisTruncation(n_max)
-    blocks = billiard._parity_blocks(sec, trunc)
+    blocks = sine_basis.chart_blocks(sec, trunc)
     a, b = assemble(sec, trunc, 3 * n_max)
     pencils = assemble(sec, trunc, 3 * n_max, blocks)
     for (a_block, b_block), block in zip(pencils, blocks, strict=True):
@@ -822,7 +821,7 @@ def test_quadrature_above_the_study_order_moves_no_level(masses, ordering):
     n_max = 30
     low, high = (
         solve_spectrum(*assemble(sec, BasisTruncation(n_max), factor * n_max), 60)[0].levels
-        for factor in (billiard._QUADRATURE_FACTOR, 5)
+        for factor in (sine_basis._QUADRATURE_FACTOR, 5)
     )
     spacing = 4.0 * math.pi / sec.geometry.area
     assert np.abs(high - low).max() < 1e-5 * spacing
@@ -988,8 +987,8 @@ def test_krylov_working_set_is_its_basis():
     # are its float32 basis of at most _KRYLOV_STEPS blocks and the float64
     # Rayleigh-Ritz vectors; no N x N array and no copy of the pencil
     a, b = assemble(octant_sector(), BasisTruncation(40), 120)
-    n, width = len(a), 5 + billiard._OVERSAMPLE
-    assert billiard._krylov_side(width, n)
+    n, width = len(a), 5 + pencil._OVERSAMPLE
+    assert pencil._krylov_side(width, n)
     solve_spectrum(a.copy(), b.copy(), 5)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -998,7 +997,7 @@ def test_krylov_working_set_is_its_basis():
     finally:
         tracemalloc.stop()
     assert solve.path == "krylov"
-    basis = 4 * n * width * billiard._KRYLOV_STEPS
+    basis = 4 * n * width * pencil._KRYLOV_STEPS
     assert peak < 2 * basis < 4 * n * n
 
 
@@ -1006,13 +1005,13 @@ def test_indefinite_overlap_on_the_krylov_side_names_float32_overlap(monkeypatch
     # B's Cholesky factor is the Krylov path's positive-definiteness check,
     # worded as sygvx words it
     n = 700
-    assert billiard._krylov_side(1 + billiard._OVERSAMPLE, n)
+    assert pencil._krylov_side(1 + pencil._OVERSAMPLE, n)
     b = np.ones(n)
     b[299] = -1.0
     with pytest.raises(EigensolverError, match="not positive-definite in float32") as info:
         solve_spectrum(np.eye(n), np.diag(b), 1)
     assert "leading minor of order 300" in str(info.value)
-    monkeypatch.setattr(billiard, "_krylov_side", lambda width, n: False)
+    monkeypatch.setattr(pencil, "_krylov_side", lambda width, n: False)
     with pytest.raises(EigensolverError) as dense:
         solve_spectrum(np.eye(n), np.diag(b), 1)
     assert str(dense.value) == str(info.value)
@@ -1020,7 +1019,7 @@ def test_indefinite_overlap_on_the_krylov_side_names_float32_overlap(monkeypatch
 
 def _dense_levels(monkeypatch, a, b, k):
     with monkeypatch.context() as patch:
-        patch.setattr(billiard, "_krylov_side", lambda width, n: False)
+        patch.setattr(pencil, "_krylov_side", lambda width, n: False)
         (solve,) = solve_spectrum(a.copy(), b.copy(), k)
     assert solve.path == "dense"
     return solve.levels
@@ -1030,14 +1029,14 @@ def test_krylov_falls_back_to_sygvx_when_a_is_not_definite(monkeypatch):
     a, b = assemble(octant_sector(), BasisTruncation(40), 120)
     want = _dense_levels(monkeypatch, a, b, 5)
     factored = []
-    real = billiard._cholesky32
+    real = pencil._cholesky32
 
     def failing_on_a(mat):
         factored.append(len(mat))
         # B is factored first, then A, which fails at its first pivot
         return real(mat) if len(factored) == 1 else 1
 
-    monkeypatch.setattr(billiard, "_cholesky32", failing_on_a)
+    monkeypatch.setattr(pencil, "_cholesky32", failing_on_a)
     (solve,) = solve_spectrum(a, b, 5)
     assert factored == [len(a), len(a)]
     assert (solve.path, solve.krylov_steps) == ("dense", 0)
@@ -1047,7 +1046,7 @@ def test_krylov_falls_back_to_sygvx_when_a_is_not_definite(monkeypatch):
 def test_krylov_falls_back_to_sygvx_at_the_step_cap(monkeypatch):
     a, b = assemble(octant_sector(), BasisTruncation(40), 120)
     want = _dense_levels(monkeypatch, a, b, 5)
-    monkeypatch.setattr(billiard, "_KRYLOV_STEPS", 2)
+    monkeypatch.setattr(pencil, "_KRYLOV_STEPS", 2)
     (solve,) = solve_spectrum(a, b, 5)
     assert (solve.path, solve.krylov_steps) == ("dense", 2)
     assert np.array_equal(solve.levels, want)

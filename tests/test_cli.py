@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaleidobilliards import billiard, cli
+from kaleidobilliards import billiard, cli, pencil
 from kaleidobilliards.billiard import convergence_study, flatten_geometry
 from kaleidobilliards.cli import distinct_sector_orderings, main
 from kaleidobilliards.errors import GeometryError
@@ -130,6 +130,8 @@ BAD_INPUTS = [
     ("config not an object", ["billiard", *SECTOR, "--config", "{cfg}",
                               "--output", "{out}/s.csv"], "[16]"),
     ("unknown group name", ["group", "--spec", "Z9", "--output", "{out}/g.json"], None),
+    ("empty group name", ["exact", "--spec", "", "--output", "{out}/l.csv"], None),
+    ("blank group name", ["family", "--spec", " ", "--output", "{out}/f.csv"], None),
     ("rank-2 group spec", ["group", "--spec", "I2(5)", "--output", "{out}/g.json"], None),
     ("rank-2 ground state", ["exact", "--spec", "I2(7)", "--output", "{out}/l.csv",
                              "--ground-state", "{out}/gs.json"], None),
@@ -219,6 +221,14 @@ NUMERICAL_FAILURES = [
     (["billiard", "--masses", "1e-30,1,1,1", "--ordering", "2,1,3,4", "--n-max", "6",
       "--k", "3", "--output", "{out}/bad.csv"],
      "GeometryError", "mass ratio 1.000e-30 is below float64 resolution"),
+    # a ratio beyond float64's normal range scales the light mass to 0 ...
+    (["billiard", "--masses", "1.7e308,1.7e308,5e-324,1e-300", "--ordering", "2,3,1,4",
+      "--n-max", "6", "--k", "3", "--output", "{out}/b.csv"],
+     "GeometryError", "mass ratio 5e-324/1.7e+308 is below float64's normal range"),
+    # ... or to a subnormal, which leaves no warning on stderr
+    (["group", "--masses", "5e-324,0.5,1e-20,0.182", "--spec", "I2(3)",
+      "--output", "{out}/g.json"],
+     "GeometryError", "mass ratio 5e-324/0.5 is below float64's normal range"),
     # no level drifts by less than 1e-4 spacings between such small truncations
     (["stats", *EQUAL, "--n-max", "3,4", "--k", "3", "--tol-spacings", "0.0001",
       "--output", "{out}/st"],
@@ -439,7 +449,7 @@ def test_metadata_records_each_truncation_eigensolver(tmp_path, capsys):
     assert [block["size"] for block in krylov["blocks"]] == [380, 400]
     for block in krylov["blocks"]:
         assert block["path"] == "krylov"
-        assert 1 <= block["krylov_steps"] <= billiard._KRYLOV_STEPS
+        assert 1 <= block["krylov_steps"] <= pencil._KRYLOV_STEPS
 
 
 def test_weyl_residual_csv(tmp_path, capsys):
@@ -585,10 +595,10 @@ class _Charted(Exception):
 def test_stats_chart_matches_the_oriented_plane_chart(masses, monkeypatch):
     # every sector class: the inward normals of sector_geometry are the
     # oriented planes between consecutive particles, bit for bit
-    def charted(config, sector, tol_spacings):
+    def charted(sector, n_max_grid, k, tol_spacings):
         raise _Charted(sector)
 
-    monkeypatch.setattr(cli, "_study", charted)
+    monkeypatch.setattr(billiard, "convergence_study", charted)
     config = cli.build_parser().parse_args(["stats", *EQUAL])
     seq = MassSequence(masses)
     planes = coincidence_normals(seq)

@@ -9,6 +9,11 @@ not scanned.  A private (leading underscore) function, class or constant
 defined at module level in `src/` must be loaded, taken as an attribute or
 imported by some `src/` module outside its own definition; a name that only
 tests read belongs in the tests.
+
+The package's layers are scanned the same way: the pencil solver imports no
+package module but `errors`, the sine basis imports neither `billiard`, whose
+study calls it, nor `cli`, and no `src/` module imports a package module
+inside a function body, where an import cycle could hide.
 """
 
 import ast
@@ -22,6 +27,7 @@ MODULES = sorted(
     if path.name != "__init__.py"
 )
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
+PACKAGE = ROOT / "src" / "kaleidobilliards"
 
 
 def unused_imports(source: str) -> list:
@@ -133,3 +139,59 @@ def test_every_imported_name_is_read(path):
     assert not unused, f"{path.relative_to(ROOT)} imports names it never reads: " + ", ".join(
         f"{name} (line {line})" for line, name in unused
     )
+
+
+def package_imports(source: str) -> list:
+    """(module, nested) per package module that ``source`` imports: its name
+    inside the package, and whether the import sits in a function body."""
+    tree = ast.parse(source)
+    in_function = {
+        id(node) for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["kaleidobilliards" * bool(node.level), node.module]))
+            dotted = ([f"{base}.{alias.name}" for alias in node.names]
+                      if base == "kaleidobilliards" else [base])
+        else:
+            continue
+        found += [(name.split(".")[1], id(node) in in_function) for name in dotted
+                  if name.startswith("kaleidobilliards.")]
+    return sorted(found)
+
+
+def test_package_scan_finds_every_import_form():
+    source = (
+        "import numpy\n"
+        "import kaleidobilliards.errors\n"
+        "from kaleidobilliards import cli as C\n"
+        "from kaleidobilliards.stats import unfold\n"
+        "from . import billiard\n"
+        "from .masses import MassSequence\n"
+        "def f():\n"
+        "    from .geometry import sig12\n"
+    )
+    assert package_imports(source) == [
+        ("billiard", False), ("cli", False), ("errors", False), ("geometry", True),
+        ("masses", False), ("stats", False),
+    ]
+
+
+def test_pencil_solver_imports_only_errors():
+    imported = {module for module, _ in package_imports((PACKAGE / "pencil.py").read_text())}
+    assert imported <= {"errors"}, f"pencil.py imports {sorted(imported - {'errors'})}"
+
+
+def test_sine_basis_imports_neither_billiard_nor_cli():
+    imported = {module for module, _ in package_imports((PACKAGE / "sine_basis.py").read_text())}
+    assert not imported & {"billiard", "cli"}, f"sine_basis.py imports {sorted(imported)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_package_import_inside_a_function(path):
+    nested = [module for module, inside in package_imports(path.read_text()) if inside]
+    assert not nested, f"{path.relative_to(ROOT)} imports {nested} inside a function"
