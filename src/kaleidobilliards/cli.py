@@ -119,21 +119,6 @@ def _outputs(config: argparse.Namespace, sectors) -> list:
     return [out, *([ground_state] if ground_state else []), out + ".meta.json"]
 
 
-def distinct_sector_orderings(masses: M.MassSequence) -> list:
-    """Representative ordering + multiplicity per congruence class.
-
-    Orderings are congruent when their scale-free masses, to 12 significant
-    digits, are equal (equal-mass relabeling) or reversed (inversion).
-    """
-    scaled = [sig12(m) for m in M._unit_scaled(masses.masses)]
-    groups: dict = {}
-    for perm in itertools.permutations(range(1, len(masses) + 1)):
-        seq = tuple(scaled[p - 1] for p in perm)
-        sig = min(seq, seq[::-1])
-        groups.setdefault(sig, []).append(perm)
-    return sorted((min(v), len(v)) for v in groups.values())
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit2(message)
@@ -151,13 +136,9 @@ class SystemExit2(Exception):
 def _cmd_classify(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     result = M.classify(seq)
-    integrable = result.max_deviation < 1e-10
-    line = (
-        f"{result.best.name} bracket {list(result.best.bracket)} "
-        f"max deviation {result.max_deviation:.6e} rad "
-        f"({'integrable' if integrable else 'not integrable'} in this order)"
-    )
-    print(line)
+    verdict = "integrable" if result.integrable else "not integrable"
+    print(f"{result.best.name} bracket {list(result.best.bracket)} "
+          f"max deviation {result.max_deviation:.6e} rad ({verdict} in this order)")
     if not config.output_path:
         return {}, {}
     payload = {
@@ -168,7 +149,7 @@ def _cmd_classify(config: argparse.Namespace) -> tuple:
         "measured_angles": [sig12(a) for a in result.measured_angles],
         "target_angles": [sig12(a) for a in result.target_angles],
         "max_deviation": sig12(result.max_deviation),
-        "integrable": integrable,
+        "integrable": result.integrable,
     }
     return {config.output_path: json.dumps(payload, indent=2) + "\n"}, {}
 
@@ -191,18 +172,20 @@ def _cmd_family(config: argparse.Namespace) -> tuple:
 def _cmd_geometry(config: argparse.Namespace) -> tuple:
     seq = M.MassSequence(config.masses)
     geom = G.sector_geometry(G.coincidence_normals(seq), config.ordering)
-    return {config.output_path: G.geometry_to_json(geom) + "\n"}, {}
+    return {config.output_path: G.geometry_to_json(geom)}, {}
+
+
+def _spec_member(spec: M.CoxeterSpec) -> M.MassSequence:
+    """The family member that stands for a spec: ratio half its r_max."""
+    _, hi = M.feasibility_interval(spec)
+    return M.generate_family(spec, 1.0, 0.5 * hi)
 
 
 def _cmd_group(config: argparse.Namespace) -> tuple:
-    if config.masses:
-        seq = M.MassSequence(config.masses)
-    else:
-        spec = M.coxeter_spec(config.spec)
-        lo, hi = M.feasibility_interval(spec)
-        seq = M.generate_family(spec, 1.0, 0.5 * hi)
+    seq = (M.MassSequence(config.masses) if config.masses
+           else _spec_member(M.coxeter_spec(config.spec)))
     grp = GR.group_from_masses(seq)
-    return {config.output_path: GR.group_to_json(grp) + "\n"}, {}
+    return {config.output_path: GR.group_to_json(grp)}, {}
 
 
 def _cmd_exact(config: argparse.Namespace) -> tuple:
@@ -216,10 +199,8 @@ def _cmd_exact(config: argparse.Namespace) -> tuple:
         "lambda_spectrum": {str(k): v for k, v in GR.lambda_spectrum(spec, top).items()},
     }
     if config.ground_state_path:
-        lo, hi = M.feasibility_interval(spec)
-        grp = GR.group_from_masses(M.generate_family(spec, 1.0, 0.5 * hi))
-        state = E.ground_state(grp)
-        files[config.ground_state_path] = state.polynomial.to_json() + "\n"
+        state = E.ground_state(GR.group_from_masses(_spec_member(spec)))
+        files[config.ground_state_path] = state.polynomial.to_json()
         extra["ground_state_degree"] = state.polynomial.degree
     return files, extra
 
@@ -243,10 +224,14 @@ def _discretization(study: B.ConvergenceStudy) -> dict:
     }
 
 
+def _study_one_sector(config: argparse.Namespace) -> tuple:
+    """The chart of the --ordering sector and its convergence study."""
+    sector = B.flatten_sector(M.MassSequence(config.masses), config.ordering)
+    return sector, B.convergence_study(sector, config.n_max, config.k_levels)
+
+
 def _cmd_billiard(config: argparse.Namespace) -> tuple:
-    seq = M.MassSequence(config.masses)
-    sector = B.flatten_sector(seq, config.ordering)
-    study = B.convergence_study(sector, config.n_max, config.k_levels)
+    sector, study = _study_one_sector(config)
     return {config.output_path: B.spectrum_to_csv(study)}, {
         "area": sig12(sector.geometry.area),
         "perimeter": sig12(sector.geometry.perimeter),
@@ -256,24 +241,12 @@ def _cmd_billiard(config: argparse.Namespace) -> tuple:
     }
 
 
-def _weyl_csv(study: B.ConvergenceStudy, geometry) -> tuple:
-    """Weyl-residual CSV of the converged window, and its residual column."""
-    e, stair, weyl, after, _ = ST.weyl_residuals(study.window, geometry)
-    lines = ["k,eigenvalue,staircase,weyl,residual"]
-    for i in range(len(e)):
-        lines.append(
-            f"{i + 1},{e[i]:.12g},{stair[i]:.12g},{weyl[i]:.12g},{after[i]:.12g}"
-        )
-    return "\n".join(lines) + "\n", after
-
-
 def _cmd_weyl(config: argparse.Namespace) -> tuple:
-    seq = M.MassSequence(config.masses)
-    sector = B.flatten_sector(seq, config.ordering)
-    study = B.convergence_study(sector, config.n_max, config.k_levels)
+    sector, study = _study_one_sector(config)
     if study.converged_count == 0:
         raise InsufficientLevelsError("no level converged across --n-max")
-    text, after = _weyl_csv(study, sector.geometry)
+    text = ST.weyl_residuals_to_csv(study.window, sector.geometry)
+    after = ST.weyl_residuals(study.window, sector.geometry)[3]  # the residual column
     return {config.output_path: text}, {
         "max_abs_residual": sig12(np.abs(after).max()),
         **_discretization(study),
@@ -296,7 +269,7 @@ def _cmd_stats(config: argparse.Namespace, sectors: list) -> tuple:
     for perm, mult in sectors:
         geom, study, unfolded, hist = _stats_one_sector(seq, perm, config)
         texts = (B.spectrum_to_csv(study), ST.histogram_to_csv(hist), reference,
-                 _weyl_csv(study, geom)[0], ST.summary_to_json(hist, unfolded) + "\n")
+                 ST.weyl_residuals_to_csv(study.window, geom), ST.summary_to_json(hist, unfolded))
         files.update(zip(_sector_files(config.output_path, perm), texts))
         tag = "".join(str(p) for p in perm)
         summary[tag] = {
@@ -405,7 +378,7 @@ def _validate(config: argparse.Namespace) -> tuple:
     if "bins" in given:
         _require(config.bins >= 1, "--bins must be at least 1")
         _require(0 < config.tol_spacings < math.inf, "--tol-spacings must be positive and finite")
-    sectors = distinct_sector_orderings(M.MassSequence(masses)) if cmd == "stats" else None
+    sectors = G.distinct_sector_orderings(M.MassSequence(masses)) if cmd == "stats" else None
     paths = _outputs(config, sectors)
     for path in paths:
         _check_output(path)
@@ -572,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-sector level statistics (six-sector pipeline)")
     common(p, masses=True, solver="30,40")
-    p.add_argument("--bins", type=int, default=24,
+    p.add_argument("--bins", type=int, default=ST._BINS,
                    help="spacing histogram bins (default %(default)s)")
     p.add_argument("--tol-spacings", type=float, default=B._TOL_SPACINGS,
                    help="converged-window tolerance in mean spacings (default %(default)s)")

@@ -4,13 +4,14 @@ The relative frame is the H-type Jacobi frame: z1 is the scaled (1,2) pair
 separation, z2 the scaled (3,4) pair separation, z3 the scaled separation of
 the two pair centers.  In that frame the (1,2) plane is z1=0 and the (3,4)
 plane is z2=0; the remaining four plane equations follow from eliminating the
-center of mass.  Stored normals are the normalized coefficient vectors with
-the sign convention of those equations: positive z3 coefficient for the
-(1,3)/(1,4) planes, negative for (2,3)/(2,4).
+center of mass.  Stored normals are the normalized coefficient vectors,
+each signed to point to the x_j > x_i side of its plane (i < j).  Sector
+congruence classes are also read off the masses here.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,26 +25,16 @@ __all__ = [
     "PlaneSet",
     "SectorGeometry",
     "coincidence_normals",
+    "distinct_sector_orderings",
     "sector_geometry",
     "geometry_from_inward_normals",
     "geometry_to_json",
 ]
 
-# sign s_ij such that n_ij . z = s_ij * c_ij * (x_j - x_i) with c_ij > 0;
-# follows from the plane equations (z3 enters with +1 for 13/14, -1 for 23/24)
-_ORIENTATION = {
-    (1, 2): +1.0,
-    (3, 4): +1.0,
-    (1, 3): +1.0,
-    (1, 4): +1.0,
-    (2, 3): -1.0,
-    (2, 4): -1.0,
-}
-
-
 @dataclass(frozen=True)
 class PlaneSet:
-    """Unit normals of the six coincidence planes, keyed by unordered pair."""
+    """Unit normals of the six coincidence planes, keyed by pair (i, j) with
+    i < j, each pointing to the x_j > x_i side."""
 
     masses: MassSequence
     normals: dict
@@ -53,11 +44,8 @@ class PlaneSet:
 
     def oriented(self, i: int, j: int) -> np.ndarray:
         """Normal pointing to the x_j > x_i side."""
-        key = (min(i, j), max(i, j))
-        sign = _ORIENTATION[key]
-        if i > j:
-            sign = -sign
-        return sign * self.normals[key]
+        normal = self.normal(i, j)
+        return normal if i < j else -normal
 
 
 def coincidence_normals(masses: MassSequence) -> PlaneSet:
@@ -72,13 +60,28 @@ def coincidence_normals(masses: MassSequence) -> PlaneSet:
     big_m = m[1] + m[2] + m[3] + m[4]
     normals = {(1, 2): np.array([1.0, 0.0, 0.0]), (3, 4): np.array([0.0, 1.0, 0.0])}
     # plane (i, k) joins one particle of each pair; z1 and z2 carry the
-    # partner masses, z3 enters with +1 for i = 1 and -1 for i = 2
+    # partner masses, and x_k - x_i grows with z3
     for i, k in ((1, 3), (1, 4), (2, 3), (2, 4)):
         z1 = math.sqrt(m[3 - i] * (m[3] + m[4]) / (m[i] * big_m))
         z2 = math.sqrt(m[7 - k] * (m[1] + m[2]) / (m[k] * big_m))
-        v = np.array([z1, z2 if (i == 1) == (k == 4) else -z2, 1.0 if i == 1 else -1.0])
+        v = np.array([z1 if i == 1 else -z1, z2 if k == 4 else -z2, 1.0])
         normals[(i, k)] = v / np.linalg.norm(v)
     return PlaneSet(masses, normals)
+
+
+def distinct_sector_orderings(masses: MassSequence) -> list:
+    """Representative ordering + multiplicity per congruence class.
+
+    Orderings are congruent when their scale-free masses, to 12 significant
+    digits, are equal (equal-mass relabeling) or reversed (inversion).
+    """
+    scaled = [sig12(m) for m in _unit_scaled(masses.masses)]
+    groups: dict = {}
+    for perm in itertools.permutations(range(1, len(masses) + 1)):
+        seq = tuple(scaled[p - 1] for p in perm)
+        sig = min(seq, seq[::-1])
+        groups.setdefault(sig, []).append(perm)
+    return sorted((min(v), len(v)) for v in groups.values())
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def geometry_to_json(geom: SectorGeometry) -> str:
         "area": sig12(geom.area),
         "perimeter": sig12(geom.perimeter),
     }
-    return json.dumps(data, indent=2)
+    return json.dumps(data, indent=2) + "\n"
 
 
 def coxeter_simple_roots(planes: PlaneSet) -> np.ndarray:

@@ -290,4 +290,4 @@ def group_to_json(group: ReflectionGroup) -> str:
             for c in group.classes
         ],
     }
-    return json.dumps(data, indent=2)
+    return json.dumps(data, indent=2) + "\n"

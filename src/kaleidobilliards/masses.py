@@ -294,6 +294,11 @@ class ClassificationResult:
     max_deviation: float
     reversed_bracket: bool = field(default=False)
 
+    @property
+    def integrable(self) -> bool:
+        """Every angle within 1e-10 rad of its bracket's pi/q."""
+        return self.max_deviation < 1e-10
+
 
 def _measured_angles(masses: MassSequence) -> tuple:
     m = masses.masses

@@ -239,7 +239,7 @@ class HomogeneousPolynomial:
             {"exponents": list(expo), "coefficient": coeff}
             for expo, coeff in sorted(self.coefficients.items())
         ]
-        return json.dumps(items)
+        return json.dumps(items) + "\n"
 
     def __repr__(self):
         return (

@@ -27,6 +27,7 @@ __all__ = [
     "poisson_cdf",
     "wigner_pdf",
     "wigner_cdf",
+    "weyl_residuals_to_csv",
     "histogram_to_csv",
     "reference_curves_to_csv",
     "summary_to_json",
@@ -92,7 +93,11 @@ class SpacingHistogram:
     spacings: np.ndarray
 
 
-def spacing_histogram(unfolded, bins: int = 24) -> SpacingHistogram:
+# spacing histogram bins, the default of ``spacing_histogram`` and ``--bins``
+_BINS = 24
+
+
+def spacing_histogram(unfolded, bins: int = _BINS) -> SpacingHistogram:
     """Density-normalized nearest-neighbor spacing histogram with distances.
 
     Zero spacings from exact degeneracies are retained; they carry the
@@ -137,6 +142,15 @@ def weyl_residuals(levels, geometry: SectorGeometry):
     return e, stair, weyl, stair - weyl, (stair - 1.0) - weyl
 
 
+def weyl_residuals_to_csv(levels, geometry: SectorGeometry) -> str:
+    """CSV of ``weyl_residuals`` over ascending levels, one row per level."""
+    e, stair, weyl, after, _ = weyl_residuals(levels, geometry)
+    lines = ["k,eigenvalue,staircase,weyl,residual"]
+    for i in range(len(e)):
+        lines.append(f"{i + 1},{e[i]:.12g},{stair[i]:.12g},{weyl[i]:.12g},{after[i]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
 def histogram_to_csv(hist: SpacingHistogram) -> str:
     lines = ["bin_left,bin_right,density"]
     for left, right, dens in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities):
@@ -164,4 +178,4 @@ def summary_to_json(hist: SpacingHistogram, unfolded) -> str:
             "chi2_wigner": sig12(hist.chi2_wigner),
         },
         indent=2,
-    )
+    ) + "\n"

@@ -31,7 +31,7 @@ from kaleidobilliards import geometry as G
 from kaleidobilliards import groups as GR
 from kaleidobilliards import masses as M
 from kaleidobilliards import stats as ST
-from kaleidobilliards.cli import _stats_one_sector, build_parser, distinct_sector_orderings
+from kaleidobilliards.cli import _stats_one_sector, build_parser
 
 
 @contextmanager
@@ -70,7 +70,7 @@ def six_sector_stats(fig_masses):
         "--tol-spacings", "0.05",
     ])
     out = []
-    for perm, mult in distinct_sector_orderings(fig_masses):
+    for perm, mult in G.distinct_sector_orderings(fig_masses):
         geom, study, unfolded, hist = _stats_one_sector(fig_masses, perm, config)
         out.append((perm, mult, geom, study, unfolded, hist))
     return out

@@ -29,9 +29,9 @@ from kaleidobilliards.errors import (
     QuadratureError,
 )
 from kaleidobilliards.exact import real_spherical_harmonic
-from kaleidobilliards.cli import distinct_sector_orderings
 from kaleidobilliards.geometry import (
     coincidence_normals,
+    distinct_sector_orderings,
     geometry_from_inward_normals,
     sector_geometry,
 )

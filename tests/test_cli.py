@@ -3,22 +3,32 @@ import inspect
 import json
 import math
 import os
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kaleidobilliards import billiard, cli, pencil
+from kaleidobilliards import billiard, cli, geometry, pencil, stats
 from kaleidobilliards.billiard import convergence_study, flatten_geometry
-from kaleidobilliards.cli import distinct_sector_orderings, main
+from kaleidobilliards.cli import main
 from kaleidobilliards.errors import GeometryError
-from kaleidobilliards.geometry import coincidence_normals, geometry_from_inward_normals
+from kaleidobilliards.exact import energy_levels, levels_to_csv
+from kaleidobilliards.geometry import (
+    coincidence_normals,
+    distinct_sector_orderings,
+    geometry_from_inward_normals,
+)
+from kaleidobilliards.groups import group_from_masses, group_to_json
 from kaleidobilliards.masses import (
     MassSequence,
     coxeter_spec,
+    family_curve,
     feasibility_interval,
     symmetric_member,
+    write_family_csv,
 )
+from kaleidobilliards.polynomials import HomogeneousPolynomial
 
 H3_MASSES = ",".join(f"{m:.17g}" for m in symmetric_member(coxeter_spec("H3")).masses)
 
@@ -293,6 +303,91 @@ def test_unresolved_sector_angle_exits_3(capsys):
     assert "MassDomainError" in capsys.readouterr().err
 
 
+# typed pools for generated command lines, each a (valid, invalid) pair of
+# value lists; "{case}" is the case directory, which holds a file "file" and a
+# directory "dir".  Sizes are capped (n_max <= 14, k <= 40, --e-max <= 40,
+# --grid <= 50), and the size flags whose defaults exceed the caps are always
+# given, so that every case stays small
+POOLS = {
+    "--masses": (["1", "2", "0.5"], ["1e8", "1e-8", "1e-20", "1e-300", "5e-324", "1e300",
+                                     "1.7e308", "0", "-1", "nan", "inf"]),
+    "--spec": (["A3", "C3", "H3", "I2(5)"], ["I2(2)", "", " ", "Z9", "A4", "C4", "H4", "F4"]),
+    "--ordering": (["1,2,3,4", "1,3,4,2", "2,1,4,3", "4,3,2,1"],
+                   ["1,1,3,4", "1,2,3", "0,1,2,3", "a"]),
+    "--n-max": (["6", "6,8", "10,14", "8,12,14", "14"], ["8,6", "1", "", "abc"]),
+    "--k": (["1", "3", "10", "20", "40"], ["0", "-1", "x"]),
+    "--e-max": (["5", "25", "40", "0", "-1"], ["inf", "nan"]),
+    "--grid": (["1", "7", "50"], ["0", "-3", "x"]),
+    "--r-min": (["0.01", "0.2"], ["0", "-0.5", "nan", "inf"]),
+    "--r-max": (["0.05", "0.3", "10"], ["0", "nan"]),
+    "--bins": (["1", "24"], ["0", "-2"]),
+    "--tol-spacings": (["0.05", "0.5", "1e-4"], ["0", "inf", "nan"]),
+    "--output": (["{case}/new/out", "{case}/file"], ["{case}/dir", "{case}/file/out", ""]),
+    "--ground-state": (["{case}/new/gs.json"], ["{case}/dir", "{case}/file/gs.json"]),
+    "--config": (["{case}/flags.json"], ["{case}/bad.json", "{case}/absent.json", "{case}/dir"]),
+}
+COMMAND_FLAGS = {
+    "classify": ["--masses", "--output"],
+    "family": ["--spec", "--grid", "--r-min", "--r-max", "--output"],
+    "geometry": ["--masses", "--ordering", "--output"],
+    "group": ["--masses", "--spec", "--output"],
+    "exact": ["--spec", "--e-max", "--ground-state", "--output"],
+    "billiard": ["--masses", "--ordering", "--n-max", "--k", "--output"],
+    "weyl": ["--masses", "--ordering", "--n-max", "--k", "--output"],
+    "stats": ["--masses", "--n-max", "--k", "--bins", "--tol-spacings", "--output"],
+}
+# stats writes a directory, which may already exist
+STATS_OUTPUT = (["{case}/new/out", "{case}/dir"], ["{case}/file", "{case}/file/out", ""])
+NEEDED = ("--masses", "--ordering", "--spec", "--output")
+SIZES = ("--n-max", "--k", "--grid")
+
+
+def _generated_argv(rng) -> list:
+    """One command line from the typed pools: mostly a known command and its
+    own flags, sometimes a flag it lacks, a missing value or no command."""
+    command = rng.choice([*COMMAND_FLAGS] * 8 + ["frobnicate", None])
+    argv = [command] if command else []
+    pools = {**POOLS, "--output": STATS_OUTPUT} if command == "stats" else POOLS
+    for flag in COMMAND_FLAGS.get(command, []) + ["--config"]:
+        if flag in SIZES or rng.random() < (0.95 if flag in NEEDED else
+                                            0.1 if flag == "--config" else 0.5):
+            valid, invalid = pools[flag]
+            if flag == "--masses":
+                value = ",".join(rng.choice(valid if rng.random() < 0.9 else invalid)
+                                 for _ in range(rng.choice((3, 4, 4, 4, 4, 4, 4, 5))))
+            else:
+                value = rng.choice(valid if rng.random() < 0.85 else invalid)
+            argv += [flag, value]
+    if rng.random() < 0.05:
+        argv += [rng.choice([*POOLS, "--quadrature-order"])]
+    return argv
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def test_generated_inputs_keep_the_exit_contract(tmp_path, capsys):
+    # exit 0, 2 or 3; a failure prints one "error: " line; a refusal writes nothing
+    rng = random.Random(1)
+    for index in range(300):
+        argv = _generated_argv(rng)
+        case = tmp_path / str(index)
+        (case / "dir").mkdir(parents=True)
+        (case / "file").write_text("x")
+        (case / "flags.json").write_text('{"k_levels": 3, "n_max": [6, 8], "grid": 5}')
+        (case / "bad.json").write_text('{"k_levels": 3,')
+        argv = [a.replace("{case}", str(case)) for a in argv]
+        before = _tree(case)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if code == 2:
+            assert _tree(case) == before, argv
+
+
 # -- family -----------------------------------------------------------------------
 
 def test_family_csv_and_metadata(tmp_path, capsys):
@@ -488,9 +583,12 @@ def test_weyl_window_is_cut_in_mean_spacings_and_recorded(tmp_path, capsys):
     assert (meta["tol_spacings"], meta["converged_levels"]) == (0.05, len(rows))
 
 
-def test_stats_tolerance_default_is_the_study_default():
-    default = inspect.signature(convergence_study).parameters["tol_spacings"].default
-    assert cli.build_parser().parse_args(["stats"]).tol_spacings == default
+@pytest.mark.parametrize("dest, function", [("tol_spacings", convergence_study),
+                                            ("bins", stats.spacing_histogram)],
+                         ids=["tol_spacings", "bins"])
+def test_stats_tolerance_default_is_the_study_default(dest, function):
+    default = inspect.signature(function).parameters[dest].default
+    assert getattr(cli.build_parser().parse_args(["stats"]), dest) == default
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -622,6 +720,42 @@ def test_stats_light_mass_sector_names_float64_resolution():
         cli._stats_one_sector(MassSequence((1e-30, 1.0, 1.0, 1.0)), (2, 1, 3, 4), config)
 
 
+# -- writers ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def writer_inputs():
+    """Small inputs for every module writer."""
+    sector = billiard.flatten_sector(MassSequence((1, 1, 1, 1)), (1, 2, 3, 4))
+    unfolded = np.cumsum(np.random.default_rng(0).exponential(size=60))
+    return {"sector": sector, "study": convergence_study(sector, (10, 12), 8),
+            "unfolded": unfolded, "hist": stats.spacing_histogram(unfolded)}
+
+
+WRITERS = {
+    "spectrum_to_csv": lambda d: billiard.spectrum_to_csv(d["study"]),
+    "weyl_residuals_to_csv": lambda d: stats.weyl_residuals_to_csv(d["study"].window,
+                                                                   d["sector"].geometry),
+    "histogram_to_csv": lambda d: stats.histogram_to_csv(d["hist"]),
+    "reference_curves_to_csv": lambda d: stats.reference_curves_to_csv(),
+    "summary_to_json": lambda d: stats.summary_to_json(d["hist"], d["unfolded"]),
+    "levels_to_csv": lambda d: levels_to_csv(energy_levels(coxeter_spec("H3"), 20)),
+    "write_family_csv": lambda d: write_family_csv(family_curve(coxeter_spec("H3"), [0.05])),
+    "geometry_to_json": lambda d: geometry.geometry_to_json(d["sector"].geometry),
+    "group_to_json": lambda d: group_to_json(group_from_masses(MassSequence((3, 1, 2, 6)))),
+    "HomogeneousPolynomial.to_json":
+        lambda d: HomogeneousPolynomial.from_dict(2, {(2, 0, 0): 1.0}).to_json(),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_each_writer_returns_one_whole_file(writer, writer_inputs):
+    # main writes each text as it is, so every one ends its last line itself
+    text = WRITERS[writer](writer_inputs)
+    assert text.endswith("\n") and not text.endswith("\n\n"), repr(text[-20:])
+    if writer.endswith("json"):
+        json.loads(text)
+
+
 # -- reruns -----------------------------------------------------------------------
 
 # every command at tiny size; "{out}" is the run's output directory
@@ -660,7 +794,7 @@ def test_reruns_byte_identical(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(RERUNS))
 def test_written_files_are_the_declared_outputs(name, tmp_path, capsys, monkeypatch):
-    validate, orderings = cli._validate, cli.distinct_sector_orderings
+    validate, orderings = cli._validate, geometry.distinct_sector_orderings
     declared, calls = [], []
 
     def recording_validate(config):
@@ -673,7 +807,7 @@ def test_written_files_are_the_declared_outputs(name, tmp_path, capsys, monkeypa
         return orderings(masses)
 
     monkeypatch.setattr(cli, "_validate", recording_validate)
-    monkeypatch.setattr(cli, "distinct_sector_orderings", counting_orderings)
+    monkeypatch.setattr(geometry, "distinct_sector_orderings", counting_orderings)
     assert main([a.replace("{out}", str(tmp_path)) for a in RERUNS[name]]) == 0
     capsys.readouterr()
     assert declared[-1].endswith(("meta.json", "run_metadata.json"))
