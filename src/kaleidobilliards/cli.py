@@ -344,14 +344,15 @@ def _validate(config: argparse.Namespace) -> tuple:
         )
     if "e_max" in given:
         _require(math.isfinite(config.e_max), "--e-max must be finite")
-    if given.get("spec") is not None and masses is None:
+    if given.get("spec") is not None:
         try:
             spec = M.coxeter_spec(config.spec)
             if cmd == "exact":
                 GR.spectrum_generators(spec)
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
-        if cmd == "group" or given.get("ground_state_path"):
+        # group reads --masses before --spec
+        if masses is None and (cmd == "group" or given.get("ground_state_path")):
             _require(spec.rank == 3, "group data and ground states need a rank-3 spec")
     if "grid" in given:
         _require(config.grid >= 1, "--grid must be at least 1")
@@ -424,6 +425,8 @@ def main(argv=None) -> int:
     try:
         config = _parse(argv)
         sectors, paths = _validate(config)
+    except _ParserExit as exc:
+        return exc.args[0]
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -449,11 +452,21 @@ def main(argv=None) -> int:
 # argument parsing
 
 
+class _ParserExit(Exception):
+    """argparse ended the run itself (--help, --version); holds the status."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Sends argparse's own errors down the one exit-2 path of ``main``."""
+    """Sends argparse's own errors down the one exit-2 path of ``main``, and
+    its own exits back to ``main`` as a returned status."""
 
     def error(self, message):
         raise SystemExit2(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 def _parse_masses(text: str) -> tuple:

@@ -281,7 +281,7 @@ def projection_tables(group: ReflectionGroup, lambdas) -> dict:
         stacked = np.vstack([
             _reflection_matrix(lam, root) + eye for root in group.simple_roots
         ])
-        _, sing, vt = np.linalg.svd(stacked)
+        _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
         a = degeneracy(lam, group)
         ascending = np.concatenate(([np.finfo(float).eps], sing[::-1], [np.inf]))
         null, gap = ascending[a], ascending[a + 1]

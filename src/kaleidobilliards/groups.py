@@ -21,7 +21,6 @@ from .geometry import coincidence_normals, coxeter_simple_roots, sig12
 from .masses import CoxeterSpec, MassSequence, brackets_for_rank
 
 __all__ = [
-    "OrthogonalElement",
     "ConjugacyClass",
     "ReflectionGroup",
     "generate_group",
@@ -39,30 +38,6 @@ _MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OrthogonalElement:
-    """One orthogonal 3x3 matrix with its rotation angle; det is its parity."""
-
-    matrix: np.ndarray
-    det: int
-    rotation_angle: float
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "OrthogonalElement":
-        m = np.asarray(m, dtype=float)
-        det = int(round(float(np.linalg.det(m))))
-        if det not in (-1, 1):
-            raise ValueError("matrix is not orthogonal")
-        tr = float(np.trace(m))
-        # proper: cos(phi) = (tr-1)/2 ; improper (rotoreflection): cos(phi) = (tr+1)/2
-        cos_phi = (tr - 1.0) / 2.0 if det == 1 else (tr + 1.0) / 2.0
-        angle = math.acos(min(1.0, max(-1.0, cos_phi)))
-        return cls(matrix=m, det=det, rotation_angle=angle)
-
-    def is_reflection(self) -> bool:
-        return self.det == -1 and abs(float(np.trace(self.matrix)) - 1.0) < 1e-9
-
-
-@dataclass(frozen=True)
 class ConjugacyClass:
     angle: float
     parity: int
@@ -73,27 +48,33 @@ class ConjugacyClass:
 
 @dataclass(eq=False)
 class ReflectionGroup:
+    """A group as the (order, 3, 3) stack of its matrices: identity first,
+    then closure order."""
+
     spec: CoxeterSpec
-    elements: list
+    matrices: np.ndarray
     simple_roots: np.ndarray
-    reflections: list
     classes: list
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.matrices)
 
     @property
-    def matrices(self) -> np.ndarray:
-        return np.stack([e.matrix for e in self.elements])
+    def dets(self) -> np.ndarray:
+        """Parity of each element: its rounded determinant, +1 or -1."""
+        return np.rint(np.linalg.det(self.matrices)).astype(int)
+
+    @property
+    def reflections(self) -> np.ndarray:
+        """The reflection matrices (det -1, trace 1), in closure order."""
+        traces = np.trace(self.matrices, axis1=1, axis2=2)
+        return self.matrices[(self.dets == -1) & (np.abs(traces - 1.0) < 1e-9)]
 
     def reflection_normals(self) -> np.ndarray:
         """Unit normals of all reflection planes (eigenvector at -1)."""
-        normals = []
-        for el in self.reflections:
-            w, v = np.linalg.eigh(el.matrix)
-            normals.append(v[:, np.argmin(w)])
-        return np.array(normals)
+        pairs = [np.linalg.eigh(m) for m in self.reflections]
+        return np.array([v[:, np.argmin(w)] for w, v in pairs])
 
 
 def _identify_bracket(roots: np.ndarray) -> CoxeterSpec:
@@ -111,13 +92,12 @@ def _identify_bracket(roots: np.ndarray) -> CoxeterSpec:
     raise NonCoxeterRootsError(f"root angles {dots} match no rank-3 bracket")
 
 
-def _match_index(candidate: np.ndarray, matrices: np.ndarray) -> int:
-    """Index of candidate in the stack, or -1 (Frobenius tolerance)."""
-    if len(matrices) == 0:
-        return -1
-    d = np.abs(matrices - candidate).sum(axis=(1, 2))
-    i = int(np.argmin(d))
-    return i if d[i] < _MATCH_TOL * 9 else -1
+def _match(candidates: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Index in the stack of each candidate, or -1 (Frobenius tolerance)."""
+    d = matrices - candidates[:, None]
+    d = np.abs(d, out=d).sum(axis=(2, 3))
+    i = d.argmin(axis=1)
+    return np.where(d[np.arange(len(i)), i] < _MATCH_TOL * 9, i, -1)
 
 
 def generate_group(simple_root_normals) -> ReflectionGroup:
@@ -131,43 +111,32 @@ def generate_group(simple_root_normals) -> ReflectionGroup:
     spec = _identify_bracket(roots)
     generators = [np.eye(3) - 2.0 * np.outer(g, g) for g in roots]
 
-    stack = np.empty((0, 3, 3))
-    elements: list[np.ndarray] = []
-
-    def add(m) -> bool:
-        nonlocal stack
-        if _match_index(m, stack) >= 0:
-            return False
-        elements.append(m)
-        stack = np.concatenate([stack, m[None]], axis=0)
-        return True
-
-    add(np.eye(3))
+    stack = np.eye(3)[None]
     frontier = [np.eye(3)]
     # stop once the closure outgrows the order of the matched table row
-    while frontier and len(elements) <= spec.order:
+    while frontier and len(stack) <= spec.order:
         new_frontier = []
         for m in frontier:
             for g in generators:
                 prod = g @ m
-                if add(prod):
+                if _match(prod[None], stack)[0] < 0:
+                    stack = np.concatenate([stack, prod[None]])
                     new_frontier.append(prod)
         frontier = new_frontier
 
-    if len(elements) != spec.order:
+    if len(stack) != spec.order:
         raise NonCoxeterRootsError(
-            f"closure produced {len(elements)} elements, expected {spec.order} for {spec.name}"
+            f"closure produced {len(stack)} elements, expected {spec.order} for {spec.name}"
         )
-    orth = [OrthogonalElement.from_matrix(m) for m in elements]
-    reflections = [e for e in orth if e.is_reflection()]
-    if len(reflections) != spec.lambda0:
-        raise NonCoxeterRootsError(
-            f"{len(reflections)} reflections found, expected {spec.lambda0}"
-        )
+    if np.any(np.abs(np.rint(np.linalg.det(stack))) != 1):
+        raise ValueError("matrix is not orthogonal")
     group = ReflectionGroup(
-        spec=spec, elements=orth, simple_roots=roots, reflections=reflections, classes=[]
+        spec=spec, matrices=stack, simple_roots=roots, classes=conjugacy_classes(stack)
     )
-    group.classes = conjugacy_classes(group)
+    if len(group.reflections) != spec.lambda0:
+        raise NonCoxeterRootsError(
+            f"{len(group.reflections)} reflections found, expected {spec.lambda0}"
+        )
     return group
 
 
@@ -176,9 +145,9 @@ def group_from_masses(masses: MassSequence) -> ReflectionGroup:
     return generate_group(coxeter_simple_roots(coincidence_normals(masses)))
 
 
-def conjugacy_classes(group: ReflectionGroup) -> list:
-    """Conjugation orbits labeled by (angle, parity, order, size)."""
-    mats = group.matrices
+def conjugacy_classes(mats: np.ndarray) -> list:
+    """Conjugation orbits in a stack of group matrices, labeled by (angle,
+    parity, order, size)."""
     n = len(mats)
     inv = np.transpose(mats, (0, 2, 1))  # orthogonal inverse
     assigned = np.full(n, -1, dtype=int)
@@ -186,24 +155,21 @@ def conjugacy_classes(group: ReflectionGroup) -> list:
     for i in range(n):
         if assigned[i] >= 0:
             continue
-        conj = mats @ mats[i] @ inv  # h g h^T for all h
-        members = set()
-        for c in conj:
-            j = _match_index(c, mats)
-            if j < 0:
-                raise CharacterTableError("conjugate fell outside the group")
-            members.add(j)
-        label = len(classes)
-        for j in members:
-            assigned[j] = label
-        rep = group.elements[i]
+        found = _match(mats @ mats[i] @ inv, mats)  # h g h^T for all h
+        if np.any(found < 0):
+            raise CharacterTableError("conjugate fell outside the group")
+        members = np.unique(found)
+        assigned[members] = len(classes)
+        parity = round(float(np.linalg.det(mats[i])))
+        # proper: cos(phi) = (tr-1)/2 ; improper (rotoreflection): cos(phi) = (tr+1)/2
+        cos_phi = (float(np.trace(mats[i])) - parity) / 2.0
         classes.append(
             ConjugacyClass(
-                angle=rep.rotation_angle,
-                parity=rep.det,
+                angle=math.acos(min(1.0, max(-1.0, cos_phi))),
+                parity=parity,
                 element_order=_element_order(mats[i]),
                 size=len(members),
-                members=tuple(sorted(members)),
+                members=tuple(members.tolist()),
             )
         )
     if sum(c.size for c in classes) != n:

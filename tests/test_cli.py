@@ -140,6 +140,8 @@ BAD_INPUTS = [
     ("config not an object", ["billiard", *SECTOR, "--config", "{cfg}",
                               "--output", "{out}/s.csv"], "[16]"),
     ("unknown group name", ["group", "--spec", "Z9", "--output", "{out}/g.json"], None),
+    ("unknown group name beside masses", ["group", "--masses", "3,1,2,6", "--spec", "Z9",
+                                          "--output", "{out}/g.json"], None),
     ("empty group name", ["exact", "--spec", "", "--output", "{out}/l.csv"], None),
     ("blank group name", ["family", "--spec", " ", "--output", "{out}/f.csv"], None),
     ("rank-2 group spec", ["group", "--spec", "I2(5)", "--output", "{out}/g.json"], None),
@@ -359,7 +361,7 @@ def _generated_argv(rng) -> list:
                 value = rng.choice(valid if rng.random() < 0.85 else invalid)
             argv += [flag, value]
     if rng.random() < 0.05:
-        argv += [rng.choice([*POOLS, "--quadrature-order"])]
+        argv += [rng.choice([*POOLS, "--quadrature-order", "--help", "--version"])]
     return argv
 
 
@@ -456,6 +458,24 @@ def test_group_json_from_spec(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["order"] == 120 and data["reflections"] == 15
+
+
+def test_group_reads_masses_before_a_valid_spec(tmp_path, capsys):
+    runs = {}
+    for name, argv in (("masses", ["--masses", "3,1,2,6"]),
+                       ("both", ["--masses", "3,1,2,6", "--spec", "H3"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["group", *argv, "--output", str(out)]) == 0
+        runs[name] = out.read_bytes()
+    capsys.readouterr()
+    assert runs["both"] == runs["masses"] and json.loads(runs["both"])["name"] == "C3"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["stats", "--help"]])
+def test_help_and_version_return_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and not err
 
 
 def test_exact_levels_csv(tmp_path, capsys):

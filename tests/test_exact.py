@@ -361,8 +361,8 @@ def test_projection_vanishes_off_spectrum(h3, a3):
 def _group_average(poly, group):
     """Det-weighted average of poly composed with every group element."""
     total = HomogeneousPolynomial(poly.degree)
-    for el in group.elements:
-        total = total + float(el.det) * poly.compose(el.matrix)
+    for det, m in zip(group.dets, group.matrices):
+        total = total + float(det) * poly.compose(m)
     return total * (1.0 / group.order)
 
 
@@ -410,9 +410,9 @@ def test_projected_states_harmonic_and_anti_invariant(h3):
     poly = states[0].polynomial
     scale = poly.max_abs_coeff()
     assert poly.laplacian().max_abs_coeff() < 1e-9 * scale
-    for el in h3.elements[::17]:
-        composed = poly.compose(el.matrix)
-        target = poly * float(el.det)
+    for det, m in zip(h3.dets[::17], h3.matrices[::17]):
+        composed = poly.compose(m)
+        target = poly * float(det)
         assert (composed - target).is_zero(1e-9 * scale)
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kaleidobilliards.errors import NonCoxeterRootsError
+from kaleidobilliards.errors import CharacterTableError, NonCoxeterRootsError
 from kaleidobilliards.groups import (
+    conjugacy_classes,
     degeneracy,
     generate_group,
     group_from_masses,
@@ -59,15 +60,15 @@ def test_closure_and_inverses(h3):
 
 
 def test_elements_are_orthogonal_with_unit_det(h3):
-    for el in h3.elements:
-        assert np.abs(el.matrix @ el.matrix.T - np.eye(3)).max() < 1e-12
-        assert el.det in (-1, 1)
-        assert el.det == round(float(np.linalg.det(el.matrix)))
+    for det, m in zip(h3.dets, h3.matrices):
+        assert np.abs(m @ m.T - np.eye(3)).max() < 1e-12
+        assert det in (-1, 1)
+        assert det == round(float(np.linalg.det(m)))
 
 
 def test_reflections_have_signature(h3):
-    for el in h3.reflections:
-        w = np.linalg.eigvalsh(el.matrix)
+    for m in h3.reflections:
+        w = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(w, [-1.0, 1.0, 1.0], atol=1e-9)
 
 
@@ -117,6 +118,26 @@ def test_classes_partition(a3, c3, h3):
         assert len(ident) == 1 and abs(ident[0].angle) < 1e-12
 
 
+def test_class_table_refuses_a_stack_missing_an_element(h3):
+    # index 1 is the first simple reflection, in a class of 15
+    with pytest.raises(CharacterTableError, match="fell outside the group"):
+        conjugacy_classes(np.delete(h3.matrices, 1, axis=0))
+
+
+def test_class_table_refuses_a_stack_with_a_duplicate(h3):
+    stack = np.concatenate([h3.matrices, h3.matrices[1:2]])
+    with pytest.raises(CharacterTableError, match="do not partition"):
+        conjugacy_classes(stack)
+
+
+def test_stack_holds_identity_then_closure_order(a3, c3, h3):
+    for group in (a3, c3, h3):
+        np.testing.assert_array_equal(group.matrices[0], np.eye(3))
+        simple = [np.eye(3) - 2.0 * np.outer(r, r) for r in group.simple_roots]
+        np.testing.assert_array_equal(group.matrices[1:4], simple)
+        np.testing.assert_array_equal(group.reflections[:3], simple)
+
+
 # -- characters ----------------------------------------------------------------
 
 def test_character_examples(h3):
@@ -133,8 +154,8 @@ def test_character_examples(h3):
 def test_character_matches_matrix_trace_on_vector_irrep(h3):
     # lam = 1 character equals the trace of any class member
     for cls in h3.classes:
-        member = h3.elements[cls.members[0]]
-        assert o3_character(1, cls) == pytest.approx(np.trace(member.matrix), abs=1e-9)
+        member = h3.matrices[cls.members[0]]
+        assert o3_character(1, cls) == pytest.approx(np.trace(member), abs=1e-9)
 
 
 def test_character_orthogonality(a3, c3, h3):
