@@ -189,15 +189,14 @@ def _inside_triangle(s, t):
 
 
 def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
-    """Coefficients {g_ss, g_st, g_tt, b_s, b_t} of the operator (vectorized).
+    """Coefficient arrays {g_ss, g_st, g_tt, b_s, b_t} of the operator at points (s, t).
 
     The convention matches the chart form: Laplacian = g_ss d_ss + g_st d_st
     + g_tt d_tt + b_s d_s + b_t d_t (the cross coefficient multiplies the
     mixed derivative once).  The second-order terms are the metric that
-    ``assemble`` integrates; scalar points give floats.
+    ``assemble`` integrates; a scalar point gives one-element arrays.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    scalar = s.ndim == 0
     # a 0-d point would drop to numpy scalars, whose power can differ from the
     # array loop in the last bit; one-element arrays take the grid's path
     s, t = np.atleast_1d(s, t)
@@ -212,14 +211,13 @@ def operator_coefficients(sector: FlattenedSector, s, t) -> dict:
     w2 = 1.0 + u * u + v * v
     b_u, b_v = 2.0 * w2 * u, 2.0 * w2 * v  # first-order terms in (u, v)
     a = sector.affine
-    out = {
+    return {
         "g_ss": g_ss / sqrt_g,
         "g_st": 2.0 * g_st / sqrt_g,
         "g_tt": g_tt / sqrt_g,
         "b_s": a[0, 0] * b_u + a[0, 1] * b_v,
         "b_t": a[1, 0] * b_u + a[1, 1] * b_v,
     }
-    return {k: float(c[0]) for k, c in out.items()} if scalar else out
 
 
 # ---------------------------------------------------------------------------

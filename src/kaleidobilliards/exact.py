@@ -41,7 +41,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperangularState:
-    lam: int
     polynomial: HomogeneousPolynomial
 
 
@@ -262,10 +261,11 @@ def _fibonacci_points(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def projection_tables(group: ReflectionGroup, lambdas) -> dict:
-    """Orthonormal basis of the anti-invariant harmonics of each degree.
+@lru_cache(maxsize=64)
+def projection_tables(group: ReflectionGroup, lam: int) -> np.ndarray:
+    """Orthonormal basis of the anti-invariant harmonics of degree lam (read-only).
 
-    Returns {lam: array (2*lam+1, a)}, a = ``groups.degeneracy``, with rows in
+    Returns an array (2*lam+1, a), a = ``groups.degeneracy``, with rows in
     mu_sweep order.  The simple reflections s generate the group and have
     det -1, so the columns span the joint null space of D(s) + 1.  D(s) is
     the parity times a half turn, built by ``_reflection_matrix`` from the
@@ -273,25 +273,25 @@ def projection_tables(group: ReflectionGroup, lambdas) -> dict:
     test members the null singular values stay below 3.3e-14 and the next
     ones above 0.746.  Raises RankDeficiencyError unless
     the a-th smallest singular value lies below 1e-8 of the (a+1)-th (the
-    float64 epsilon stands in for a = 0).
+    float64 epsilon stands in for a = 0).  Cached per (group, lam); a group
+    hashes by identity.
     """
-    cache = group.__dict__.setdefault("_projection_cache", {})
-    for lam in sorted(set(int(l) for l in lambdas) - set(cache)):
-        eye = np.eye(2 * lam + 1)
-        stacked = np.vstack([
-            _reflection_matrix(lam, root) + eye for root in group.simple_roots
-        ])
-        _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
-        a = degeneracy(lam, group)
-        ascending = np.concatenate(([np.finfo(float).eps], sing[::-1], [np.inf]))
-        null, gap = ascending[a], ascending[a + 1]
-        if not null < 1e-8 * gap:
-            raise RankDeficiencyError(
-                f"lambda={lam}: character count {a}, but the null singular "
-                f"value {null:.3e} is not separated from the next, {gap:.3e}"
-            )
-        cache[lam] = vt[vt.shape[0] - a :].T
-    return {int(l): cache[int(l)] for l in lambdas}
+    eye = np.eye(2 * lam + 1)
+    stacked = np.vstack([
+        _reflection_matrix(lam, root) + eye for root in group.simple_roots
+    ])
+    _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
+    a = degeneracy(lam, group)
+    ascending = np.concatenate(([np.finfo(float).eps], sing[::-1], [np.inf]))
+    null, gap = ascending[a], ascending[a + 1]
+    if not null < 1e-8 * gap:
+        raise RankDeficiencyError(
+            f"lambda={lam}: character count {a}, but the null singular "
+            f"value {null:.3e} is not separated from the next, {gap:.3e}"
+        )
+    basis = vt[vt.shape[0] - a :].T
+    basis.flags.writeable = False
+    return basis
 
 
 def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> HomogeneousPolynomial:
@@ -302,7 +302,7 @@ def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> Homogen
     if abs(mu) > lam:
         raise ValueError("|mu| must not exceed lam")
     harmonics = _harmonic_matrix(lam)
-    basis = projection_tables(group, [lam])[lam]
+    basis = projection_tables(group, lam)
     row = basis @ basis[mu_sweep(lam).index(mu)]
     return HomogeneousPolynomial._from_coeff_vector(lam, row @ harmonics)
 
@@ -311,7 +311,7 @@ def ground_state(group: ReflectionGroup) -> HyperangularState:
     """Product of linear forms over all reflection normals, unit L2 norm."""
     normals = group.reflection_normals()
     poly = product_of_linear_forms(normals).l2_normalized()
-    return HyperangularState(lam=group.spec.lambda0, polynomial=poly)
+    return HyperangularState(poly)
 
 
 def excited_basis(lam: int, group: ReflectionGroup) -> list:
@@ -326,7 +326,7 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
     stops at degree 85 (ValueError), also where no state exists.
     """
     harmonics = _harmonic_matrix(lam)
-    basis = projection_tables(group, [lam])[lam]
+    basis = projection_tables(group, lam)
     if not basis.shape[1]:
         return []
     # p(s x) = -p(x) for every generator s, at generic points off the grid
@@ -339,8 +339,7 @@ def excited_basis(lam: int, group: ReflectionGroup) -> list:
             raise RankDeficiencyError(f"state at lambda={lam} is not anti-invariant")
     coeffs = basis.T @ harmonics
     return [
-        HyperangularState(lam=lam, polynomial=HomogeneousPolynomial._from_coeff_vector(lam, row))
-        for row in coeffs
+        HyperangularState(HomogeneousPolynomial._from_coeff_vector(lam, row)) for row in coeffs
     ]
 
 

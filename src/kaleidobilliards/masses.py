@@ -296,8 +296,13 @@ class ClassificationResult:
 
     @property
     def integrable(self) -> bool:
-        """Every angle within 1e-10 rad of its bracket's pi/q."""
-        return self.max_deviation < 1e-10
+        """|pi/a - q| < 1e-9 for every angle a and its bracket's q.
+
+        Judged in units of q, not in radians: the lattice pi/q, spaced about
+        pi/q^2, crowds below any fixed angle tolerance as q grows.
+        """
+        bracket = self.best.bracket[::-1] if self.reversed_bracket else self.best.bracket
+        return all(abs(math.pi / a - q) < 1e-9 for a, q in zip(self.measured_angles, bracket))
 
 
 def _measured_angles(masses: MassSequence) -> tuple:

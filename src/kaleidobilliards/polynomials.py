@@ -19,21 +19,15 @@ __all__ = [
     "linear_form",
     "product_of_linear_forms",
     "monomial_images",
-    "monomial_exponents",
     "moment_gram",
 ]
 
 
 @lru_cache(maxsize=None)
-def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
-    """(a, b) exponent pairs of degree-d monomials; z3 exponent is d-a-b."""
-    return tuple((a, b) for a in range(degree + 1) for b in range(degree + 1 - a))
-
-
-@lru_cache(maxsize=None)
 def _exponent_arrays(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (a, b) index arrays in monomial_exponents(degree) order."""
-    aa, bb = (np.array(col, dtype=int) for col in zip(*monomial_exponents(degree)))
+    """Read-only (a, b) monomial exponents, a then b ascending; z3's is degree-a-b."""
+    e = np.arange(degree + 1)
+    aa, bb = np.nonzero(e[:, None] + e <= degree)
     aa.flags.writeable = bb.flags.writeable = False
     return aa, bb
 
@@ -42,8 +36,8 @@ def _exponent_arrays(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def moment_gram(d1: int, d2: int) -> np.ndarray:
     """Sphere moments between all degree-d1 and all degree-d2 monomials.
 
-    Entry (i, j) integrates monomial i of ``monomial_exponents(d1)`` times
-    monomial j of ``monomial_exponents(d2)`` over the unit two-sphere; odd
+    Entry (i, j) integrates monomial i of ``_exponent_arrays(d1)`` times
+    monomial j of ``_exponent_arrays(d2)`` over the unit two-sphere; odd
     exponent sums integrate to zero.  Extended precision and read-only: the
     monomial basis is severely cancellation-prone at high degree
     (Legendre-type coefficients grow like 4^degree), so the Gram is built and
@@ -202,7 +196,7 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(self.degree, dense)
 
     def _coeff_vector(self) -> np.ndarray:
-        """Coefficients ordered as monomial_exponents(degree)."""
+        """Coefficients ordered as _exponent_arrays(degree)."""
         return self._dense[_exponent_arrays(self.degree)]
 
     @classmethod
@@ -292,7 +286,7 @@ def monomial_images(matrix: np.ndarray, degree: int) -> np.ndarray:
     """Images of all degree-d monomials under z -> M z.
 
     The array has shape (n_monomials(d), d+1, d+1), ordered like
-    ``monomial_exponents(d)``.  In that order the degree-k monomials are
+    ``_exponent_arrays(d)``.  In that order the degree-k monomials are
     z3 times the first degree-(k-1) one, z2 times the first k and z1 times
     all of them, so level k is three parent blocks, each times one row of M.
     """

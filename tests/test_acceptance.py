@@ -33,6 +33,8 @@ from kaleidobilliards import masses as M
 from kaleidobilliards import stats as ST
 from kaleidobilliards.cli import _stats_one_sector, build_parser
 
+from closed_forms import birectangular_geometry, birectangular_levels
+
 
 @contextmanager
 def verdict(number: int, description: str):
@@ -202,6 +204,19 @@ def _poisson_ks_sides(spacings):
     return excess, deficit
 
 
+def _repulsion_rule(hist):
+    """Criterion 8's rule on one spacing histogram: (critical, side, repulsion).
+
+    A spectrum shows repulsion when its KS distance to Poisson exceeds the 1%
+    critical distance of `kstwo` and lies on the deficit side.
+    """
+    excess, deficit = _poisson_ks_sides(hist.spacings)
+    assert math.isclose(max(excess, deficit), hist.ks_poisson, abs_tol=1e-12)
+    critical = float(kstwo.isf(0.01, hist.n_spacings))
+    side = "deficit" if deficit > excess else "excess"
+    return critical, side, side == "deficit" and hist.ks_poisson > critical
+
+
 def test_criterion_8_statistics_discrimination(six_sector_stats):
     with verdict(
         8,
@@ -210,11 +225,7 @@ def test_criterion_8_statistics_discrimination(six_sector_stats):
     ):
         rows = []
         for perm, mult, geom, study, unfolded, hist in six_sector_stats:
-            excess, deficit = _poisson_ks_sides(hist.spacings)
-            assert math.isclose(max(excess, deficit), hist.ks_poisson, abs_tol=1e-12)
-            critical = float(kstwo.isf(0.01, hist.n_spacings))
-            side = "deficit" if deficit > excess else "excess"
-            repulsion = side == "deficit" and hist.ks_poisson > critical
+            critical, side, repulsion = _repulsion_rule(hist)
             rows.append(
                 (perm, study.converged_count, hist.ks_poisson, hist.ks_wigner,
                  critical, side, repulsion)
@@ -239,6 +250,42 @@ def test_criterion_8_statistics_discrimination(six_sector_stats):
             f"only {repelled}/5 non-Coxeter sectors show level repulsion:\n"
             + "\n".join(lines[1:])
         )
+
+
+# closed-form spectra of the birectangular triangle (corners alpha, pi/2,
+# pi/2) at the fixture's four irrational corners: alpha/pi, then KS_P at 200
+# and at 400 levels
+_INTEGRABLE_CONTROLS = [
+    (0.1206, 0.280, 0.202),
+    (0.1790, 0.186, 0.208),
+    (0.4105, 0.338, 0.364),
+    (0.4397, 0.303, 0.320),
+]
+
+
+def test_criterion_8_rule_on_integrable_controls():
+    """What criterion 8's rule decides on spectra known to be integrable.
+
+    The birectangular triangle separates in spherical coordinates, and
+    sqrt(E + 1/4) is a linear form in two integers, as for a two-dimensional
+    oscillator.  At an irrational corner such a spectrum has too few small
+    spacings (Berry & Tabor, Proc. R. Soc. A 356, 375, 1977), so the rule
+    reads all eight spectra as repulsion: its verdict does not separate
+    integrable sectors from non-integrable ones.
+    """
+    print()
+    for ratio, *ks_poisson in _INTEGRABLE_CONTROLS:
+        alpha = ratio * math.pi
+        geom = birectangular_geometry(alpha)
+        for count, ks, crit in zip((200, 400), ks_poisson, (0.114, 0.081)):
+            hist = ST.spacing_histogram(ST.unfold(birectangular_levels(alpha, count), geom))
+            critical, side, repulsion = _repulsion_rule(hist)
+            print(f"    alpha/pi={ratio}: {count} levels, KS_P={hist.ks_poisson:.4f} "
+                  f"crit(1%)={critical:.4f} max on {side} side -> "
+                  f"{'repulsion' if repulsion else 'no repulsion'}")
+            assert hist.ks_poisson == pytest.approx(ks, abs=1e-3)
+            assert critical == pytest.approx(crit, abs=1e-3)
+            assert side == "deficit" and repulsion
 
 
 def test_criterion_9_tiling_identity():

@@ -44,6 +44,8 @@ from kaleidobilliards.masses import (
     symmetric_member,
 )
 
+from closed_forms import birectangular_geometry, birectangular_levels
+
 EQUAL = MassSequence((1, 1, 1, 1))
 H3_SEQ = symmetric_member(coxeter_spec("H3"))
 
@@ -162,7 +164,7 @@ def test_operator_at_chart_axis_point():
     # at the axis point u = v = 0 the sphere metric is flat: G = A A^T, b = 0
     sec = octant_sector()
     np.testing.assert_allclose(sec.offset, [-1 / 3, -1 / 3], atol=1e-15)
-    c = operator_coefficients(sec, *sec.offset)
+    c = {k: v[0] for k, v in operator_coefficients(sec, *sec.offset[:, None]).items()}
     g = sec.affine @ sec.affine.T
     np.testing.assert_allclose(
         [c["g_ss"], c["g_st"], c["g_tt"]], [g[0, 0], 2 * g[0, 1], g[1, 1]], rtol=1e-14
@@ -178,15 +180,15 @@ def test_operator_coefficients_vectorized_match_scalar_calls():
     grid = operator_coefficients(sec, s, t)
     for key, values in grid.items():
         assert values.shape == (5, 7)
-        scalar = [[operator_coefficients(sec, s[i, j], t[i, j])[key] for j in range(7)]
-                  for i in range(5)]
+        scalar = [[operator_coefficients(sec, s[i, j:j + 1], t[i, j:j + 1])[key][0]
+                   for j in range(7)] for i in range(5)]
         assert np.array_equal(values, scalar), key
 
 
 def test_operator_rejects_exterior_points():
     sec = flatten_sector(EQUAL, (1, 2, 3, 4))
     with pytest.raises(ChartDomainError):
-        operator_coefficients(sec, 0.5, 0.6)
+        operator_coefficients(sec, np.array([0.5]), np.array([0.6]))
     with pytest.raises(ChartDomainError):
         operator_coefficients(sec, np.array([-0.5, 0.5]), np.array([-0.2, 0.6]))
 
@@ -247,7 +249,7 @@ def test_operator_reproduces_harmonic_eigenvalue(ordering):
             f, grad, hess = _pullback_and_derivatives(sec, poly, s, t)
             if abs(f) < 1e-6:
                 continue
-            c = operator_coefficients(sec, s, t)
+            c = {k: v[0] for k, v in operator_coefficients(sec, [s], [t]).items()}
             lap = (
                 c["g_ss"] * hess[0, 0]
                 + c["g_st"] * hess[0, 1]
@@ -277,7 +279,7 @@ def test_operator_matches_finite_differences():
     ) / (4 * h**2)
     fs = (f_of(s0 + h, t0) - f_of(s0 - h, t0)) / (2 * h)
     ft = (f_of(s0, t0 + h) - f_of(s0, t0 - h)) / (2 * h)
-    c = operator_coefficients(sec, s0, t0)
+    c = {k: v[0] for k, v in operator_coefficients(sec, [s0], [t0]).items()}
     lap = c["g_ss"] * fss + c["g_st"] * fst + c["g_tt"] * ftt + c["b_s"] * fs + c["b_t"] * ft
     assert lap == pytest.approx(-4 * 5 * f_of(s0, t0), rel=1e-5)
 
@@ -688,17 +690,6 @@ def test_octant_exact_spectrum():
     np.testing.assert_allclose(spec.values, want * (want + 1), rtol=2e-4)
 
 
-def birectangular_levels(alpha, count):
-    """Lowest levels of the spherical triangle with angles (alpha, pi/2, pi/2).
-
-    u = sin(mu phi) P_nu^(-mu)(cos theta) with mu = j pi/alpha vanishes on the
-    equator when nu - mu is odd, so the levels are nu (nu + 1) with
-    nu = j pi/alpha + 2 m + 1, j >= 1, m >= 0.
-    """
-    nu = np.add.outer(np.arange(1, count + 1) * math.pi / alpha, 2.0 * np.arange(count) + 1.0)
-    return np.sort((nu * (nu + 1.0)).ravel())[:count]
-
-
 # the first case is the octant; the others are corners of the H3 fixture's
 # non-Coxeter sectors.  Measured at 30/40, k 40: the ground level lies 7e-6,
 # 1.3e-5 and 1.4e-4 mean spacings above its closed form, and the window's
@@ -706,8 +697,7 @@ def birectangular_levels(alpha, count):
 @pytest.mark.parametrize("ratio,window", [(0.5, 40), (0.4397, 40), (0.1790, 20)])
 def test_birectangular_triangle_spectrum(ratio, window):
     alpha = ratio * math.pi
-    inward = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [math.sin(alpha), -math.cos(alpha), 0.0]])
-    sec = flatten_geometry(geometry_from_inward_normals(inward))
+    sec = flatten_geometry(birectangular_geometry(alpha))
     assert sec.geometry.area == pytest.approx(alpha, rel=1e-12)
     study = convergence_study(sec, (30, 40), k=40)
     exact = birectangular_levels(alpha, 40)

@@ -270,7 +270,7 @@ def test_projection_tables_take_no_sphere_quadrature(monkeypatch):
         generate_family(coxeter_spec("C3"), 3, 1),
         symmetric_member(coxeter_spec("H3")),
     ):
-        exact.projection_tables(group_from_masses(masses), [23])  # no cached tables
+        exact.projection_tables(group_from_masses(masses), 23)  # no cached tables
     assert calls == []
 
 
@@ -278,7 +278,7 @@ def test_projection_tables_past_the_monomial_limit(h3):
     # lambda 121 (a = 4): measured null singular values up to 2.4e-14 and the
     # next one 0.746; the states change sign at points off any grid
     lam = 121
-    basis = exact.projection_tables(h3, [lam])[lam]
+    basis = exact.projection_tables(h3, lam)
     assert basis.shape == (2 * lam + 1, degeneracy(lam, h3)) == (243, 4)
     eye = np.eye(2 * lam + 1)
     stacked = np.vstack([exact._reflection_matrix(lam, r) + eye for r in h3.simple_roots])
@@ -291,6 +291,17 @@ def test_projection_tables_past_the_monomial_limit(h3):
     for root in h3.simple_roots:
         flipped = exact._harmonics_at(lam, exact._reflect(points, root)) @ basis
         assert np.abs(flipped + values).max() <= 1e-12 * np.abs(values).max()
+
+
+def test_projection_tables_cache_is_read_only_and_off_the_group():
+    group = group_from_masses(generate_family(coxeter_spec("C3"), 3, 1))
+    basis = exact.projection_tables(group, 12)
+    assert basis.shape == (25, degeneracy(12, group))
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    assert exact.projection_tables(group, 12) is basis
+    assert set(vars(group)) == {"spec", "matrices", "simple_roots", "classes"}
 
 
 # -- ground states ----------------------------------------------------------------
@@ -397,9 +408,9 @@ def test_character_count_above_null_space_raises(lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", [31, 45])  # a = 1, 2
 def test_perturbed_projection_basis_is_not_anti_invariant(lam, h3, monkeypatch):
-    basis = exact.projection_tables(h3, [lam])[lam]
+    basis = exact.projection_tables(h3, lam)
     noise = np.random.default_rng(lam).standard_normal(basis.shape)
-    monkeypatch.setitem(h3._projection_cache, lam, basis + 1e-7 * noise)
+    monkeypatch.setattr(exact, "projection_tables", lambda group, k: basis + 1e-7 * noise)
     with pytest.raises(RankDeficiencyError, match="not anti-invariant"):
         excited_basis(lam, h3)
 

@@ -301,6 +301,23 @@ def test_classify_three_particles_fits_nearest_q():
     assert res5.max_deviation < 1e-12
 
 
+# a light middle mass opens an angle near pi/q with q large, where pi/q is
+# spaced about pi/q^2: 2e-12 rad at q 2221441, below a 1e-10 rad tolerance
+@pytest.mark.parametrize("light,name,q_miss", [
+    (1e-6, "I2(2221)", 0.442),
+    (1e-12, "I2(2221441)", 0.469),
+])
+def test_classify_judges_the_angle_in_units_of_q(light, name, q_miss):
+    res = classify(MassSequence((1.0, light, 1.0)))
+    assert res.best.name == name
+    (q,) = res.best.bracket
+    assert abs(math.pi / res.measured_angles[0] - q) == pytest.approx(q_miss, abs=1e-3)
+    assert not res.integrable
+    # a generated member of the same order still passes
+    member = classify(generate_family(coxeter_spec(name), 1.0, light))
+    assert member.best.name == name and member.integrable
+
+
 def test_rational_closure_of_a_and_c_series():
     from fractions import Fraction
 

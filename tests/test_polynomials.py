@@ -7,7 +7,7 @@ import pytest
 from kaleidobilliards.polynomials import (
     HomogeneousPolynomial,
     moment_gram,
-    monomial_exponents,
+    _exponent_arrays,
     monomial_images,
     product_of_linear_forms,
 )
@@ -75,7 +75,7 @@ def test_monomial_images_against_linear_form_products():
     m = rng.normal(size=(3, 3))
     degree = 6
     images = monomial_images(m, degree)
-    for idx, (a, b) in enumerate(monomial_exponents(degree)):
+    for idx, (a, b) in enumerate(zip(*_exponent_arrays(degree))):
         c = degree - a - b
         brute = product_of_linear_forms([m[0]] * a + [m[1]] * b + [m[2]] * c)
         assert np.abs(images[idx] - brute._dense).max() < 1e-10
