@@ -261,9 +261,8 @@ def _fibonacci_points(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-@lru_cache(maxsize=64)
 def projection_tables(group: ReflectionGroup, lam: int) -> np.ndarray:
-    """Orthonormal basis of the anti-invariant harmonics of degree lam (read-only).
+    """Orthonormal basis of the anti-invariant harmonics of degree lam.
 
     Returns an array (2*lam+1, a), a = ``groups.degeneracy``, with rows in
     mu_sweep order.  The simple reflections s generate the group and have
@@ -273,8 +272,7 @@ def projection_tables(group: ReflectionGroup, lam: int) -> np.ndarray:
     test members the null singular values stay below 3.3e-14 and the next
     ones above 0.746.  Raises RankDeficiencyError unless
     the a-th smallest singular value lies below 1e-8 of the (a+1)-th (the
-    float64 epsilon stands in for a = 0).  Cached per (group, lam); a group
-    hashes by identity.
+    float64 epsilon stands in for a = 0).
     """
     eye = np.eye(2 * lam + 1)
     stacked = np.vstack([
@@ -289,9 +287,7 @@ def projection_tables(group: ReflectionGroup, lam: int) -> np.ndarray:
             f"lambda={lam}: character count {a}, but the null singular "
             f"value {null:.3e} is not separated from the next, {gap:.3e}"
         )
-    basis = vt[vt.shape[0] - a :].T
-    basis.flags.writeable = False
-    return basis
+    return vt[vt.shape[0] - a :].T
 
 
 def project_anti_invariant(lam: int, mu: int, group: ReflectionGroup) -> HomogeneousPolynomial:

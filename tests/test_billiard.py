@@ -178,11 +178,13 @@ def test_operator_coefficients_vectorized_match_scalar_calls():
     w = rng.dirichlet((1.5, 1.5, 1.5), size=(5, 7))
     s, t = np.moveaxis(w @ np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]]), -1, 0)
     grid = operator_coefficients(sec, s, t)
-    for key, values in grid.items():
-        assert values.shape == (5, 7)
-        scalar = [[operator_coefficients(sec, s[i, j:j + 1], t[i, j:j + 1])[key][0]
-                   for j in range(7)] for i in range(5)]
-        assert np.array_equal(values, scalar), key
+    for i, j in np.ndindex(5, 7):
+        # each point alone, as a one-element array and as a 0-d point
+        for point in (operator_coefficients(sec, s[i, j:j + 1], t[i, j:j + 1]),
+                      operator_coefficients(sec, s[i, j], t[i, j])):
+            for key, values in grid.items():
+                assert values.shape == (5, 7) and point[key].shape == (1,)
+                assert point[key][0] == values[i, j], (key, i, j)
 
 
 def test_operator_rejects_exterior_points():

@@ -270,7 +270,7 @@ def test_projection_tables_take_no_sphere_quadrature(monkeypatch):
         generate_family(coxeter_spec("C3"), 3, 1),
         symmetric_member(coxeter_spec("H3")),
     ):
-        exact.projection_tables(group_from_masses(masses), 23)  # no cached tables
+        exact.projection_tables(group_from_masses(masses), 23)
     assert calls == []
 
 
@@ -291,17 +291,6 @@ def test_projection_tables_past_the_monomial_limit(h3):
     for root in h3.simple_roots:
         flipped = exact._harmonics_at(lam, exact._reflect(points, root)) @ basis
         assert np.abs(flipped + values).max() <= 1e-12 * np.abs(values).max()
-
-
-def test_projection_tables_cache_is_read_only_and_off_the_group():
-    group = group_from_masses(generate_family(coxeter_spec("C3"), 3, 1))
-    basis = exact.projection_tables(group, 12)
-    assert basis.shape == (25, degeneracy(12, group))
-    assert not basis.flags.writeable
-    with pytest.raises(ValueError):
-        basis[0, 0] = 1.0
-    assert exact.projection_tables(group, 12) is basis
-    assert set(vars(group)) == {"spec", "matrices", "simple_roots", "classes"}
 
 
 # -- ground states ----------------------------------------------------------------

@@ -318,6 +318,18 @@ def test_classify_judges_the_angle_in_units_of_q(light, name, q_miss):
     assert member.best.name == name and member.integrable
 
 
+def test_classify_passes_generated_members_up_to_q_3e6():
+    # float64 rounds a member's angle by a few q x 1e-16 in units of q: the
+    # worst of these 150 reads 9.3e-10 (2 ulps of 3e6), inside the 1e-9 rule
+    rng = np.random.default_rng(4)
+    for q in (100_000, 1_000_000, 3_000_000):
+        spec = coxeter_spec(f"I2({q})")
+        lo, hi = feasibility_interval(spec)
+        for r in rng.uniform(hi * 0.01, hi * 0.99, 50):
+            res = classify(generate_family(spec, 1.0, r))
+            assert res.best.name == spec.name and res.integrable, (q, r)
+
+
 def test_rational_closure_of_a_and_c_series():
     from fractions import Fraction
 
