@@ -205,11 +205,10 @@ def _half_pi_d(lam: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _quarter_turn(lam: int) -> np.ndarray:
-    """J = M(K) for the quarter turn K = R_x(-pi/2) from d^lam(pi/2) (read-only).
+    """J = M(K) for the quarter turn K = R_y(-pi/2) from d^lam(pi/2) (read-only).
 
-    K takes z to y, so R_y(theta) = K R_z(theta) K^T; every group and
-    generator of the degree shares J.  K = R_z(pi/2) R_y(pi/2) R_z(-pi/2),
-    and in mu_sweep order M(R_y(pi/2)) has the cos block
+    K takes z to -x, so R_x(-theta) = K R_z(theta) K^T; every group and
+    generator of the degree shares J.  In mu_sweep order J has the cos block
     d(m, m') + (-1)^m' d(m, -m'), divided by sqrt 2 on the mu = 0 row and
     column, and the sin block d(m, m') - (-1)^m' d(m, -m').
     """
@@ -220,16 +219,8 @@ def _quarter_turn(lam: int) -> np.ndarray:
     cos_block[0] /= math.sqrt(2.0)
     cos_block[:, 0] /= math.sqrt(2.0)
     cos, sin = np.r_[0, 2 * m[1:] - 1], 2 * m[1:]
-    delta = np.zeros((2 * lam + 1, 2 * lam + 1))
-    delta[np.ix_(cos, cos)] = cos_block
-    delta[np.ix_(sin, sin)] = sin_block
-    # Z(pi/2) holds one exact +-1 per row r, in column perm[r]: the pairs of
-    # odd order swap, and cos(m pi/2) in floating point would not be 0
-    perm, sign = np.arange(2 * lam + 1), np.ones(2 * lam + 1)
-    odd = np.arange(1, 2 * lam, 4)
-    perm[odd], perm[odd + 1] = odd + 1, odd
-    sign[cos[1:]], sign[sin] = (-1.0) ** (m[1:] // 2), (-1.0) ** ((m[1:] + 1) // 2)
-    turn = np.outer(sign, sign) * delta[np.ix_(perm, perm)]
+    turn = np.zeros((2 * lam + 1, 2 * lam + 1))
+    turn[np.ix_(cos, cos)], turn[np.ix_(sin, sin)] = cos_block, sin_block
     turn.flags.writeable = False
     return turn
 
@@ -238,13 +229,14 @@ def _reflection_matrix(lam: int, root: np.ndarray) -> np.ndarray:
     """D(s) = M(s) for the reflection s in the plane normal to root.
 
     s is the parity times the half turn about n = root/|root|, which is
-    Q R_z(pi) Q^T for Q = R_z(phi) R_y(theta) taking z to n.  Hence
-    D(s) = (-1)^lam M(Q)^T M(R_z(pi)) M(Q), with M(Q) = J^T Z(theta) J Z(phi).
+    Q R_z(pi) Q^T for Q = R_z(phi) R_x(-theta) taking z to n.  Hence
+    D(s) = (-1)^lam M(Q)^T M(R_z(pi)) M(Q), with M(Q) = J^T Z(theta) J Z(phi)
+    and J = M(R_y(-pi/2)), the quarter turn that takes z to -x.
     """
     n = np.asarray(root, dtype=float)
     n = n / np.linalg.norm(n)
     theta = math.acos(min(1.0, max(-1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
+    phi = math.atan2(-n[0], n[1])
     turn = _quarter_turn(lam)
     rot = turn.T @ _z_rotation(lam, theta) @ turn @ _z_rotation(lam, phi)
     half_turn = np.ones(2 * lam + 1)

@@ -296,13 +296,20 @@ class ClassificationResult:
 
     @property
     def integrable(self) -> bool:
-        """|pi/a - q| < 1e-9 for every angle a and its bracket's q.
+        """|pi/a - q| < max(1e-9, 4 ulp(q)) for every angle a and its bracket's q.
 
         Judged in units of q, not in radians: the lattice pi/q, spaced about
-        pi/q^2, crowds below any fixed angle tolerance as q grows.
+        pi/q^2, crowds below any fixed angle tolerance as q grows.  Float64
+        rounds a true member's pi/a by up to 2 ulp(q), and 4 ulp(q) exceeds
+        1e-9 from q = 2^21 (about 2.1e6).  From q = 2^41, where 4 ulp(q)
+        exceeds 1e-3, float64 cannot resolve the lattice, and no angle is
+        integrable.
         """
         bracket = self.best.bracket[::-1] if self.reversed_bracket else self.best.bracket
-        return all(abs(math.pi / a - q) < 1e-9 for a, q in zip(self.measured_angles, bracket))
+        return all(
+            abs(math.pi / a - q) < max(1e-9, 4 * math.ulp(q)) <= 1e-3
+            for a, q in zip(self.measured_angles, bracket)
+        )
 
 
 def _measured_angles(masses: MassSequence) -> tuple:

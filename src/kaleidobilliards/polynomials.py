@@ -134,9 +134,6 @@ class HomogeneousPolynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "HomogeneousPolynomial":
-        return HomogeneousPolynomial(self.degree, -self._dense)
-
     # -- calculus ----------------------------------------------------------
 
     def gradient(self) -> tuple["HomogeneousPolynomial", ...]:

@@ -39,8 +39,7 @@ def weyl_count(e_tilde, geometry: SectorGeometry):
     e = np.asarray(e_tilde, dtype=float)
     if np.any(e < 0):
         raise ValueError("scaled energy must be non-negative")
-    val = (geometry.area * e - geometry.perimeter * np.sqrt(e)) / (4.0 * math.pi)
-    return float(val) if val.ndim == 0 else val
+    return (geometry.area * e - geometry.perimeter * np.sqrt(e)) / (4.0 * math.pi)
 
 
 def unfold(levels, geometry: SectorGeometry) -> np.ndarray:
@@ -50,7 +49,7 @@ def unfold(levels, geometry: SectorGeometry) -> np.ndarray:
         raise InsufficientLevelsError(
             f"only {len(levels)} converged levels; at least 50 are required for statistics"
         )
-    return np.asarray(weyl_count(levels, geometry))
+    return weyl_count(levels, geometry)
 
 
 def poisson_pdf(s):

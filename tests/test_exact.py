@@ -180,8 +180,8 @@ def _sphere_grid(lam):
     return points, weights[:, None] * exact._harmonics_at(lam, points)
 
 
-# K = R_x(-pi/2) takes z to y
-_QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+# K = R_y(-pi/2) takes z to -x
+_QUARTER_TURN = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def _quadrature_quarter_turn(lam):

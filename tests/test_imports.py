@@ -14,9 +14,15 @@ The package's layers are scanned the same way: the pencil solver imports no
 package module but `errors`, the sine basis imports neither `billiard`, whose
 study calls it, nor `cli`, and no `src/` module imports a package module
 inside a function body, where an import cycle could hide.
+
+Importing the CLI loads neither `scipy.stats` nor `scipy.optimize`: each
+costs a tenth of a second or more, which every command would pay.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,3 +201,17 @@ def test_sine_basis_imports_neither_billiard_nor_cli():
 def test_no_package_import_inside_a_function(path):
     nested = [module for module, inside in package_imports(path.read_text()) if inside]
     assert not nested, f"{path.relative_to(ROOT)} imports {nested} inside a function"
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+    # scipy.sparse is left out: older scipy.linalg releases import it themselves
+    code = (
+        "import sys, kaleidobilliards.cli\n"
+        "print(*[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "", f"importing the CLI loads {done.stdout.strip()}"

@@ -330,6 +330,27 @@ def test_classify_passes_generated_members_up_to_q_3e6():
             assert res.best.name == spec.name and res.integrable, (q, r)
 
 
+@pytest.mark.parametrize("q", [100_000_000, 1_000_000_000_000])
+def test_classify_passes_generated_members_at_large_q(q):
+    # past q 2^21 the rule's 4 ulp(q) exceeds 1e-9; the worst of 200 members
+    # at each q from 1e5 to 1e13 read 2 ulp(q)
+    rng = np.random.default_rng(5)
+    spec = coxeter_spec(f"I2({q})")
+    lo, hi = feasibility_interval(spec)
+    for r in rng.uniform(hi * 0.01, hi * 0.99, 150):
+        res = classify(generate_family(spec, 1.0, r))
+        assert res.best.name == spec.name and res.integrable, (q, r)
+
+
+def test_classify_beyond_float64_resolution_is_not_integrable():
+    # the angle fits q about 2.2e15, where ulp(q) is 0.5 and pi/a may round
+    # onto q exactly: float64 cannot tell the lattice apart there
+    res = classify(MassSequence((1.0, 1e-30, 1.0)))
+    (q,) = res.best.bracket
+    assert q > 2**41
+    assert not res.integrable
+
+
 def test_rational_closure_of_a_and_c_series():
     from fractions import Fraction
 
