@@ -12,8 +12,9 @@ handled with a weighted symmetric Galerkin discretization:
 with G the pushed-forward inverse metric and sqrt(g) the pulled-back sphere
 measure.  The basis h_i and the assembly of A and B are ``sine_basis``'s,
 and the eigensolve is ``pencil``'s.  A convergence study assembles once, at
-its top truncation, and solves each n' on the leading block of that
-assembly, so the Galerkin spaces of the study are exactly nested.
+its top truncation, one block at a time, and solves each n' on the leading
+block of that assembly, so the Galerkin spaces of the study are exactly
+nested.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from .geometry import (
 )
 from .masses import MassSequence
 from .pencil import solve_spectrum
-from .sine_basis import BasisTruncation, assemble, basis_size, chart_blocks, quadrature_floor
+from .sine_basis import (
+    BasisTruncation,
+    assemble,
+    basis_size,
+    chart_blocks,
+    moment_tables,
+    quadrature_floor,
+)
 
 __all__ = [
     "FlattenedSector",
@@ -246,9 +254,12 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
 
     The chart is assembled and solved as the blocks the basis splits it
     into (``chart_blocks``), each ordered so that a lower truncation is a
-    leading block of it.  Each block is solved for min(k, its size) levels
-    at every truncation where it has a function, and a truncation of N'
-    functions keeps the min(k, N') lowest levels of the union.
+    leading block of it.  One block at a time is assembled, from moment
+    tables computed once, and solved, and its pencil is dropped before the
+    next is built, so the largest block's pencil bounds the memory.  Each
+    block is solved for min(k, its size) levels at every truncation where
+    it has a function, and a truncation of N' functions keeps the
+    min(k, N') lowest levels of the union.
     """
     grid = tuple(int(n) for n in n_max_grid)
     if not grid:
@@ -264,13 +275,16 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     order = quadrature_floor(top.n_max)
     blocks = chart_blocks(sector, top)
     sizes = [basis_size(n) for n in grid]
+    moments = moment_tables(sector, top.n_max, order)
     solves = [[] for _ in grid]  # per truncation, its blocks that have functions
-    for block, (a_mat, b_mat) in zip(blocks, assemble(sector, top, order, blocks)):
+    for block in blocks:
+        ((a_mat, b_mat),) = assemble(sector, top, order, (block,), moments=moments)
         # a block's functions among a truncation's lead the block
         counts = [int(np.count_nonzero(block < size)) for size in sizes]
         held = [j for j, count in enumerate(counts) if count]
         for j, solve in zip(held, solve_spectrum(a_mat, b_mat, k, [counts[j] for j in held])):
             solves[j].append(solve)
+        del a_mat, b_mat  # before the next block's pencil is built
     spectra = [np.sort(np.concatenate([solve.levels for solve in held]))[:min(k, size)]
                for held, size in zip(solves, sizes)]
     n_common = min(len(levels) for levels in spectra)

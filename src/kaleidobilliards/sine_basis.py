@@ -21,9 +21,10 @@ When the chart is mirror-symmetric under (s, t) -> (t, s), as the octant,
 the A3 Coxeter sector and every palindromic mass sequence through
 ``flatten_sector`` are, h_(n,m)(t, s) = (-1)^(n+m+1) h_(n,m)(s, t), so the
 forms vanish between pairs whose n + m differ in parity.  Such a chart is
-assembled and solved as its two parity blocks of about N/2 functions, each
-bit for bit its sub-block of the whole pencil; a slab of a parity block is
-built only where that block reads it.  The chart alone decides.  The basis
+assembled and solved as its two parity blocks of about N/2 functions, one
+block at a time from one set of moment tables, each bit for bit its
+sub-block of the whole pencil; a slab of a parity block is built only where
+that block reads it.  The chart alone decides.  The basis
 pairs are ordered by m, in each parity block too, so a lower truncation n'
 is the leading block of any larger one.
 """
@@ -39,7 +40,9 @@ from scipy.special import roots_legendre
 
 from .errors import QuadratureError
 
-__all__ = ["BasisTruncation", "basis_size", "quadrature_floor", "chart_blocks", "assemble"]
+__all__ = [
+    "BasisTruncation", "basis_size", "quadrature_floor", "chart_blocks", "moment_tables", "assemble",
+]
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def _trig_multiples(angle: np.ndarray, count: int) -> tuple:
     return cos_a, sin_a
 
 
-def _moment_tables(sector, n_max: int, order: int) -> dict:
+def moment_tables(sector, n_max: int, order: int) -> dict:
     """W[a, b] = sum over the grid of w trig(a alpha) trig(b theta), a, b = 0..2 n_max.
 
     alpha = pi (s+1)/2 and theta = pi (t-1)/2 are the arguments of the s-
@@ -239,8 +242,8 @@ def _slab_plan(c_map, n: int, n_i: np.ndarray, m_i: np.ndarray) -> tuple:
     return parity, 2, maps, column(m_i, n_i), column(n_i, m_i), by_n, first
 
 
-def _pair_matrix(terms, trunc: BasisTruncation, blocks) -> list:
-    """Matrices of the antisymmetrized basis h_(n,m) from moment tables, one per block.
+def _pair_matrix(terms, trunc: BasisTruncation, block: np.ndarray) -> np.ndarray:
+    """Matrix of the antisymmetrized basis h_(n,m) on one block of pairs, from moment tables.
 
     Each term is (d1, d2, d3, d4, W): the four-tensor
     T[p,q,r,s] = sum W-weighted f1_p f2_q g1_r g2_s, whose s-factors f and
@@ -250,7 +253,7 @@ def _pair_matrix(terms, trunc: BasisTruncation, blocks) -> list:
     T is built one slab T[p,:,:,:] at a time, laid out [r, s, q].  Entry
     (i, j) is D_i[n_j,m_j] - D_i[m_j,n_j] with
     D_i = T[n_i,:,m_i,:] - T[m_i,:,n_i,:], so slab p adds to the rows with
-    n_i = p and subtracts from those with m_i = p.  Each block is an
+    n_i = p and subtracts from those with m_i = p.  The block is an
     ascending index array of pairs, the whole basis or one parity class of
     ``chart_blocks``, and builds only the slab entries it reads
     (``_slab_plan``), so an entry has the same arithmetic in any block.
@@ -275,29 +278,29 @@ def _pair_matrix(terms, trunc: BasisTruncation, blocks) -> list:
         shape=(n * n, len(terms) * width),
     )
     n_all, m_all = np.array(trunc.index_pairs).T - 1
-    plans = [_slab_plan(c_map, n, n_all[block], m_all[block]) for block in blocks]
-    outs = [np.empty((len(block), len(block))) for block in blocks]
+    parity, step, maps, lower, upper, by_n, first = _slab_plan(
+        c_map, n, n_all[block], m_all[block])
+    out = np.empty((len(block), len(block)))
     for p in range(n):
         g = np.concatenate([
             table_t[:, dist[p]] * u[p] + table_t[:, total[p]] * v[p]
             for table_t, u, v in g_side
         ])  # [(term, b), q]
-        for (parity, step, maps, lower, upper, by_n, first), out in zip(plans, outs):
-            start = (parity + p) % 2 if step == 2 else 0
-            # T[p, q, r, s] at [j, the plan's column of (s, q)], r = start + step j
-            parts = [(c_part @ g[:, q_cols]).reshape(len(range(start, n, step)), -1)
-                     for c_part, q_cols in maps[start]]
-            slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            z = np.take(slab, lower, axis=1)
-            z -= np.take(slab, upper, axis=1)
-            # slab p is the first to reach the rows with n_i = p, which read
-            # r = m_i > p; the rows with m_i = p read r = n_i < p
-            out[by_n[p]] = z[(p - start) // step + 1:]
-            out[first[p]:first[p + 1]] -= z[:(p - start + step - 1) // step]
-            # freed before the next slab is built: A's and B's builds run at
-            # once, and each then holds one slab and its gather, not two
-            del parts, slab, z
-    return outs
+        start = (parity + p) % 2 if step == 2 else 0
+        # T[p, q, r, s] at [j, the plan's column of (s, q)], r = start + step j
+        parts = [(c_part @ g[:, q_cols]).reshape(len(range(start, n, step)), -1)
+                 for c_part, q_cols in maps[start]]
+        slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        z = np.take(slab, lower, axis=1)
+        z -= np.take(slab, upper, axis=1)
+        # slab p is the first to reach the rows with n_i = p, which read
+        # r = m_i > p; the rows with m_i = p read r = n_i < p
+        out[by_n[p]] = z[(p - start) // step + 1:]
+        out[first[p]:first[p + 1]] -= z[:(p - start + step - 1) // step]
+        # freed before the next slab is built: A's and B's builds run at
+        # once, and each then holds one slab and its gather, not two
+        del parts, slab, z
+    return out
 
 
 def _symmetrize(mat: np.ndarray, name: str) -> None:
@@ -321,49 +324,54 @@ def _symmetrize(mat: np.ndarray, name: str) -> None:
         raise QuadratureError(f"{name} asymmetry {asym:.2e} exceeds 1e-10")
 
 
+def _pencil(w: dict, trunc: BasisTruncation, block: np.ndarray) -> tuple:
+    """(A, B) on one block of pairs, from the moment tables ``w``.
+
+    B is built and symmetrized on one helper thread while this thread
+    builds A, each with the arithmetic of a serial build, and the helper is
+    joined before this returns or raises.
+    """
+    def overlap():
+        b_mat = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc, block)
+        _symmetrize(b_mat, "B")
+        return b_mat
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        b_job = helper.submit(overlap)
+        a_mat = _pair_matrix([
+            (1, 1, 0, 0, w["ss"]),
+            (1, 0, 0, 1, w["st"]),
+            (0, 1, 1, 0, w["st"]),
+            (0, 0, 1, 1, w["tt"]),
+        ], trunc, block)
+        _symmetrize(a_mat, "A")
+        return a_mat, b_job.result()
+
+
 def assemble(sector, trunc: BasisTruncation, quadrature_order: int,
-             blocks=None):
+             blocks=None, moments=None):
     """Stiffness and overlap matrices of the weighted Galerkin problem.
 
     B is one term, (sin, sin | sin, sin) under sqrt(g).  A sums the g_ss
     term, the g_st cross term, that term's (1,0,3,2) transpose (what
-    cross + cross.T is after the gather) and the g_tt term.  B is built
-    and symmetrized on one helper thread while this thread builds A, each
-    with the arithmetic of a serial build, and the helper is joined before
-    this returns or raises.
+    cross + cross.T is after the gather) and the g_tt term.  A and B are
+    built at once, on two threads (``_pencil``).
 
     ``blocks`` None builds the whole basis and returns (A, B).  Otherwise
     it is a sequence of ascending index arrays into ``trunc.index_pairs``,
     each the whole basis or one parity class (``chart_blocks``), and one
-    (A, B) is returned per block, each bit for bit the rows and columns of
-    its pairs in the whole-basis (A, B), from one set of moment tables.
+    (A, B) is returned per block, built one after the other, each bit for
+    bit the rows and columns of its pairs in the whole-basis (A, B).
+    ``moments`` are ``moment_tables(sector, trunc.n_max, quadrature_order)``,
+    computed here when None: a caller that builds its blocks one call at a
+    time passes the one set of tables to every call.
     """
     floor = quadrature_floor(trunc.n_max)
     if quadrature_order < floor:
         raise QuadratureError(
             f"quadrature_order {quadrature_order} < {_QUADRATURE_FACTOR} n_max = {floor}"
         )
-    whole = blocks is None
-    if whole:
-        blocks = (np.arange(len(trunc)),)
-    w = _moment_tables(sector, trunc.n_max, quadrature_order)
-
-    def overlap():
-        b_mats = _pair_matrix([(0, 0, 0, 0, w["b"])], trunc, blocks)
-        for b_mat in b_mats:
-            _symmetrize(b_mat, "B")
-        return b_mats
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        b_job = helper.submit(overlap)
-        a_mats = _pair_matrix([
-            (1, 1, 0, 0, w["ss"]),
-            (1, 0, 0, 1, w["st"]),
-            (0, 1, 1, 0, w["st"]),
-            (0, 0, 1, 1, w["tt"]),
-        ], trunc, blocks)
-        for a_mat in a_mats:
-            _symmetrize(a_mat, "A")
-        pencils = list(zip(a_mats, b_job.result()))
-    return pencils[0] if whole else pencils
-
+    w = moment_tables(sector, trunc.n_max, quadrature_order) if moments is None else moments
+    if blocks is None:
+        return _pencil(w, trunc, np.arange(len(trunc)))
+    return [_pencil(w, trunc, block) for block in blocks]

@@ -484,7 +484,7 @@ def test_moment_tables_match_direct_trig(name, n_max):
     # and one sin per frequency
     sec = octant_sector() if name == "octant" else flatten_sector(H3_SEQ, (1, 3, 4, 2))
     order = 3 * n_max
-    tables = sine_basis._moment_tables(sec, n_max, order)
+    tables = sine_basis.moment_tables(sec, n_max, order)
     reference = _reference_moment_tables(sec, n_max, order)
     assert tables.keys() == reference.keys()
     for key, ref in reference.items():
@@ -506,17 +506,34 @@ def test_assemble_working_set_is_a_few_matrices():
     assert peak <= 3 * (a.nbytes + b.nbytes)
 
 
+def test_study_holds_one_parity_block_at_a_time():
+    # each block's pencil is dropped before the next is built: the study
+    # peaked at 1.87-1.90 times one block's A + B (2.44 MB for 400 functions),
+    # and at 2.88-2.97 times while every block was assembled before any solve
+    sec = octant_sector()
+    convergence_study(sec, (6, 8), 10)  # imports and caches outside the trace
+    one_block = max(16 * len(block) ** 2
+                    for block in sine_basis.chart_blocks(sec, BasisTruncation(40)))
+    tracemalloc.start()
+    try:
+        convergence_study(sec, (30, 40), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * one_block
+
+
 def _serial_assemble(sector, trunc, order):
     """A then B on the whole basis, each built and symmetrized in the caller's thread."""
-    w = sine_basis._moment_tables(sector, trunc.n_max, order)
-    whole = (np.arange(len(trunc)),)
-    (a,) = sine_basis._pair_matrix([
+    w = sine_basis.moment_tables(sector, trunc.n_max, order)
+    whole = np.arange(len(trunc))
+    a = sine_basis._pair_matrix([
         (1, 1, 0, 0, w["ss"]),
         (1, 0, 0, 1, w["st"]),
         (0, 1, 1, 0, w["st"]),
         (0, 0, 1, 1, w["tt"]),
     ], trunc, whole)
-    (b,) = sine_basis._pair_matrix([(0, 0, 0, 0, w["b"])], trunc, whole)
+    b = sine_basis._pair_matrix([(0, 0, 0, 0, w["b"])], trunc, whole)
     sine_basis._symmetrize(a, "A")
     sine_basis._symmetrize(b, "B")
     return a, b
@@ -659,9 +676,14 @@ def test_parity_blocks_are_sub_blocks_of_the_whole_pencil(name, n_max):
     blocks = sine_basis.chart_blocks(sec, trunc)
     a, b = assemble(sec, trunc, 3 * n_max)
     pencils = assemble(sec, trunc, 3 * n_max, blocks)
-    for (a_block, b_block), block in zip(pencils, blocks, strict=True):
-        cut = np.ix_(block, block)
-        assert np.array_equal(a_block, a[cut]) and np.array_equal(b_block, b[cut])
+    # the study's form: one call per block, all from one set of moment tables
+    moments = sine_basis.moment_tables(sec, n_max, 3 * n_max)
+    one_by_one = [assemble(sec, trunc, 3 * n_max, (block,), moments=moments)[0]
+                  for block in blocks]
+    for form in (pencils, one_by_one):
+        for (a_block, b_block), block in zip(form, blocks, strict=True):
+            cut = np.ix_(block, block)
+            assert np.array_equal(a_block, a[cut]) and np.array_equal(b_block, b[cut])
     # the couplings dropped between the blocks are the quadrature error of
     # odd integrands: they move no low float64 level by more than 1e-11
     k = 60
@@ -764,16 +786,25 @@ def test_variational_monotonicity_in_truncation():
 
 
 def test_convergence_study_assembles_once(monkeypatch):
-    calls = []
-    real = billiard.assemble
+    # one set of moment tables at the top truncation, then one assembly of
+    # each parity block from them: the octant has two
+    calls, tables = [], []
+    real_assemble, real_tables = billiard.assemble, billiard.moment_tables
 
     def counting(*args, **kwargs):
-        calls.append(args[1].n_max)
-        return real(*args, **kwargs)
+        calls.append((args[1].n_max, len(args[3]), kwargs["moments"]))
+        return real_assemble(*args, **kwargs)
+
+    def counting_tables(*args):
+        tables.append(real_tables(*args))
+        return tables[-1]
 
     monkeypatch.setattr(billiard, "assemble", counting)
+    monkeypatch.setattr(billiard, "moment_tables", counting_tables)
     convergence_study(octant_sector(), (10, 12, 14), k=8)
-    assert calls == [14]
+    assert len(tables) == 1
+    assert [(n_max, count) for n_max, count, _ in calls] == [(14, 1), (14, 1)]
+    assert all(moments is tables[0] for _, _, moments in calls)
 
 
 def test_convergence_study_lower_spectra_are_submatrix_solves():
