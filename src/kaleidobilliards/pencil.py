@@ -7,8 +7,10 @@ Galerkin level.  The float32 solve is sygvx on the whole pencil, or, when
 the block holds many more basis functions than the vectors it needs, block
 Krylov on the Cholesky factors, whose cost follows k instead of the whole
 pencil's.  One call solves every leading block of a pencil the same way:
-the float64 pencil is packed into A's storage, and each float32 pencil is
-copied from its leading block into B's, so no copy of the matrices is made.
+the float64 pencil is packed into A's storage, and each float32 pencil, and
+after it a lower block's packed float64 pencil for its Rayleigh-Ritz
+products, is copied from its leading block into B's, so no N x N array is
+allocated.
 """
 
 from __future__ import annotations
@@ -159,11 +161,10 @@ def _rayleigh_ritz(packed: np.ndarray, a_diag: np.ndarray, b_diag: np.ndarray,
     """The ``count`` lowest eigenvalues of the float64 pencil projected on ``vecs``.
 
     ``packed`` holds A in its C-order lower triangle (the Fortran upper of
-    packed.T) and B's strict upper triangle above it; ``vecs`` spans the
-    leading rows.
+    packed.T) and B's strict upper triangle above it, with as many rows as
+    ``vecs``.
     """
-    x = np.zeros((len(packed), vecs.shape[1]), order="F")
-    x[:len(vecs)] = vecs
+    x = np.asfortranarray(vecs, dtype=np.float64)
     blas = scipy.linalg.blas
     a_x = blas.dsymm(1.0, packed.T, x, lower=0)
     # B in the upper triangle while B's diagonal is in place
@@ -220,8 +221,10 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
     with the same error on either.
 
     Both matrices are consumed: B's strict upper triangle moves into A's
-    once, and b_mat's buffer holds each float32 pencil in turn, so their
-    contents are undefined afterwards and no N x N array is allocated.  The
+    once, and b_mat's buffer holds each float32 pencil in turn and then,
+    for a block below the whole, a copy of the packed leading block for
+    the Rayleigh-Ritz products, so their contents are undefined afterwards
+    and no N x N array is allocated.  The
     matrices must be symmetric float64; a C-ordered matrix is passed to
     LAPACK and BLAS as its transpose, the same matrix in Fortran order.
     """
@@ -247,7 +250,13 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
             path = "dense" if vecs is None else "krylov"
             if vecs is None:
                 vecs = _dense_vectors(*_float32_pencil(a_mat, b_diag, b_mat, n), width)
-            vals = _rayleigh_ritz(a_mat, a_diag, b_diag, vecs, count)
+            packed = a_mat
+            if n < size:
+                # the float32 pencil is spent, and its buffer takes the
+                # leading block: the products read n x n, not N x N
+                packed = b_mat.reshape(-1)[:n * n].reshape(n, n)
+                packed[...] = a_mat[:n, :n]
+            vals = _rayleigh_ritz(packed, a_diag[:n], b_diag[:n], vecs, count)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise _eigensolver_error(exc) from exc
         if vals[0] <= 0.0:
