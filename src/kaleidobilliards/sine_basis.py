@@ -268,7 +268,8 @@ def _pair_matrix(terms, trunc: BasisTruncation, block: np.ndarray) -> np.ndarray
     dist, total = np.abs(p_grid - q_grid), p_grid + q_grid
     g_side, c_cols, c_vals = [], [], []
     for i, (d1, d2, d3, d4, table) in enumerate(terms):
-        g_side.append((table.T, *_product_to_sum(d1, d2, p_grid, q_grid)))
+        u, v = _product_to_sum(d1, d2, p_grid, q_grid)
+        g_side.append((table, u[:, :, None], v[:, :, None]))
         u, v = _product_to_sum(d3, d4, p_grid, q_grid)
         c_cols += [i * width + dist.ravel(), i * width + total.ravel()]
         c_vals += [u.ravel(), v.ravel()]
@@ -282,9 +283,10 @@ def _pair_matrix(terms, trunc: BasisTruncation, block: np.ndarray) -> np.ndarray
         c_map, n, n_all[block], m_all[block])
     out = np.empty((len(block), len(block)))
     for p in range(n):
+        # rows of W, not columns of W^T: the gathers read contiguous rows
         g = np.concatenate([
-            table_t[:, dist[p]] * u[p] + table_t[:, total[p]] * v[p]
-            for table_t, u, v in g_side
+            (table[dist[p]] * u[p] + table[total[p]] * v[p]).T
+            for table, u, v in g_side
         ])  # [(term, b), q]
         start = (parity + p) % 2 if step == 2 else 0
         # T[p, q, r, s] at [j, the plan's column of (s, q)], r = start + step j
