@@ -277,8 +277,10 @@ def convergence_study(sector: FlattenedSector, n_max_grid, k: int,
     sizes = [basis_size(n) for n in grid]
     moments = moment_tables(sector, top.n_max, order)
     solves = [[] for _ in grid]  # per truncation, its blocks that have functions
-    for block in blocks:
+    for i, block in enumerate(blocks):
         ((a_mat, b_mat),) = assemble(sector, top, order, (block,), moments=moments)
+        if i + 1 == len(blocks):
+            del moments  # every block is built: no solve holds the tables
         # a block's functions among a truncation's lead the block
         counts = [int(np.count_nonzero(block < size)) for size in sizes]
         held = [j for j, count in enumerate(counts) if count]

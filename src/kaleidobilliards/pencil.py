@@ -224,9 +224,9 @@ def solve_spectrum(a_mat: np.ndarray, b_mat: np.ndarray, k: int, sizes=None) -> 
     once, and b_mat's buffer holds each float32 pencil in turn and then,
     for a block below the whole, a copy of the packed leading block for
     the Rayleigh-Ritz products, so their contents are undefined afterwards
-    and no N x N array is allocated.  The
-    matrices must be symmetric float64; a C-ordered matrix is passed to
-    LAPACK and BLAS as its transpose, the same matrix in Fortran order.
+    and no N x N array is allocated.  The matrices must be symmetric
+    float64; a C-ordered matrix is passed to LAPACK and BLAS as its
+    transpose, the same matrix in Fortran order.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")

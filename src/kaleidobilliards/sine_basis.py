@@ -24,9 +24,9 @@ forms vanish between pairs whose n + m differ in parity.  Such a chart is
 assembled and solved as its two parity blocks of about N/2 functions, one
 block at a time from one set of moment tables, each bit for bit its
 sub-block of the whole pencil; a slab of a parity block is built only where
-that block reads it.  The chart alone decides.  The basis
-pairs are ordered by m, in each parity block too, so a lower truncation n'
-is the leading block of any larger one.
+that block reads it.  The chart alone decides.  The basis pairs are ordered
+by m, in each parity block too, so a lower truncation n' is the leading
+block of any larger one.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def _pair_matrix(terms, trunc: BasisTruncation, block: np.ndarray) -> np.ndarray
         c_map, n, n_all[block], m_all[block])
     out = np.empty((len(block), len(block)))
     for p in range(n):
-        # rows of W, not columns of W^T: the gathers read contiguous rows
+        # gathered as contiguous rows of W, then transposed: half the cost
+        # of gathering the strided columns of W^T
         g = np.concatenate([
             (table[dist[p]] * u[p] + table[total[p]] * v[p]).T
             for table, u, v in g_side
