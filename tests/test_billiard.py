@@ -508,7 +508,7 @@ def test_assemble_working_set_is_a_few_matrices():
 
 def test_study_holds_one_parity_block_at_a_time():
     # each block's pencil is dropped before the next is built: the study
-    # peaked at 1.87-1.90 times one block's A + B (2.44 MB for 400 functions),
+    # peaked at 1.87-1.95 times one block's A + B (2.44 MB for 400 functions),
     # and at 2.88-2.97 times while every block was assembled before any solve
     sec = octant_sector()
     convergence_study(sec, (6, 8), 10)  # imports and caches outside the trace
